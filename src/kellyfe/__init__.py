@@ -20,8 +20,6 @@ from .kelly import (
 )
 from .losses import (
     LossEvaluation,
-    WeightSpec,
-    class_balanced_weight,
     cross_entropy,
     dice_similarity,
     efe_decompose,
@@ -37,7 +35,7 @@ from .losses import (
     weighted_focal,
 )
 from .network import LayerSpec, NetworkParams, backward, forward, init_he, load_params, save_params
-from .optimizer import AdamState, adam_step, gd_step, init_adam
+from .optimizer import AdamState, adam_step, init_adam
 from .data import Dataset, batches, corrupt_labels, generate, load_dataset, save_dataset, synthesize_priors
 from .trainer import MetricsReport, TrainConfig, evaluate, train
 
@@ -52,7 +50,6 @@ __all__ = [
     "MetricsReport",
     "NetworkParams",
     "TrainConfig",
-    "WeightSpec",
     "adam_step",
     "backward",
     "batches",
@@ -60,7 +57,6 @@ __all__ = [
     "candidate_labels",
     "candidate_labels_batch",
     "clamp_probabilities",
-    "class_balanced_weight",
     "corrupt_labels",
     "cross_entropy",
     "dice_similarity",
@@ -69,7 +65,6 @@ __all__ = [
     "evaluate",
     "focal",
     "forward",
-    "gd_step",
     "generate",
     "init_adam",
     "init_he",

@@ -82,27 +82,23 @@ def _load_experiment_config(args, parser) -> tuple[trainer.TrainConfig, dict]:
         if not isinstance(doc, dict):
             parser.error("config document must be a JSON object")
     paths = {key: doc.pop(key) for key in _CONFIG_PATH_KEYS if key in doc}
+    overrides = {
+        field: value
+        for field, value in (
+            ("loss", args.loss),
+            ("mode", args.mode),
+            ("gamma_mod", args.gamma),
+            ("seed", args.seed),
+            ("batch_size", args.batch_size),
+            ("max_iterations", args.max_iterations),
+            ("patience", args.patience),
+        )
+        if value is not None
+    }
     try:
-        config = trainer.config_from_dict(doc)
+        config = replace(trainer.config_from_dict(doc), **overrides)
     except (TypeError, ValueError) as exc:
         parser.error(f"invalid config: {exc}")
-    overrides = {}
-    if args.loss is not None:
-        overrides["loss"] = args.loss
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.gamma is not None:
-        overrides["gamma_mod"] = args.gamma
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.patience is not None:
-        overrides["patience"] = args.patience
-    if overrides:
-        config = replace(config, **overrides)
     return config, paths
 
 

@@ -14,10 +14,11 @@ admits outcomes while q stays above the "unspent" ratio
     s = (non-candidate prior mass) / (non-candidate posterior mass),
 
 after which g[c] = prior[c] - posterior[c] * s for admitted outcomes and 0
-for the rest.  ``candidate_labels`` implements that sweep,
-``brute_force_oracle`` independently maximizes G over an exhaustive grid so
-the closed form can be checked rather than trusted, and
-``kelly_objective_value`` evaluates the coarsened-KL form of the optimum.
+for the rest.  ``candidate_labels_batch`` implements that sweep and
+``candidate_labels`` is its one-row form; ``brute_force_oracle``
+independently maximizes G over an exhaustive grid so the closed form can
+be checked rather than trusted, and ``kelly_objective_value`` evaluates
+the coarsened-KL form of the optimum.
 
 Everything here is pure and operates on plain numpy arrays.
 """
@@ -45,19 +46,28 @@ class GridDimensionError(ValueError):
     """Exhaustive grid search requested for too many classes."""
 
 
-def clamp_probabilities(values) -> np.ndarray:
-    """Clamp entries to [1e-8, 1 - 1e-8] and renormalize to sum 1.
+def clamp_probability_rows(rows) -> np.ndarray:
+    """Clamp an (N, K) matrix to [1e-8, 1 - 1e-8] and renormalize each row.
 
     Keeps vectors on the open simplex so ratios and logarithms stay finite
-    even when a softmax underflows.
+    even when a softmax underflows.  Clamping is not idempotent: a second
+    pass may move the last bit of a row, so callers clamp raw input once.
     """
-    p = np.asarray(values, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("probability vector must be 1-d with length >= 2")
+    p = np.asarray(rows, dtype=float)
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise ValueError("expected an (N, K) matrix with K >= 2")
     if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector has non-finite entries")
+        raise ValueError("probability rows have non-finite entries")
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return p / p.sum()
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def clamp_probabilities(values) -> np.ndarray:
+    """clamp_probability_rows for a single 1-d probability vector."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("probability vector must be 1-d with length >= 2")
+    return clamp_probability_rows(p[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -99,72 +109,33 @@ def log_growth(fractions, prior, posterior) -> float:
 def candidate_labels(prior, posterior, reference_label: int | None = None) -> KellySolution:
     """Determine the candidate outcome set and its optimal allocation.
 
-    Sorts q = prior/posterior descending (ties broken by ascending index)
-    and admits outcomes while q exceeds the current unspent ratio s, which
-    is recomputed over the not-yet-admitted outcomes after every admission.
-    Admission requires q > s strictly; the sweep therefore never admits all
-    K outcomes (the last one always has q equal to the remaining s).
-
+    The one-row case of candidate_labels_batch, which describes the sweep.
     When nothing is admitted (which happens exactly when prior equals
     posterior entrywise) the ``reference_label`` is inserted instead, with
     the all-zero allocation kept; a missing reference in that situation
     raises MissingReferenceLabelError.
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
-    if a.shape != p.shape:
-        raise ValueError("prior and posterior differ in length")
-
-    q = a / p
-    order = np.argsort(-q, kind="stable")
-    remaining = np.ones(a.size, dtype=bool)
-    admitted: list[int] = []
-    s = 1.0
-    for idx in order:
-        if q[idx] > s:
-            admitted.append(int(idx))
-            remaining[idx] = False
-            s = a[remaining].sum() / p[remaining].sum()
-        else:
-            break
-
-    fractions = np.zeros_like(a)
-    if admitted:
-        cand = np.array(admitted)
-        fractions[cand] = a[cand] - p[cand] * s
-        candidates = frozenset(admitted)
-    elif reference_label is not None:
-        candidates = frozenset({int(reference_label)})
-    else:
-        raise MissingReferenceLabelError(
-            "empty candidate set and no reference label supplied"
-        )
+    fallback = None if reference_label is None else [reference_label]
+    mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
     return KellySolution(
-        candidates=candidates,
-        fractions=fractions,
-        unspent=float(s),
-        log_growth=log_growth(fractions, a, p),
+        candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
+        fractions=fractions[0],
+        unspent=float(unspent[0]),
+        log_growth=log_growth(fractions[0], prior, posterior),
     )
-
-
-def clamp_probability_rows(rows) -> np.ndarray:
-    """Row-wise clamp_probabilities for an (N, K) matrix."""
-    p = np.asarray(rows, dtype=float)
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise ValueError("expected an (N, K) matrix with K >= 2")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability rows have non-finite entries")
-    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def candidate_labels_batch(
     priors, posteriors, fallback_labels=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized candidate sweep over the rows of a batch.
+    """Candidate sweep over the rows of a batch.
 
-    Same admission rule as candidate_labels, run on every row at once:
-    returns (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
+    Per row, sorts q = prior/posterior descending (ties broken by ascending
+    index) and admits outcomes while q exceeds the current unspent ratio s,
+    which is recomputed over the not-yet-admitted outcomes after every
+    admission.  Admission requires q > s strictly; the sweep therefore never
+    admits all K outcomes (the last one always has q equal to the remaining
+    s).  Returns (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
     Rows that admit nothing get their fallback label marked in the mask with
     an all-zero allocation; if ``fallback_labels`` is None such rows raise
     MissingReferenceLabelError.

@@ -7,15 +7,20 @@ with respect to the pre-softmax outputs.  Gradients are derived in the
 posteriors and chained through the softmax Jacobian, which makes every
 gradient row sum to zero.
 
-The cross-entropy family (plain, class-weighted, focal, weighted focal)
-normalizes by 1/(K*N) and returns nonnegative values.  The Dice similarity
-is returned as the quantity to *maximize*; callers minimizing it should use
-1 - value and negate the gradient.  The Lovasz-Softmax loss is the convex
-closure of the per-class Jaccard distance over sorted mispredictions.  The
-expected-free-energy loss combines a label-weighted posterior-entropy term
-with the coarsened prior/posterior divergence over per-sample candidate
-outcome sets from the kelly module, which are held constant under
-differentiation.
+The cross-entropy family (plain, class-weighted, focal, weighted focal) is
+one weighted-focal kernel: cross entropy is its unit-weight, gamma_mod = 0
+case.  It normalizes by 1/(K*N) and returns nonnegative values.  The Dice
+similarity is returned as the quantity to *maximize*; the loss table
+minimizes 1 - value with the negated gradient.  The Lovasz-Softmax loss is
+the convex closure of the per-class Jaccard distance over sorted
+mispredictions.  The expected-free-energy loss combines a label-weighted
+posterior-entropy term with the coarsened prior/posterior divergence over
+per-sample candidate outcome sets from the kelly module, which are held
+constant under differentiation.
+
+LOSSES maps each trainable loss name to one evaluate call plus whether it
+needs reference labels and whether it uses the candidate sets; the trainer,
+the verify suites and the command line all read it.
 
 vfe_decompose / efe_decompose are single-distribution diagnostics for the
 free-energy identities; they do not produce gradients.
@@ -24,7 +29,7 @@ free-energy identities; they do not produce gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,25 +56,6 @@ class LossEvaluation:
     expected_complexity: float | None = None
 
 
-@dataclass
-class WeightSpec:
-    """Weighting knobs for the weighted cross-entropy family.
-
-    ``class_weights``, when given, overrides the inverse-frequency weights
-    computed from the batch class counts.  ``sample_weights`` overrides the
-    border-distance weight w_mo * exp(-(d1 + d2)^2 / (2 sigma_mo^2)) that is
-    otherwise derived from ``d1``/``d2`` when those are supplied.
-    """
-
-    class_weights: np.ndarray | None = None
-    sample_weights: np.ndarray | None = None
-    gamma_mod: float = 2.0
-    w_mo: float = 10.0
-    sigma_mo: float = 5.0
-    d1: np.ndarray | None = None
-    d2: np.ndarray | None = None
-
-
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety."""
     z = np.asarray(logits, dtype=float)
@@ -78,10 +64,6 @@ def softmax(logits) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _ln(x: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(x, LN_EPS))
 
 
 def _check_pair(posteriors, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -108,19 +90,37 @@ def _onehot_required(labels: np.ndarray) -> None:
 # cross-entropy family
 # ---------------------------------------------------------------------------
 
-def cross_entropy(posteriors, labels) -> LossEvaluation:
-    """Softmax cross entropy, normalized by 1/(K*N)."""
+def _weighted_focal(posteriors, labels, class_weights: np.ndarray | None, gamma_mod: float) -> LossEvaluation:
+    """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
+
+    ``class_weights`` None means unit weights.  Unit weights enter as an
+    exact 1.0 and gamma_mod = 0 drops the modulation factor, so
+    cross_entropy, focal at gamma_mod = 0 and unit-weight variants agree
+    bit for bit.
+    """
+    if gamma_mod < 0.0:
+        raise ValueError("gamma_mod must be >= 0")
     p, l = _check_pair(posteriors, labels)
     n, k = p.shape
+    w = 1.0 if class_weights is None else class_weights[None, :]
     scale = 1.0 / (k * n)
-    value = -scale * float((l * _ln(p)).sum())
-    grad_post = -scale * l / np.maximum(p, LN_EPS)
+    pc = np.maximum(p, LN_EPS)
+    ln_p = np.log(pc)
+    if gamma_mod == 0.0:
+        value = -scale * float((w * l * ln_p).sum())
+        grad_post = -scale * w * l / pc
+    else:
+        one_minus = 1.0 - p
+        mod = one_minus**gamma_mod
+        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
+        value = -scale * float((w * mod * l * ln_p).sum())
+        grad_post = -scale * w * l * (dmod * ln_p + mod / pc)
     return LossEvaluation(value, _chain_softmax(p, grad_post))
 
 
-def _class_weights(weights: WeightSpec | None, class_counts, k: int) -> np.ndarray:
-    if weights is not None and weights.class_weights is not None:
-        w = np.asarray(weights.class_weights, dtype=float)
+def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
+    if class_weights is not None:
+        w = np.asarray(class_weights, dtype=float)
         if w.shape != (k,):
             raise ValueError("class_weights must have one entry per class")
         if np.any(w <= 0.0):
@@ -132,34 +132,19 @@ def _class_weights(weights: WeightSpec | None, class_counts, k: int) -> np.ndarr
     return counts.sum() / (counts + 1e-8)
 
 
-def _sample_weights(weights: WeightSpec | None, n: int) -> np.ndarray:
-    if weights is None:
-        return np.zeros(n)
-    if weights.sample_weights is not None:
-        w = np.asarray(weights.sample_weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("sample_weights must have one entry per sample")
-        return w
-    if weights.d1 is not None and weights.d2 is not None:
-        d = np.asarray(weights.d1, dtype=float) + np.asarray(weights.d2, dtype=float)
-        return weights.w_mo * np.exp(-(d * d) / (2.0 * weights.sigma_mo**2))
-    return np.zeros(n)
+def cross_entropy(posteriors, labels) -> LossEvaluation:
+    """Softmax cross entropy, normalized by 1/(K*N)."""
+    return _weighted_focal(posteriors, labels, None, 0.0)
 
 
-def weighted_cross_entropy(posteriors, labels, weights: WeightSpec | None, class_counts) -> LossEvaluation:
-    """Cross entropy with per-class inverse-frequency plus per-sample weights.
+def weighted_cross_entropy(posteriors, labels, class_weights, class_counts) -> LossEvaluation:
+    """Cross entropy with per-class weights.
 
-    The class weight is (sum of batch counts) / (count_c + 1e-8); despite
-    its name it exceeds 1 for any non-dominant class.  The per-sample
-    border-distance weight is added on top when distances are supplied.
+    ``class_weights``, when given, is used as is; otherwise the weight of
+    class c is (sum of batch counts) / (count_c + 1e-8), which despite its
+    name exceeds 1 for any non-dominant class.
     """
-    p, l = _check_pair(posteriors, labels)
-    n, k = p.shape
-    w = _class_weights(weights, class_counts, k)[None, :] + _sample_weights(weights, n)[:, None]
-    scale = 1.0 / (k * n)
-    value = -scale * float((w * l * _ln(p)).sum())
-    grad_post = -scale * w * l / np.maximum(p, LN_EPS)
-    return LossEvaluation(value, _chain_softmax(p, grad_post))
+    return _weighted_focal(posteriors, labels, _class_weights(class_weights, class_counts, np.shape(labels)[-1]), 0.0)
 
 
 def focal(posteriors, labels, gamma_mod: float) -> LossEvaluation:
@@ -167,55 +152,12 @@ def focal(posteriors, labels, gamma_mod: float) -> LossEvaluation:
 
     gamma_mod = 0 reduces exactly to cross_entropy, value and gradient.
     """
-    if gamma_mod < 0.0:
-        raise ValueError("gamma_mod must be >= 0")
-    p, l = _check_pair(posteriors, labels)
-    n, k = p.shape
-    scale = 1.0 / (k * n)
-    pc = np.maximum(p, LN_EPS)
-    one_minus = 1.0 - p
-    mod = one_minus**gamma_mod
-    value = -scale * float((mod * l * np.log(pc)).sum())
-    if gamma_mod == 0.0:
-        # bit-identical to cross_entropy, so the reduction survives formatting
-        grad_post = -scale * l / pc
-    else:
-        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
-        grad_post = -scale * l * (dmod * np.log(pc) + mod / pc)
-    return LossEvaluation(value, _chain_softmax(p, grad_post))
+    return _weighted_focal(posteriors, labels, None, gamma_mod)
 
 
-def weighted_focal(posteriors, labels, weights: WeightSpec | None, class_counts, gamma_mod: float) -> LossEvaluation:
+def weighted_focal(posteriors, labels, class_weights, class_counts, gamma_mod: float) -> LossEvaluation:
     """Focal loss with the same per-class weights as weighted_cross_entropy."""
-    if gamma_mod < 0.0:
-        raise ValueError("gamma_mod must be >= 0")
-    p, l = _check_pair(posteriors, labels)
-    n, k = p.shape
-    w = _class_weights(weights, class_counts, k)[None, :]
-    scale = 1.0 / (k * n)
-    pc = np.maximum(p, LN_EPS)
-    one_minus = 1.0 - p
-    mod = one_minus**gamma_mod
-    value = -scale * float((w * mod * l * np.log(pc)).sum())
-    if gamma_mod == 0.0:
-        grad_post = -scale * w * l / pc
-    else:
-        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
-        grad_post = -scale * w * l * (dmod * np.log(pc) + mod / pc)
-    return LossEvaluation(value, _chain_softmax(p, grad_post))
-
-
-def class_balanced_weight(effective_number: float, count: int) -> float:
-    """Weight [1 - (n-1)/n] / [1 - ((n-1)/n)^count] from the effective number n.
-
-    Tends to 1/count as n grows; equals 1 at count = 1.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if effective_number <= 1.0:
-        raise ValueError("effective_number must exceed 1")
-    ratio = (effective_number - 1.0) / effective_number
-    return (1.0 - ratio) / (1.0 - ratio**count)
+    return _weighted_focal(posteriors, labels, _class_weights(class_weights, class_counts, np.shape(labels)[-1]), gamma_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +315,48 @@ def efe_loss(posteriors, labels, priors, candidate_sets) -> LossEvaluation:
         uncertainty=uncertainty,
         expected_complexity=complexity,
     )
+
+
+# ---------------------------------------------------------------------------
+# loss table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LossEntry:
+    """One trainable loss.
+
+    ``evaluate(posteriors, labels, priors, mask, class_weights, gamma_mod)``
+    returns the value to minimize and its gradient; each loss reads only the
+    arguments it needs.  ``mask`` is the candidate mask of the sweep, given
+    to losses that set ``uses_candidates`` and None otherwise.
+    ``needs_reference`` losses are undefined without reference labels.
+    """
+
+    evaluate: Callable[..., LossEvaluation]
+    needs_reference: bool = True
+    uses_candidates: bool = False
+
+
+def _dice_loss(posteriors, labels) -> LossEvaluation:
+    ev = dice_similarity(posteriors, labels)
+    return LossEvaluation(1.0 - ev.value, -ev.grad_logits)
+
+
+# The entries look their functions up at call time, so a rebinding of a
+# module-level name (a profiler's wrapper, say) is seen through the table.
+LOSSES: dict[str, LossEntry] = {
+    "efe": LossEntry(
+        lambda p, l, a, mask, w, g: efe_loss(p, l, a, mask),
+        needs_reference=False,
+        uses_candidates=True,
+    ),
+    "ce": LossEntry(lambda p, l, a, mask, w, g: cross_entropy(p, l)),
+    "wce": LossEntry(lambda p, l, a, mask, w, g: weighted_cross_entropy(p, l, w, l.sum(axis=0))),
+    "focal": LossEntry(lambda p, l, a, mask, w, g: focal(p, l, g)),
+    "wfocal": LossEntry(lambda p, l, a, mask, w, g: weighted_focal(p, l, w, l.sum(axis=0), g)),
+    "dice": LossEntry(lambda p, l, a, mask, w, g: _dice_loss(p, l)),
+    "lovasz": LossEntry(lambda p, l, a, mask, w, g: lovasz_softmax(p, l)),
+}
 
 
 class VfeDecomposition(NamedTuple):

@@ -1,7 +1,7 @@
-"""Parameter update rules: plain gradient descent and Adam.
+"""The Adam parameter update.
 
-Both rules act on flat float64 parameter vectors (see network.flatten) and
-are purely functional: they return updated copies instead of mutating.
+It acts on flat float64 parameter vectors (see network.flatten) and is
+purely functional: it returns updated copies instead of mutating.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ def init_adam(
         beta_fm=beta_fm,
         beta_sm=beta_sm,
     )
-
-
-def gd_step(params, grads, alpha_lr: float):
-    """One plain gradient-descent update: params - alpha_lr * grads."""
-    p = np.asarray(params, dtype=float)
-    g = np.asarray(grads, dtype=float)
-    if p.shape != g.shape:
-        raise ValueError("params and grads shapes differ")
-    if not 0.0 < alpha_lr < 1.0:
-        raise ValueError("alpha_lr must lie in (0, 1)")
-    return p - alpha_lr * g
 
 
 def adam_step(state: AdamState, params, grads) -> tuple[AdamState, np.ndarray]:

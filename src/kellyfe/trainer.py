@@ -25,7 +25,7 @@ from .kelly import candidate_labels_batch
 from .network import LayerSpec, NetworkParams, backward, flatten, forward, init_he, unflatten
 from .optimizer import adam_step, init_adam
 
-LOSS_NAMES = ("efe", "ce", "wce", "focal", "wfocal", "dice", "lovasz")
+LOSS_NAMES = tuple(losses.LOSSES)
 MODE_NAMES = ("grpr", "grnp", "ngpr", "ngnp")
 
 
@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
 
@@ -112,8 +114,8 @@ def supervised(mode: str) -> bool:
 
 
 def check_compatibility(config: TrainConfig) -> None:
-    """Supervised-only losses need reference labels (gr* modes)."""
-    if config.loss != "efe" and not supervised(config.mode):
+    """Losses that need reference labels need a gr* mode."""
+    if losses.LOSSES[config.loss].needs_reference and not supervised(config.mode):
         raise IncompatibleConfigError(
             f"loss {config.loss!r} needs reference labels; mode {config.mode!r} has none"
         )
@@ -145,32 +147,13 @@ def _evaluate_loss(
     priors: np.ndarray,
     reference_labels: np.ndarray,
 ) -> losses.LossEvaluation:
-    name = config.loss
-    if name == "efe":
-        if supervised(config.mode):
-            fallback = reference_labels
-        else:
-            fallback = posteriors.argmax(axis=1)
+    entry = losses.LOSSES[config.loss]
+    mask = None
+    if entry.uses_candidates:
+        fallback = reference_labels if supervised(config.mode) else posteriors.argmax(axis=1)
         mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
-        return losses.efe_loss(posteriors, labels, priors, mask)
-    if name == "ce":
-        return losses.cross_entropy(posteriors, labels)
-    spec = losses.WeightSpec(
-        class_weights=None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
-    )
-    counts = labels.sum(axis=0)
-    if name == "wce":
-        return losses.weighted_cross_entropy(posteriors, labels, spec, counts)
-    if name == "focal":
-        return losses.focal(posteriors, labels, config.gamma_mod)
-    if name == "wfocal":
-        return losses.weighted_focal(posteriors, labels, spec, counts, config.gamma_mod)
-    if name == "dice":
-        ev = losses.dice_similarity(posteriors, labels)
-        return losses.LossEvaluation(1.0 - ev.value, -ev.grad_logits)
-    if name == "lovasz":
-        return losses.lovasz_softmax(posteriors, labels)
-    raise ValueError(f"unknown loss {name!r}")  # pragma: no cover
+    weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
+    return entry.evaluate(posteriors, labels, priors, mask, weights, config.gamma_mod)
 
 
 def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tuple[LayerSpec, ...]:

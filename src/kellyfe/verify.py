@@ -147,28 +147,14 @@ def kelly_suite(trials: int = 1000, seed: int = 0, grid_step: float = 0.005) -> 
 # gradient suite
 # ---------------------------------------------------------------------------
 
-GRADIENT_LOSSES = ("ce", "wce", "focal-g0", "focal-g2", "wfocal", "dice", "lovasz", "efe")
-
-
-def _loss_value_and_grad(name, posteriors, labels, priors, mask):
-    counts = labels.sum(axis=0)
-    if name == "ce":
-        return losses.cross_entropy(posteriors, labels)
-    if name == "wce":
-        return losses.weighted_cross_entropy(posteriors, labels, None, counts)
-    if name == "focal-g0":
-        return losses.focal(posteriors, labels, 0.0)
-    if name == "focal-g2":
-        return losses.focal(posteriors, labels, 2.0)
-    if name == "wfocal":
-        return losses.weighted_focal(posteriors, labels, None, counts, 2.0)
-    if name == "dice":
-        return losses.dice_similarity(posteriors, labels)
-    if name == "lovasz":
-        return losses.lovasz_softmax(posteriors, labels)
-    if name == "efe":
-        return losses.efe_loss(posteriors, labels, priors, mask)
-    raise ValueError(name)
+# (property name, loss, gamma_mod); focal is also checked at gamma 0, where
+# it must reduce to cross entropy
+_GAMMAS = {"focal": (0.0, 2.0)}
+GRADIENT_LOSSES = tuple(
+    (f"{name}-g{gamma:g}" if name in _GAMMAS else name, name, gamma)
+    for name in losses.LOSSES
+    for gamma in _GAMMAS.get(name, (2.0,))
+)
 
 
 def _gradient_instance(rng: np.random.Generator, k: int, n: int):
@@ -195,7 +181,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
     property (gradient rows sum to zero).
     """
     rowsum_tol = 1e-7
-    worst = {name: 0.0 for name in GRADIENT_LOSSES}
+    worst = {prop: 0.0 for prop, _, _ in GRADIENT_LOSSES}
     worst_rowsum = 0.0
     for i in range(instances):
         k = (2, 3, 4)[i % 3]
@@ -208,25 +194,27 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
         post0 = losses.softmax(logits0)
         mask, _, _ = candidate_labels_batch(priors, post0, fallback_labels=labels.argmax(axis=1))
 
-        for name in GRADIENT_LOSSES:
-            def value_at(theta, loss_name=name):
+        for prop, name, gamma in GRADIENT_LOSSES:
+            evaluate = losses.LOSSES[name].evaluate
+
+            def value_at(theta, evaluate=evaluate, gamma=gamma):
                 p = NetworkParams(specs=specs, layers=unflatten(theta, specs))
                 logits, _ = forward(p, features, training=False)
-                return _loss_value_and_grad(loss_name, losses.softmax(logits), labels, priors, mask).value
+                return evaluate(losses.softmax(logits), labels, priors, mask, None, gamma).value
 
             logits, cache = forward(params, features, training=False)
-            ev = _loss_value_and_grad(name, losses.softmax(logits), labels, priors, mask)
+            ev = evaluate(losses.softmax(logits), labels, priors, mask, None, gamma)
             worst_rowsum = max(worst_rowsum, float(np.abs(ev.grad_logits.sum(axis=1)).max()))
             analytic = flatten(backward(params, cache, ev.grad_logits))
             numeric = finite_difference_gradient(value_at, theta0, h)
-            worst[name] = max(worst[name], relative_gradient_error(analytic, numeric))
+            worst[prop] = max(worst[prop], relative_gradient_error(analytic, numeric))
 
     results = [
         PropertyResult(
-            f"gradient-{name}", worst[name] <= tol, worst[name], tol,
+            f"gradient-{prop}", worst[prop] <= tol, worst[prop], tol,
             f"{instances} instances, h={h:g}",
         )
-        for name in GRADIENT_LOSSES
+        for prop in worst
     ]
     results.append(
         PropertyResult("gradient-zero-row-sums", worst_rowsum <= rowsum_tol, worst_rowsum, rowsum_tol)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kellyfe import cli, data, trainer
+from kellyfe import cli, data, losses, trainer
 
 
 def _generate(tmp_path, name, samples=120, seed=0, label_flip=0.0, capsys=None):
@@ -129,6 +129,26 @@ class TestTrain:
         assert cli.main(self._train_args(tmp_path, "run_b")) == 0
         for name in ("model.json", "history.csv", "metrics.json"):
             assert (tmp_path / "run_a" / name).read_bytes() == (tmp_path / "run_b" / name).read_bytes()
+
+    @pytest.mark.parametrize("loss", list(losses.LOSSES))
+    def test_rerun_is_byte_identical_for_every_loss(self, tmp_path, capsys, loss):
+        for out_name in ("run_a", "run_b"):
+            assert cli.main(self._train_args(tmp_path, out_name, loss=loss, mode="grnp")) == 0
+        for name in ("model.json", "history.csv", "metrics.json"):
+            assert (tmp_path / "run_a" / name).read_bytes() == (tmp_path / "run_b" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--patience", "--max-iterations", "--batch-size"])
+    def test_zero_flag_is_one_line_usage_error(self, tmp_path, capsys, flag):
+        args = self._train_args(tmp_path, "zero")
+        if flag in args:
+            args[args.index(flag) + 1] = "0"
+        else:
+            args += [flag, "0"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be >= 1" in errors[0]
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         args = [

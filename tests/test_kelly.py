@@ -8,6 +8,7 @@ import pytest
 from kellyfe.kelly import (
     GridDimensionError,
     InfeasibleFractionsError,
+    KellySolution,
     MissingReferenceLabelError,
     brute_force_oracle,
     candidate_labels,
@@ -16,11 +17,52 @@ from kellyfe.kelly import (
     kelly_objective_value,
     log_growth,
 )
-from kellyfe.verify import draw_probability_pair
+from kellyfe.verify import PAIR_FLOOR, draw_probability_pair
 
 PRIOR3 = [0.6, 0.3, 0.1]
 POST3 = [0.2, 0.3, 0.5]
 G3 = 0.6 * np.log(3.0) + 0.1 * np.log(0.2)  # 0.49822...
+
+
+def reference_candidate_labels(prior, posterior, reference_label=None) -> KellySolution:
+    """The sweep as a plain loop, one admission at a time: the reference
+    that the batched sweep in the library is checked against.
+    """
+    a = clamp_probabilities(prior)
+    p = clamp_probabilities(posterior)
+    if a.shape != p.shape:
+        raise ValueError("prior and posterior differ in length")
+
+    q = a / p
+    order = np.argsort(-q, kind="stable")
+    remaining = np.ones(a.size, dtype=bool)
+    admitted: list[int] = []
+    s = 1.0
+    for idx in order:
+        if q[idx] > s:
+            admitted.append(int(idx))
+            remaining[idx] = False
+            s = a[remaining].sum() / p[remaining].sum()
+        else:
+            break
+
+    fractions = np.zeros_like(a)
+    if admitted:
+        cand = np.array(admitted)
+        fractions[cand] = a[cand] - p[cand] * s
+        candidates = frozenset(admitted)
+    elif reference_label is not None:
+        candidates = frozenset({int(reference_label)})
+    else:
+        raise MissingReferenceLabelError(
+            "empty candidate set and no reference label supplied"
+        )
+    return KellySolution(
+        candidates=candidates,
+        fractions=fractions,
+        unspent=float(s),
+        log_growth=log_growth(fractions, a, p),
+    )
 
 
 class TestClampProbabilities:
@@ -208,18 +250,64 @@ class TestBruteForceOracle:
             np.testing.assert_array_equal(fractions, best_g)
 
 
+def _tied_floor_rows(rng, k: int, rows: int):
+    """Pairs whose first two entries (then permuted) sit at the same clipped
+    floor in both prior and posterior, as draw_probability_pair makes them,
+    so their ratios tie exactly.
+    """
+    priors, posteriors = [], []
+    for _ in range(rows):
+        perm = rng.permutation(k)
+        pair = []
+        for _ in range(2):
+            v = rng.dirichlet(np.ones(k))
+            v[:2] = 0.0
+            v = np.clip(v, PAIR_FLOOR, None)
+            pair.append((v / v.sum())[perm])
+        priors.append(pair[0])
+        posteriors.append(pair[1])
+    return np.array(priors), np.array(posteriors)
+
+
 class TestBatchSweep:
+    def _assert_matches_reference(self, priors, posteriors, fallback):
+        mask, fractions, unspent = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+        for j in range(len(priors)):
+            ref = reference_candidate_labels(priors[j], posteriors[j], reference_label=fallback[j])
+            sol = candidate_labels(priors[j], posteriors[j], reference_label=fallback[j])
+            assert set(np.flatnonzero(mask[j])) == ref.candidates == sol.candidates
+            for got_fractions, got_unspent in ((fractions[j], unspent[j]), (sol.fractions, sol.unspent)):
+                np.testing.assert_allclose(got_fractions, ref.fractions, atol=1e-12)
+                np.testing.assert_allclose(got_unspent, ref.unspent, atol=1e-12)
+            np.testing.assert_allclose(sol.log_growth, ref.log_growth, atol=1e-12)
+
     def test_matches_per_sample_solver(self):
         rng = np.random.default_rng(41)
         for k in (2, 3, 4):
             priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(64)])
             posteriors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(64)])
-            mask, fractions, unspent = candidate_labels_batch(priors, posteriors)
-            for j in range(64):
-                sol = candidate_labels(priors[j], posteriors[j])
-                assert set(np.flatnonzero(mask[j])) == sol.candidates
-                np.testing.assert_allclose(fractions[j], sol.fractions, atol=1e-12)
-                np.testing.assert_allclose(unspent[j], sol.unspent, atol=1e-12)
+            self._assert_matches_reference(priors, posteriors, np.zeros(64, dtype=int))
+
+    def test_matches_reference_on_tied_floors_and_fallback(self):
+        rng = np.random.default_rng(43)
+        for k in (3, 4):
+            priors, posteriors = _tied_floor_rows(rng, k, 64)
+            uniform = np.full((1, k), 1.0 / k)
+            priors = np.vstack([priors, uniform])
+            posteriors = np.vstack([posteriors, uniform])
+            fallback = np.full(65, k - 1)
+            self._assert_matches_reference(priors, posteriors, fallback)
+            assert candidate_labels(uniform[0], uniform[0], reference_label=k - 1).candidates == {k - 1}
+
+    def test_verify_seed0_trial5_strict_kkt(self):
+        # a clamped-twice sweep broke strict separation here (K=4)
+        rng = np.random.default_rng(np.random.SeedSequence([0, 5]))
+        prior, posterior = draw_probability_pair(rng, 4)
+        sol = candidate_labels(prior, posterior)
+        q = clamp_probabilities(prior) / clamp_probabilities(posterior)
+        cand = sorted(sol.candidates)
+        rest = sorted(set(range(4)) - sol.candidates)
+        assert q[rest].max() <= sol.unspent < q[cand].min()
 
     def test_fallback_rows(self):
         priors = np.array([[0.5, 0.5], [0.9, 0.1]])

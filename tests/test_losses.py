@@ -1,9 +1,12 @@
 """Loss values against hand-computed cases, reductions, and FD gradients."""
 
+import argparse
+import re
+
 import numpy as np
 import pytest
 
-from kellyfe import losses
+from kellyfe import cli, losses, trainer, verify
 from kellyfe.kelly import candidate_labels, candidate_labels_batch, clamp_probabilities, kelly_objective_value
 from kellyfe.verify import finite_difference_gradient, relative_gradient_error
 
@@ -95,19 +98,10 @@ class TestWeightedCrossEntropy:
         np.testing.assert_allclose(ev_w.value, w * ev.value, rtol=1e-12)
         np.testing.assert_allclose(ev_w.grad_logits, w * ev.grad_logits, rtol=1e-10)
 
-    def test_zero_border_distances_add_full_morphological_weight(self):
-        posteriors = np.array([[0.5, 0.5]])
-        labels = np.array([[1.0, 0.0]])
-        spec = losses.WeightSpec(d1=np.zeros(1), d2=np.zeros(1))
-        ev = losses.weighted_cross_entropy(posteriors, labels, spec, [1, 1])
-        w = 2.0 / (1.0 + 1e-8) + 10.0  # class weight + w_mo * exp(0)
-        np.testing.assert_allclose(ev.value, -w * np.log(0.5) / 2.0, rtol=1e-9)
-
     def test_unit_weights_reduce_to_cross_entropy_bitwise(self):
         rng = np.random.default_rng(3)
         _, posteriors, labels = _random_instance(rng, 5, 4)
-        spec = losses.WeightSpec(class_weights=np.ones(4))
-        ev_w = losses.weighted_cross_entropy(posteriors, labels, spec, labels.sum(axis=0))
+        ev_w = losses.weighted_cross_entropy(posteriors, labels, np.ones(4), labels.sum(axis=0))
         ev = losses.cross_entropy(posteriors, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
@@ -143,8 +137,7 @@ class TestWeightedFocal:
     def test_unit_weights_equal_focal_bitwise(self):
         rng = np.random.default_rng(5)
         _, posteriors, labels = _random_instance(rng, 6, 3)
-        spec = losses.WeightSpec(class_weights=np.ones(3))
-        ev_w = losses.weighted_focal(posteriors, labels, spec, labels.sum(axis=0), 2.0)
+        ev_w = losses.weighted_focal(posteriors, labels, np.ones(3), labels.sum(axis=0), 2.0)
         ev = losses.focal(posteriors, labels, 2.0)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
@@ -159,29 +152,10 @@ class TestWeightedFocal:
     def test_gamma_zero_unit_weights_equal_cross_entropy(self):
         rng = np.random.default_rng(6)
         _, posteriors, labels = _random_instance(rng, 4, 2)
-        spec = losses.WeightSpec(class_weights=np.ones(2))
-        ev_w = losses.weighted_focal(posteriors, labels, spec, labels.sum(axis=0), 0.0)
+        ev_w = losses.weighted_focal(posteriors, labels, np.ones(2), labels.sum(axis=0), 0.0)
         ev = losses.cross_entropy(posteriors, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
-
-
-class TestClassBalancedWeight:
-    def test_small_effective_number(self):
-        np.testing.assert_allclose(losses.class_balanced_weight(2.0, 2), 2.0 / 3.0, atol=1e-12)
-
-    def test_single_count_is_one(self):
-        for n in (1.5, 2.0, 10.0, 1e6):
-            np.testing.assert_allclose(losses.class_balanced_weight(n, 1), 1.0, atol=1e-12)
-
-    def test_large_effective_number_limit(self):
-        np.testing.assert_allclose(losses.class_balanced_weight(1e6, 4), 0.25, atol=1e-4)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            losses.class_balanced_weight(2.0, 0)
-        with pytest.raises(ValueError):
-            losses.class_balanced_weight(1.0, 3)
 
 
 class TestDiceSimilarity:
@@ -302,25 +276,41 @@ class TestDecompositions:
 
 
 class TestGradientStructure:
-    @pytest.mark.parametrize("name", ["ce", "wce", "focal", "wfocal", "dice", "lovasz", "efe"])
+    @pytest.mark.parametrize("name", list(losses.LOSSES))
     def test_zero_row_sums(self, name):
         rng = np.random.default_rng(9)
         _, posteriors, labels = _random_instance(rng, 8, 4)
         priors = np.vstack([rng.dirichlet(np.ones(4)) for _ in range(8)])
-        counts = labels.sum(axis=0)
-        if name == "ce":
-            ev = losses.cross_entropy(posteriors, labels)
-        elif name == "wce":
-            ev = losses.weighted_cross_entropy(posteriors, labels, None, counts)
-        elif name == "focal":
-            ev = losses.focal(posteriors, labels, 2.0)
-        elif name == "wfocal":
-            ev = losses.weighted_focal(posteriors, labels, None, counts, 2.0)
-        elif name == "dice":
-            ev = losses.dice_similarity(posteriors, labels)
-        elif name == "lovasz":
-            ev = losses.lovasz_softmax(posteriors, labels)
-        else:
+        entry = losses.LOSSES[name]
+        mask = None
+        if entry.uses_candidates:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
-            ev = losses.efe_loss(posteriors, labels, priors, mask)
+        ev = entry.evaluate(posteriors, labels, priors, mask, None, 2.0)
         np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
+
+
+class TestLossTable:
+    def test_every_surface_reads_the_table(self):
+        names = set(losses.LOSSES)
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        loss_flag = next(a for a in subparsers.choices["train"]._actions if a.dest == "loss")
+        assert set(loss_flag.choices) == names
+        assert set(trainer.LOSS_NAMES) == names
+        for name in names:
+            assert trainer.TrainConfig(loss=name).loss == name
+        with pytest.raises(ValueError):
+            trainer.TrainConfig(loss="not-a-loss")
+        properties = {r.name for r in verify.gradient_suite(instances=1)} - {"gradient-zero-row-sums"}
+        assert {re.sub(r"^gradient-|-g[0-9.]+$", "", prop) for prop in properties} == names
+        assert {"gradient-focal-g0", "gradient-focal-g2"} <= properties
+
+        for name, entry in losses.LOSSES.items():
+            for mode in ("ngpr", "ngnp"):
+                config = trainer.TrainConfig(loss=name, mode=mode)
+                if entry.needs_reference:
+                    with pytest.raises(trainer.IncompatibleConfigError):
+                        trainer.check_compatibility(config)
+                else:
+                    trainer.check_compatibility(config)
+        assert not losses.LOSSES["efe"].needs_reference

@@ -1,28 +1,9 @@
-"""Gradient-descent and Adam update rules against hand evaluation."""
+"""The Adam update rule against hand evaluation."""
 
 import numpy as np
 import pytest
 
-from kellyfe.optimizer import AdamState, adam_step, gd_step, init_adam
-
-
-class TestGdStep:
-    def test_zero_gradient_keeps_params(self):
-        params = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(gd_step(params, np.zeros(3), 0.01), params)
-
-    def test_scalar_arithmetic(self):
-        assert gd_step(1.0, 2.0, 0.001) == pytest.approx(0.998)
-
-    def test_two_constant_steps(self):
-        p = gd_step(gd_step(5.0, 2.0, 0.1), 2.0, 0.1)
-        assert p == pytest.approx(5.0 - 2 * 0.1 * 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gd_step(np.zeros(2), np.zeros(3), 0.01)
-        with pytest.raises(ValueError):
-            gd_step(np.zeros(2), np.zeros(2), 1.5)
+from kellyfe.optimizer import AdamState, adam_step, init_adam
 
 
 class TestAdamStep:
