@@ -1,9 +1,10 @@
 """Command-line entry points: generate / train / verify.
 
-Exit codes: 0 success, 1 runtime or property failure, 2 invalid usage,
-3 semantically incompatible loss/mode combination.  Output files are
-timestamp-free so reruns with the same seed are byte-identical; the only
-timestamp is a single header line on stdout, suppressed by --no-timestamp.
+Exit codes: 0 success, 1 runtime or property failure, 2 invalid usage
+(including a dataset CSV that does not load), 3 semantically incompatible
+loss/mode combination.  Output files are timestamp-free so reruns with the
+same seed are byte-identical; the only timestamp is a single header line on
+stdout, suppressed by --no-timestamp.
 """
 
 from __future__ import annotations
@@ -43,18 +44,21 @@ def _parse_frequencies(text: str, n_classes: int, parser: argparse.ArgumentParse
 
 def cmd_generate(args, parser) -> int:
     frequencies = _parse_frequencies(args.frequencies, args.classes, parser)
+    try:
+        dataset = data.generate(
+            n_classes=args.classes,
+            n_features=args.features,
+            n_samples=args.samples,
+            frequencies=frequencies,
+            cluster_separation=args.separation,
+            seed=args.seed,
+        )
+        dataset = data.with_synthesized_priors(dataset, args.prior_noise, seed=args.seed)
+        if args.label_flip > 0.0:
+            dataset = data.with_corrupt_labels(dataset, args.label_flip, seed=args.seed + 1)
+    except ValueError as exc:
+        parser.error(str(exc))
     _print_timestamp(args)
-    dataset = data.generate(
-        n_classes=args.classes,
-        n_features=args.features,
-        n_samples=args.samples,
-        frequencies=frequencies,
-        cluster_separation=args.separation,
-        seed=args.seed,
-    )
-    dataset = data.with_synthesized_priors(dataset, args.prior_noise, seed=args.seed)
-    if args.label_flip > 0.0:
-        dataset = data.with_corrupt_labels(dataset, args.label_flip, seed=args.seed + 1)
     try:
         data.save_dataset(dataset, args.out)
     except OSError as exc:
@@ -120,9 +124,17 @@ def cmd_train(args, parser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
 
+    try:
+        train_set = data.load_dataset(train_path)
+        val_set = data.load_dataset(val_path)
+    except data.DatasetFormatError as exc:
+        parser.error(str(exc))
+    if (train_set.n_features, train_set.n_classes) != (val_set.n_features, val_set.n_classes):
+        parser.error(
+            f"{train_path} has {train_set.n_features} features and {train_set.n_classes} classes, "
+            f"{val_path} has {val_set.n_features} and {val_set.n_classes}"
+        )
     _print_timestamp(args)
-    train_set = data.load_dataset(train_path)
-    val_set = data.load_dataset(val_path)
     params, history = trainer.train(config, train_set, val_set)
     report = trainer.evaluate(params, val_set)
 

@@ -63,6 +63,8 @@ def generate(n_classes, n_features, n_samples, frequencies, cluster_separation, 
     largest-remainder rule, rows are shuffled, priors start uniform, and
     reference labels start clean.
     """
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
     f = _validate_frequencies(frequencies, n_classes)
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
@@ -173,28 +175,59 @@ def save_dataset(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
+class DatasetFormatError(ValueError):
+    """A dataset CSV that load_dataset cannot accept; the message names the file and line."""
+
+
 def load_dataset(path) -> Dataset:
+    """Read a CSV written by save_dataset.
+
+    Rejects, with a DatasetFormatError naming the file and the line, a
+    header that is not save_dataset's, a file without rows, a row with the
+    wrong number of fields, a field that does not parse, a non-finite
+    feature or prior, and a label outside 0..K-1.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         d = sum(1 for name in header if name.startswith("f"))
         k = sum(1 for name in header if name.startswith("prior_"))
         expected = [f"f{i}" for i in range(d)] + ["label", "true_label"] + [
             f"prior_{c}" for c in range(k)
         ]
         if header != expected or k < 2 or d < 1:
-            raise ValueError(f"unexpected dataset header {header!r}")
-        features, labels, true_labels, priors = [], [], [], []
+            raise DatasetFormatError(f"{path}:1: unexpected dataset header {header!r}")
+        features, labels, true_labels, priors, lines = [], [], [], [], []
         for row in reader:
-            features.append([float(x) for x in row[:d]])
-            labels.append(int(row[d]))
-            true_labels.append(int(row[d + 1]))
-            priors.append([float(x) for x in row[d + 2 :]])
+            line = reader.line_num
+            if len(row) != len(header):
+                raise DatasetFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                features.append([float(x) for x in row[:d]])
+                labels.append(int(row[d]))
+                true_labels.append(int(row[d + 1]))
+                priors.append([float(x) for x in row[d + 2 :]])
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{line}: {exc}") from None
+            lines.append(line)
+    if not lines:
+        raise DatasetFormatError(f"{path}: no data rows")
+    features = np.asarray(features, dtype=float)
+    reference = np.asarray(labels, dtype=int)
     true = np.asarray(true_labels, dtype=int)
+    priors = np.asarray(priors, dtype=float)
+    for bad, what in (
+        (~np.isfinite(features).all(axis=1), "non-finite feature"),
+        ((reference < 0) | (reference >= k), f"label outside 0..{k - 1}"),
+        ((true < 0) | (true >= k), f"true_label outside 0..{k - 1}"),
+        (~np.isfinite(priors).all(axis=1), "non-finite prior"),
+    ):
+        if bad.any():
+            raise DatasetFormatError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")
     return Dataset(
-        features=np.asarray(features, dtype=float),
+        features=features,
         true_labels=true,
-        reference_labels=np.asarray(labels, dtype=int),
-        priors=np.asarray(priors, dtype=float),
+        reference_labels=reference,
+        priors=priors,
         class_frequencies=np.bincount(true, minlength=k) / len(true),
     )

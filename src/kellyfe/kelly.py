@@ -51,7 +51,11 @@ def clamp_probability_rows(rows) -> np.ndarray:
 
     Keeps vectors on the open simplex so ratios and logarithms stay finite
     even when a softmax underflows.  Clamping is not idempotent: a second
-    pass may move the last bit of a row, so callers clamp raw input once.
+    pass may move the last bit of a row, so raw input is clamped exactly
+    once.  The public sweep, ``log_growth`` and ``losses.efe_loss`` clamp
+    what they are given; the trainer clamps its priors once per run and
+    each posterior batch once, and hands the clamped arrays to the private
+    sweep and EFE kernels, which do not clamp again.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -92,8 +96,11 @@ def log_growth(fractions, prior, posterior) -> float:
     Raises InfeasibleFractionsError when the allocation leaves the feasible
     set (negative entries, total >= 1, or a non-positive payout bracket).
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    return _log_growth(fractions, clamp_probabilities(prior), clamp_probabilities(posterior))
+
+
+def _log_growth(fractions, a: np.ndarray, p: np.ndarray) -> float:
+    """log_growth on an already clamped prior and posterior."""
     g = np.asarray(fractions, dtype=float)
     if g.shape != a.shape:
         raise ValueError("fractions and probabilities differ in length")
@@ -115,13 +122,14 @@ def candidate_labels(prior, posterior, reference_label: int | None = None) -> Ke
     the all-zero allocation kept; a missing reference in that situation
     raises MissingReferenceLabelError.
     """
+    a, p = _clamp_pair([prior], [posterior])
     fallback = None if reference_label is None else [reference_label]
-    mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
+    mask, fractions, unspent = _sweep(a, p, fallback)
     return KellySolution(
         candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
         fractions=fractions[0],
         unspent=float(unspent[0]),
-        log_growth=log_growth(fractions[0], prior, posterior),
+        log_growth=_log_growth(fractions[0], a[0], p[0]),
     )
 
 
@@ -140,34 +148,60 @@ def candidate_labels_batch(
     an all-zero allocation; if ``fallback_labels`` is None such rows raise
     MissingReferenceLabelError.
     """
+    a, p = _clamp_pair(priors, posteriors)
+    return _sweep(a, p, fallback_labels)
+
+
+def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
     a = clamp_probability_rows(priors)
     p = clamp_probability_rows(posteriors)
     if a.shape != p.shape:
         raise ValueError("priors and posteriors differ in shape")
-    n, k = a.shape
+    return a, p
 
+
+def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False):
+    """The sweep of candidate_labels_batch on clamped (N, K) rows.
+
+    With ``mask_only`` the fractions and the unspent ratios are not built
+    and come back as None.  Works column by column on the sorted rows: on
+    the short K axis a column operation is far cheaper than a row
+    reduction, and suffix sums, running conjunctions and gathers give the
+    same bits in either layout.
+    """
+    n, k = a.shape
     q = a / p
     order = np.argsort(-q, axis=1, kind="stable")
-    q_sorted = np.take_along_axis(q, order, axis=1)
-    a_sorted = np.take_along_axis(a, order, axis=1)
-    p_sorted = np.take_along_axis(p, order, axis=1)
-    # rest_*[:, t] = mass of the K - t not-yet-admitted outcomes
-    rest_a = np.cumsum(a_sorted[:, ::-1], axis=1)[:, ::-1]
-    rest_p = np.cumsum(p_sorted[:, ::-1], axis=1)[:, ::-1]
-    levels = np.ones((n, k))
-    levels[:, 1:] = rest_a[:, 1:] / rest_p[:, 1:]
+    # flat[t, j] is the raveled (N, K) index of the t-th largest ratio of row j
+    flat = (order + np.arange(0, n * k, k)[:, None]).T
+    q_sorted = q.ravel()[flat]
+    a_sorted = a.ravel()[flat]
+    p_sorted = p.ravel()[flat]
+    # levels[t] = unspent ratio of the K - t not-yet-admitted outcomes
+    levels = np.ones((k, n))
+    rest_a = a_sorted[k - 1]
+    rest_p = p_sorted[k - 1]
+    levels[k - 1] = rest_a / rest_p
+    for t in range(k - 2, 0, -1):
+        rest_a = rest_a + a_sorted[t]
+        rest_p = rest_p + p_sorted[t]
+        levels[t] = rest_a / rest_p
     # the sweep admits the leading run of sorted outcomes with q > level
-    admitted_sorted = np.cumprod(q_sorted > levels, axis=1).astype(bool)
-    n_admitted = admitted_sorted.sum(axis=1)
-    # the lowest-q outcome always has q equal to the last level, so
-    # n_admitted <= K - 1 and indexing levels at n_admitted is safe
-    unspent = levels[np.arange(n), n_admitted]
+    admitted = q_sorted > levels
+    for t in range(1, k):
+        np.logical_and(admitted[t], admitted[t - 1], out=admitted[t])
 
-    mask = np.zeros((n, k), dtype=bool)
-    np.put_along_axis(mask, order, admitted_sorted, axis=1)
-    fractions = np.where(mask, a - p * unspent[:, None], 0.0)
+    mask = np.zeros(n * k, dtype=bool)
+    mask[flat] = admitted
+    mask = mask.reshape(n, k)
+    fractions = unspent = None
+    if not mask_only:
+        # the lowest-q outcome always has q equal to the last level, so at
+        # most K - 1 outcomes are admitted and the level index is in range
+        unspent = levels[admitted.sum(axis=0), np.arange(n)]
+        fractions = np.where(mask, a - p * unspent[:, None], 0.0)
 
-    empty = n_admitted == 0
+    empty = ~admitted[0]
     if np.any(empty):
         if fallback_labels is None:
             raise MissingReferenceLabelError(

@@ -5,7 +5,10 @@ matrix whose rows are one-hot (supervised) or uniform 1/K (label-free), and
 returns a LossEvaluation holding the scalar value and the analytic gradient
 with respect to the pre-softmax outputs.  Gradients are derived in the
 posteriors and chained through the softmax Jacobian, which makes every
-gradient row sum to zero.
+gradient row sum to zero.  Each loss computes its value first and its
+gradient only when asked: with ``grad=False`` the evaluation carries the
+same value bit for bit and no gradient, which is how the trainer scores
+its validation set.
 
 The cross-entropy family (plain, class-weighted, focal, weighted focal) is
 one weighted-focal kernel: cross entropy is its unit-weight, gamma_mod = 0
@@ -16,7 +19,10 @@ the convex closure of the per-class Jaccard distance over sorted
 mispredictions.  The expected-free-energy loss combines a label-weighted
 posterior-entropy term with the coarsened prior/posterior divergence over
 per-sample candidate outcome sets from the kelly module, which are held
-constant under differentiation.
+constant under differentiation.  ``efe_loss`` clamps its raw posteriors
+and priors once and calls the private kernel ``_efe``; the trainer, which
+already holds clamped rows (see ``kelly.clamp_probability_rows``), calls
+the kernel directly, so no array is clamped twice.
 
 LOSSES maps each trainable loss name to one evaluate call plus whether it
 needs reference labels and whether it uses the candidate sets; the trainer,
@@ -46,22 +52,30 @@ class LabelsNotOneHotError(ValueError):
 class LossEvaluation:
     """Scalar loss value (nats) and its gradient in the logits.
 
-    The expected-free-energy loss additionally reports its two terms for
+    ``grad_logits`` is None for a value-only evaluation.  The
+    expected-free-energy loss additionally reports its two terms for
     diagnostics; they are None for every other loss.
     """
 
     value: float
-    grad_logits: np.ndarray
+    grad_logits: np.ndarray | None
     uncertainty: float | None = None
     expected_complexity: float | None = None
 
 
 def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety."""
+    """Row-wise softmax with max-subtraction for overflow safety.
+
+    The row maximum is a running maximum over the columns, which is exact
+    and, on the short class axis, much cheaper than a row reduction.
+    """
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    z = z - z.max(axis=-1, keepdims=True)
+    top = z[..., 0].copy()
+    for c in range(1, z.shape[-1]):
+        np.maximum(top, z[..., c], out=top)
+    z = z - top[..., None]
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -90,7 +104,9 @@ def _onehot_required(labels: np.ndarray) -> None:
 # cross-entropy family
 # ---------------------------------------------------------------------------
 
-def _weighted_focal(posteriors, labels, class_weights: np.ndarray | None, gamma_mod: float) -> LossEvaluation:
+def _weighted_focal(
+    posteriors, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool = True
+) -> LossEvaluation:
     """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
 
     ``class_weights`` None means unit weights.  Unit weights enter as an
@@ -108,12 +124,16 @@ def _weighted_focal(posteriors, labels, class_weights: np.ndarray | None, gamma_
     ln_p = np.log(pc)
     if gamma_mod == 0.0:
         value = -scale * float((w * l * ln_p).sum())
+        if not grad:
+            return LossEvaluation(value, None)
         grad_post = -scale * w * l / pc
     else:
         one_minus = 1.0 - p
         mod = one_minus**gamma_mod
-        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
         value = -scale * float((w * mod * l * ln_p).sum())
+        if not grad:
+            return LossEvaluation(value, None)
+        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
         grad_post = -scale * w * l * (dmod * ln_p + mod / pc)
     return LossEvaluation(value, _chain_softmax(p, grad_post))
 
@@ -132,39 +152,43 @@ def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
     return counts.sum() / (counts + 1e-8)
 
 
-def cross_entropy(posteriors, labels) -> LossEvaluation:
+def cross_entropy(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
     """Softmax cross entropy, normalized by 1/(K*N)."""
-    return _weighted_focal(posteriors, labels, None, 0.0)
+    return _weighted_focal(posteriors, labels, None, 0.0, grad)
 
 
-def weighted_cross_entropy(posteriors, labels, class_weights, class_counts) -> LossEvaluation:
+def weighted_cross_entropy(posteriors, labels, class_weights, class_counts, *, grad: bool = True) -> LossEvaluation:
     """Cross entropy with per-class weights.
 
     ``class_weights``, when given, is used as is; otherwise the weight of
     class c is (sum of batch counts) / (count_c + 1e-8), which despite its
     name exceeds 1 for any non-dominant class.
     """
-    return _weighted_focal(posteriors, labels, _class_weights(class_weights, class_counts, np.shape(labels)[-1]), 0.0)
+    w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
+    return _weighted_focal(posteriors, labels, w, 0.0, grad)
 
 
-def focal(posteriors, labels, gamma_mod: float) -> LossEvaluation:
+def focal(posteriors, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluation:
     """Cross entropy modulated by (1 - posterior)^gamma_mod.
 
     gamma_mod = 0 reduces exactly to cross_entropy, value and gradient.
     """
-    return _weighted_focal(posteriors, labels, None, gamma_mod)
+    return _weighted_focal(posteriors, labels, None, gamma_mod, grad)
 
 
-def weighted_focal(posteriors, labels, class_weights, class_counts, gamma_mod: float) -> LossEvaluation:
+def weighted_focal(
+    posteriors, labels, class_weights, class_counts, gamma_mod: float, *, grad: bool = True
+) -> LossEvaluation:
     """Focal loss with the same per-class weights as weighted_cross_entropy."""
-    return _weighted_focal(posteriors, labels, _class_weights(class_weights, class_counts, np.shape(labels)[-1]), gamma_mod)
+    w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
+    return _weighted_focal(posteriors, labels, w, gamma_mod, grad)
 
 
 # ---------------------------------------------------------------------------
 # metric-based losses
 # ---------------------------------------------------------------------------
 
-def dice_similarity(posteriors, labels) -> LossEvaluation:
+def dice_similarity(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
     """Soft Dice similarity (2/K) * sum_c intersection_c / mass_c.
 
     A class absent from both labels and posteriors counts as perfectly
@@ -180,6 +204,8 @@ def dice_similarity(posteriors, labels) -> LossEvaluation:
     safe_den = np.where(empty, 1.0, den)
     brackets = np.where(empty, 0.5, num / safe_den)
     value = (2.0 / k) * float(brackets.sum())
+    if not grad:
+        return LossEvaluation(value, None)
     grad_post = (2.0 / k) * (l * safe_den - 2.0 * p * num) / safe_den**2
     grad_post[:, empty] = 0.0
     return LossEvaluation(value, _chain_softmax(p, grad_post))
@@ -230,7 +256,7 @@ def lovasz_extension(mispredictions, ground_truth) -> float:
     return float(m[order] @ lovasz_grad(gt[order]))
 
 
-def lovasz_softmax(posteriors, labels) -> LossEvaluation:
+def lovasz_softmax(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
     """Per-class Lovasz extension of the Jaccard distance, averaged by 1/(K*N).
 
     Supervised only: labels must be one-hot.  The misprediction for the
@@ -250,6 +276,8 @@ def lovasz_softmax(posteriors, labels) -> LossEvaluation:
         g = lovasz_grad(l[order, c])
         value += float(m[order, c] @ g)
         grad_m[order, c] = g
+    if not grad:
+        return LossEvaluation(scale * value, None)
     sign = np.where(l == 1.0, -1.0, 1.0)
     grad_post = scale * sign * grad_m
     return LossEvaluation(scale * value, _chain_softmax(p, grad_post))
@@ -274,7 +302,7 @@ def _candidate_mask(candidate_sets, n: int, k: int) -> np.ndarray:
     return mask
 
 
-def efe_loss(posteriors, labels, priors, candidate_sets) -> LossEvaluation:
+def efe_loss(posteriors, labels, priors, candidate_sets, *, grad: bool = True) -> LossEvaluation:
     """Expected free energy: label-weighted uncertainty plus expected complexity.
 
     uncertainty        = -1/(K*N) * sum l * p * ln p
@@ -285,7 +313,7 @@ def efe_loss(posteriors, labels, priors, candidate_sets) -> LossEvaluation:
     instances, index sets, or an (N, K) boolean mask).  The sets come from a
     discrete pre-minimization and are treated as constants: the gradient
     flows only through the posteriors.  Both terms are reported on the
-    returned evaluation.
+    returned evaluation.  Posteriors and priors are clamped here, once.
     """
     p_raw, l = _check_pair(posteriors, labels)
     n, k = p_raw.shape
@@ -293,21 +321,27 @@ def efe_loss(posteriors, labels, priors, candidate_sets) -> LossEvaluation:
     if a.shape != (n, k):
         raise ValueError("priors shape must match posteriors")
     p = clamp_probability_rows(p_raw)
-    mask = _candidate_mask(candidate_sets, n, k)
+    return _efe(p, l, a, np.log(a), _candidate_mask(candidate_sets, n, k), grad)
 
+
+def _efe(p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool) -> LossEvaluation:
+    """efe_loss on clamped posteriors ``p`` and priors ``a`` (with ``ln_a = log a``)."""
+    n, k = p.shape
     scale = 1.0 / (k * n)
     ln_p = np.log(p)
     uncertainty = -scale * float((l * p * ln_p).sum())
-    grad_unc = -scale * l * (ln_p + 1.0)
 
     rest_a = np.where(mask, 0.0, a).sum(axis=1)
     rest_p = np.where(mask, 0.0, p).sum(axis=1)
-    cand_terms = np.where(mask, a * (np.log(a) - ln_p), 0.0).sum(axis=1)
+    cand_terms = np.where(mask, a * (ln_a - ln_p), 0.0).sum(axis=1)
     rest_terms = np.where(rest_a > 0.0, rest_a * np.log(np.maximum(rest_a, LN_EPS) / np.maximum(rest_p, LN_EPS)), 0.0)
     complexity = scale * float((cand_terms + rest_terms).sum())
+    if not grad:
+        return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
+
+    grad_unc = -scale * l * (ln_p + 1.0)
     ratio = np.where(rest_p > 0.0, rest_a / np.maximum(rest_p, LN_EPS), 0.0)
     grad_cmp = scale * np.where(mask, -a / p, -ratio[:, None])
-
     grad_post = grad_unc + grad_cmp
     return LossEvaluation(
         value=uncertainty + complexity,
@@ -325,11 +359,13 @@ def efe_loss(posteriors, labels, priors, candidate_sets) -> LossEvaluation:
 class LossEntry:
     """One trainable loss.
 
-    ``evaluate(posteriors, labels, priors, mask, class_weights, gamma_mod)``
-    returns the value to minimize and its gradient; each loss reads only the
-    arguments it needs.  ``mask`` is the candidate mask of the sweep, given
-    to losses that set ``uses_candidates`` and None otherwise.
-    ``needs_reference`` losses are undefined without reference labels.
+    ``evaluate(posteriors, labels, priors, mask, class_weights, gamma_mod,
+    grad=True)`` returns the value to minimize and, unless ``grad`` is
+    False, its gradient; each loss reads only the arguments it needs.
+    Posteriors and priors are raw rows.  ``mask`` is the candidate mask of
+    the sweep, given to losses that set ``uses_candidates`` and None
+    otherwise.  ``needs_reference`` losses are undefined without reference
+    labels.
     """
 
     evaluate: Callable[..., LossEvaluation]
@@ -337,25 +373,29 @@ class LossEntry:
     uses_candidates: bool = False
 
 
-def _dice_loss(posteriors, labels) -> LossEvaluation:
-    ev = dice_similarity(posteriors, labels)
-    return LossEvaluation(1.0 - ev.value, -ev.grad_logits)
+def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
+    ev = dice_similarity(posteriors, labels, grad=grad)
+    return LossEvaluation(1.0 - ev.value, None if ev.grad_logits is None else -ev.grad_logits)
 
 
 # The entries look their functions up at call time, so a rebinding of a
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda p, l, a, mask, w, g: efe_loss(p, l, a, mask),
+        lambda p, l, a, mask, w, g, grad=True: efe_loss(p, l, a, mask, grad=grad),
         needs_reference=False,
         uses_candidates=True,
     ),
-    "ce": LossEntry(lambda p, l, a, mask, w, g: cross_entropy(p, l)),
-    "wce": LossEntry(lambda p, l, a, mask, w, g: weighted_cross_entropy(p, l, w, l.sum(axis=0))),
-    "focal": LossEntry(lambda p, l, a, mask, w, g: focal(p, l, g)),
-    "wfocal": LossEntry(lambda p, l, a, mask, w, g: weighted_focal(p, l, w, l.sum(axis=0), g)),
-    "dice": LossEntry(lambda p, l, a, mask, w, g: _dice_loss(p, l)),
-    "lovasz": LossEntry(lambda p, l, a, mask, w, g: lovasz_softmax(p, l)),
+    "ce": LossEntry(lambda p, l, a, mask, w, g, grad=True: cross_entropy(p, l, grad=grad)),
+    "wce": LossEntry(
+        lambda p, l, a, mask, w, g, grad=True: weighted_cross_entropy(p, l, w, l.sum(axis=0), grad=grad)
+    ),
+    "focal": LossEntry(lambda p, l, a, mask, w, g, grad=True: focal(p, l, g, grad=grad)),
+    "wfocal": LossEntry(
+        lambda p, l, a, mask, w, g, grad=True: weighted_focal(p, l, w, l.sum(axis=0), g, grad=grad)
+    ),
+    "dice": LossEntry(lambda p, l, a, mask, w, g, grad=True: _dice_loss(p, l, grad)),
+    "lovasz": LossEntry(lambda p, l, a, mask, w, g, grad=True: lovasz_softmax(p, l, grad=grad)),
 }
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import losses
 from .data import Dataset, batches
-from .kelly import candidate_labels_batch
+from .kelly import _sweep, clamp_probability_rows
 from .network import LayerSpec, NetworkParams, backward, flatten, forward, init_he, unflatten
 from .optimizer import adam_step, init_adam
 
@@ -61,6 +61,12 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.alpha_lr > 0.0:
+            raise ValueError("alpha_lr must be > 0")
+        if any(w < 1 for w in self.hidden_widths):
+            raise ValueError("hidden_widths must all be >= 1")
+        if not 0.0 < self.dropout_retention <= 1.0:
+            raise ValueError("dropout_retention must lie in (0, 1]")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
 
@@ -140,20 +146,38 @@ def _prior_matrix(dataset: Dataset, mode: str) -> np.ndarray:
     return np.full((len(dataset), dataset.n_classes), 1.0 / dataset.n_classes)
 
 
-def _evaluate_loss(
+def _clamped_priors(dataset: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The mode's prior rows, clamped once, and their logarithms."""
+    priors = clamp_probability_rows(_prior_matrix(dataset, mode))
+    return priors, np.log(priors)
+
+
+def batch_loss(
     config: TrainConfig,
     posteriors: np.ndarray,
     labels: np.ndarray,
     priors: np.ndarray,
+    ln_priors: np.ndarray,
     reference_labels: np.ndarray,
+    grad: bool = True,
 ) -> losses.LossEvaluation:
+    """The configured loss of one batch of softmax posteriors.
+
+    ``priors`` are clamped rows and ``ln_priors`` their logarithms.  A loss
+    that uses candidate sets clamps the posteriors once and hands the same
+    clamped rows to the mask-only sweep and to the EFE kernel; rows the
+    sweep leaves empty fall back to the reference label in gr* modes and to
+    the argmax of the unclamped posteriors in ng* modes.  ``grad=False``
+    gives the value alone.
+    """
     entry = losses.LOSSES[config.loss]
-    mask = None
     if entry.uses_candidates:
+        p = clamp_probability_rows(posteriors)
         fallback = reference_labels if supervised(config.mode) else posteriors.argmax(axis=1)
-        mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+        mask, _, _ = _sweep(priors, p, fallback, mask_only=True)
+        return losses._efe(p, labels, priors, ln_priors, mask, grad)
     weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
-    return entry.evaluate(posteriors, labels, priors, mask, weights, config.gamma_mod)
+    return entry.evaluate(posteriors, labels, priors, None, weights, config.gamma_mod, grad)
 
 
 def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tuple[LayerSpec, ...]:
@@ -177,11 +201,17 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     Each iteration consumes one shuffled mini-batch, updates the parameters
     with Adam, and scores the configured loss on the full validation set in
-    inference mode.  Training stops when the validation-loss EMA has not
+    inference mode.  The validation pass is value-only: no gradient is
+    built for it.  Training stops when the validation-loss EMA has not
     improved on its best value for ``patience`` iterations, or at
     ``max_iterations``; the returned parameters are a snapshot from the
     best-EMA iteration.  Candidate sets for the expected-free-energy loss
     are recomputed from fresh posteriors every iteration.
+
+    Clamping (kelly.clamp_probability_rows) happens here and in batch_loss
+    only: the train and validation priors once per run, together with the
+    logarithms the EFE loss needs, and each posterior batch once per
+    evaluation, shared by the sweep and the loss.
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
@@ -194,9 +224,9 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     )
 
     train_labels = _label_matrix(train_set, config.mode)
-    train_priors = _prior_matrix(train_set, config.mode)
+    train_priors, train_ln_priors = _clamped_priors(train_set, config.mode)
     val_labels = _label_matrix(val_set, config.mode)
-    val_priors = _prior_matrix(val_set, config.mode)
+    val_priors, val_ln_priors = _clamped_priors(val_set, config.mode)
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -215,11 +245,12 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
                 training=True,
                 seed=_derived_seed(config.seed, 2, iteration),
             )
-            ev = _evaluate_loss(
+            ev = batch_loss(
                 config,
                 losses.softmax(logits),
                 train_labels[idx],
                 train_priors[idx],
+                train_ln_priors[idx],
                 train_set.reference_labels[idx],
             )
             grads = backward(params, cache, ev.grad_logits)
@@ -227,12 +258,14 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             params = NetworkParams(specs=params.specs, layers=unflatten(flat, params.specs))
 
             val_logits, _ = forward(params, val_set.features, training=False)
-            val_ev = _evaluate_loss(
+            val_ev = batch_loss(
                 config,
                 losses.softmax(val_logits),
                 val_labels,
                 val_priors,
+                val_ln_priors,
                 val_set.reference_labels,
+                grad=False,
             )
             if ema is None:
                 ema = val_ev.value

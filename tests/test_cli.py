@@ -65,6 +65,23 @@ class TestGenerate:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--classes", "1", "--frequencies", "1"], "at least 2 classes"),
+            (["--classes", "2", "--frequencies", "0.5,0.5", "--features", "1"], "at least 2 features"),
+            (["--classes", "3", "--frequencies", "0.5,0.3,0.2", "--samples", "2"], "one sample per class"),
+        ],
+    )
+    def test_unloadable_dataset_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--samples", "10", *flags, "--out", str(out), "--no-timestamp"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
+
     def test_timestamp_header_togglable(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         cli.main(["generate", "--classes", "2", "--frequencies", "0.5,0.5",
@@ -149,6 +166,51 @@ class TestTrain:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "must be >= 1" in errors[0]
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("label", "label outside 0..2"),
+            ("ragged", "expected 7 fields, got 6"),
+            ("nan_feature", "non-finite feature"),
+            ("inf_prior", "non-finite prior"),
+        ],
+    )
+    def test_malformed_dataset_is_one_line_usage_error(self, tmp_path, capsys, defect, message):
+        args = self._train_args(tmp_path, "malformed")
+        train_csv = tmp_path / "train.csv"
+        lines = train_csv.read_text().splitlines()
+        cells = lines[5].split(",")  # line 6; columns f0,f1,label,true_label,prior_0..2
+        if defect == "label":
+            cells[2] = "3"
+        elif defect == "ragged":
+            cells.pop()
+        elif defect == "nan_feature":
+            cells[0] = "nan"
+        else:
+            cells[-1] = "inf"
+        lines[5] = ",".join(cells)
+        train_csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"{train_csv}:6: {message}" in errors[0]
+        assert not (tmp_path / "malformed").exists()
+
+    def test_mismatched_class_counts_are_one_line_usage_error(self, tmp_path, capsys):
+        args = self._train_args(tmp_path, "mismatched")
+        val_csv = tmp_path / "val2.csv"
+        assert cli.main([
+            "generate", "--classes", "2", "--frequencies", "0.5,0.5", "--samples", "40",
+            "--out", str(val_csv), "--no-timestamp",
+        ]) == 0
+        args[args.index("--val") + 1] = str(val_csv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "3 classes" in errors[0] and "and 2" in errors[0]
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         args = [

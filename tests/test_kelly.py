@@ -283,7 +283,7 @@ class TestBatchSweep:
 
     def test_matches_per_sample_solver(self):
         rng = np.random.default_rng(41)
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 8, 20, 64):
             priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(64)])
             posteriors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(64)])
             self._assert_matches_reference(priors, posteriors, np.zeros(64, dtype=int))

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from kellyfe import cli, losses, trainer, verify
-from kellyfe.kelly import candidate_labels, candidate_labels_batch, clamp_probabilities, kelly_objective_value
+from kellyfe.kelly import (
+    candidate_labels,
+    candidate_labels_batch,
+    clamp_probabilities,
+    clamp_probability_rows,
+    kelly_objective_value,
+)
 from kellyfe.verify import finite_difference_gradient, relative_gradient_error
 
 PRIOR3 = [0.6, 0.3, 0.1]
@@ -49,6 +55,16 @@ class TestSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             losses.softmax([[np.inf, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(50, 2), (50, 3), (50, 20), (50, 64), (7,)])
+    def test_bitwise_equal_to_row_max_form(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        z = rng.standard_normal(shape) * 5.0
+        z.flat[::7] = 0.0  # exact ties with the row maximum
+        shifted = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        assert losses.softmax(z).tobytes() == expected.tobytes()
 
 
 class TestCrossEntropy:
@@ -287,6 +303,62 @@ class TestGradientStructure:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
         ev = entry.evaluate(posteriors, labels, priors, mask, None, 2.0)
         np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
+
+
+def _mode_inputs(rng, mode, n, k):
+    """Raw posteriors, labels and priors of a supervision mode, with
+    fallback rows (prior equal to posterior) among them."""
+    logits = rng.standard_normal((n, k)) * 3.0
+    logits[::5] = 0.0
+    posteriors = losses.softmax(logits)
+    reference = rng.integers(0, k, n)
+    if trainer.supervised(mode):
+        labels = np.zeros((n, k))
+        labels[np.arange(n), reference] = 1.0
+    else:
+        labels = np.full((n, k), 1.0 / k)
+    if mode in ("grpr", "ngpr"):
+        priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
+        priors[1::5] = posteriors[1::5]
+    else:
+        priors = np.full((n, k), 1.0 / k)
+    return posteriors, labels, priors, reference
+
+
+def _allowed(name):
+    return [m for m in trainer.MODE_NAMES if trainer.supervised(m) or not losses.LOSSES[name].needs_reference]
+
+
+class TestValueOnly:
+    @pytest.mark.parametrize("name", list(losses.LOSSES))
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_value_only_equals_full_value_bitwise(self, name, k):
+        rng = np.random.default_rng(k)
+        for mode in _allowed(name):
+            posteriors, labels, priors, reference = _mode_inputs(rng, mode, 40, k)
+            config = trainer.TrainConfig(loss=name, mode=mode, gamma_mod=2.0)
+            a = clamp_probability_rows(priors)
+            args = (config, posteriors, labels, a, np.log(a), reference)
+            full = trainer.batch_loss(*args)
+            value_only = trainer.batch_loss(*args, grad=False)
+            assert value_only.grad_logits is None and full.grad_logits is not None
+            assert value_only.value.hex() == full.value.hex(), (name, mode)
+            assert value_only.uncertainty == full.uncertainty
+            assert value_only.expected_complexity == full.expected_complexity
+
+            entry = losses.LOSSES[name]
+            mask = None
+            if entry.uses_candidates:
+                fallback = reference if trainer.supervised(mode) else posteriors.argmax(axis=1)
+                mask, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+                assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
+            table_full = entry.evaluate(posteriors, labels, priors, mask, None, 2.0)
+            table_value = entry.evaluate(posteriors, labels, priors, mask, None, 2.0, grad=False)
+            assert table_value.grad_logits is None
+            assert table_value.value.hex() == table_full.value.hex()
+            # the trainer's clamp-once path gives the public wrappers' bits
+            assert full.value.hex() == table_full.value.hex()
+            assert full.grad_logits.tobytes() == table_full.grad_logits.tobytes()
 
 
 class TestLossTable:

@@ -187,6 +187,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             trainer.TrainConfig(patience=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha_lr", 0.0, "alpha_lr"),
+            ("alpha_lr", -1e-3, "alpha_lr"),
+            ("alpha_lr", float("nan"), "alpha_lr"),
+            ("hidden_widths", (16, 0), "hidden_widths"),
+            ("dropout_retention", 0.0, "dropout_retention"),
+            ("dropout_retention", 1.5, "dropout_retention"),
+        ],
+    )
+    def test_rejects_bad_numeric_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            trainer.TrainConfig(**{field: value})
+
+    def test_accepts_edge_values(self):
+        cfg = trainer.TrainConfig(hidden_widths=(), dropout_retention=1.0, alpha_lr=1e-9)
+        assert cfg.hidden_widths == ()
+
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             trainer.config_from_dict({"loss": "ce", "learning_rate": 0.1})
