@@ -53,7 +53,7 @@ def cmd_generate(args, parser) -> int:
             cluster_separation=args.separation,
             seed=args.seed,
         )
-        dataset = data.with_synthesized_priors(dataset, args.prior_noise, seed=args.seed)
+        dataset = data.with_synthesized_priors(dataset, args.prior_noise)
         if args.label_flip > 0.0:
             dataset = data.with_corrupt_labels(dataset, args.label_flip, seed=args.seed + 1)
     except ValueError as exc:
@@ -135,7 +135,11 @@ def cmd_train(args, parser) -> int:
             f"{val_path} has {val_set.n_features} and {val_set.n_classes}"
         )
     _print_timestamp(args)
-    params, history = trainer.train(config, train_set, val_set)
+    try:
+        params, history = trainer.train(config, train_set, val_set)
+    except trainer.NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     report = trainer.evaluate(params, val_set)
 
     out = Path(out_dir)

@@ -93,12 +93,11 @@ def generate(n_classes, n_features, n_samples, frequencies, cluster_separation, 
     )
 
 
-def synthesize_priors(true_labels, n_classes: int, prior_noise: float, seed: int = 0) -> np.ndarray:
+def synthesize_priors(true_labels, n_classes: int, prior_noise: float) -> np.ndarray:
     """Per-sample priors (1 - eps) * one_hot(true label) + eps * uniform.
 
     eps = 1 yields exactly uniform rows.  Rows are clamped to the open
-    simplex and renormalized.  The mixture itself is deterministic; ``seed``
-    is accepted for interface uniformity with the other synthesizers.
+    simplex and renormalized.  The mixture is deterministic.
     """
     if not 0.0 <= prior_noise <= 1.0:
         raise ValueError("prior_noise must lie in [0, 1]")
@@ -139,10 +138,9 @@ def batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.ndarr
     return [perm[i : i + batch_size] for i in range(0, len(dataset), batch_size)]
 
 
-def with_synthesized_priors(dataset: Dataset, prior_noise: float, seed: int = 0) -> Dataset:
+def with_synthesized_priors(dataset: Dataset, prior_noise: float) -> Dataset:
     return replace(
-        dataset,
-        priors=synthesize_priors(dataset.true_labels, dataset.n_classes, prior_noise, seed),
+        dataset, priors=synthesize_priors(dataset.true_labels, dataset.n_classes, prior_noise)
     )
 
 

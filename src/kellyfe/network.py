@@ -1,9 +1,10 @@
 """Minimal fully connected classifier with hand-written forward/backward.
 
 Layers are affine maps followed by a PReLU (or identity) activation and
-optional inverted dropout.  Everything is float64 numpy; parameters live in
-plain dataclasses so gradient checking, flattening for the optimizer, and
-exact JSON round-tripping stay trivial.
+optional inverted dropout.  Everything is float64 numpy.  The parameters
+are one flat vector with per-layer views into it, so the optimizer,
+gradient checking and exact JSON round-tripping all work on the same
+array, and the gradient comes back in the same layout.
 """
 
 from __future__ import annotations
@@ -37,31 +38,49 @@ class LayerSpec:
             raise ValueError("dropout_retention must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
-    """Weights (out, in), biases (out,) and the PReLU leakage coefficient.
+    """Views of one layer's slice of the parameter vector, in its order.
 
-    Gradient containers reuse this class with the same field layout.
+    Weights (out, in) row-major, biases (out,) and the PReLU leakage (0-d).
+    Write through the views: ``weights[...] = w``.
     """
 
     weights: np.ndarray
     biases: np.ndarray
-    prelu_leakage: float
+    prelu_leakage: np.ndarray
 
 
-@dataclass
+def _vector_size(specs) -> int:
+    return sum(s.output_width * (s.input_width + 1) + 1 for s in specs)
+
+
+def _layer_views(vector: np.ndarray, specs) -> list[LayerParams]:
+    expected = _vector_size(specs)
+    if vector.shape != (expected,):
+        raise ValueError(f"vector shape {vector.shape} does not match the layer specs ({expected},)")
+    layers = []
+    offset = 0
+    for s in specs:
+        nw = s.output_width * s.input_width
+        w = vector[offset : offset + nw].reshape(s.output_width, s.input_width)
+        b = vector[offset + nw : offset + nw + s.output_width]
+        offset += nw + s.output_width
+        layers.append(LayerParams(weights=w, biases=b, prelu_leakage=vector[offset, ...]))
+        offset += 1
+    return layers
+
+
+@dataclass(frozen=True)
 class NetworkParams:
-    specs: tuple[LayerSpec, ...]
-    layers: list[LayerParams]
+    """One flat float64 parameter vector and per-layer views into it."""
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            specs=self.specs,
-            layers=[
-                LayerParams(lp.weights.copy(), lp.biases.copy(), lp.prelu_leakage)
-                for lp in self.layers
-            ],
-        )
+    specs: tuple[LayerSpec, ...]
+    vector: np.ndarray
+    layers: list[LayerParams] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", _layer_views(self.vector, self.specs))
 
 
 @dataclass
@@ -84,15 +103,11 @@ def init_he(specs, seed: int) -> NetworkParams:
         if prev.output_width != nxt.input_width:
             raise ValueError("adjacent layer widths do not chain")
     rng = np.random.default_rng(seed)
-    layers = [
-        LayerParams(
-            weights=rng.normal(0.0, np.sqrt(2.0 / s.input_width), (s.output_width, s.input_width)),
-            biases=np.zeros(s.output_width),
-            prelu_leakage=PRELU_INIT,
-        )
-        for s in specs
-    ]
-    return NetworkParams(specs=specs, layers=layers)
+    params = NetworkParams(specs, np.zeros(_vector_size(specs)))
+    for s, lp in zip(specs, params.layers):
+        lp.weights[...] = rng.normal(0.0, np.sqrt(2.0 / s.input_width), (s.output_width, s.input_width))
+        lp.prelu_leakage[...] = PRELU_INIT
+    return params
 
 
 def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
@@ -126,59 +141,31 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     return h, cache
 
 
-def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> list[LayerParams]:
-    """Backpropagate a logits gradient; returns per-layer parameter gradients.
+def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> np.ndarray:
+    """Backpropagate a logits gradient; returns the parameter gradient.
 
-    The leakage gradient collects pre-activation * upstream over the
+    The gradient is one vector in the layout of ``params.vector``.  The
+    leakage gradient collects pre-activation * upstream over the
     negative-input positions.
     """
     if cache.params is not params:
         raise StaleCacheError("cache does not belong to these parameters")
     d = np.asarray(grad_logits, dtype=float)
-    grads: list[LayerParams] = []
-    for spec, lp, lc in zip(reversed(params.specs), reversed(params.layers), reversed(cache.layers)):
+    grad = np.zeros_like(params.vector)
+    layers = zip(params.specs, params.layers, _layer_views(grad, params.specs), cache.layers)
+    for spec, lp, gl, lc in reversed(list(layers)):
         if d.shape != (lc.inputs.shape[0], spec.output_width):
             raise ValueError("upstream gradient shape mismatch")
         if lc.mask is not None:
             d = d * lc.mask
         if spec.activation == "prelu":
             negative = lc.pre_activation <= 0.0
-            dleak = float((lc.pre_activation * d)[negative].sum())
+            gl.prelu_leakage[...] = (lc.pre_activation * d)[negative].sum()
             d = d * np.where(negative, lp.prelu_leakage, 1.0)
-        else:
-            dleak = 0.0
-        grads.append(LayerParams(weights=d.T @ lc.inputs, biases=d.sum(axis=0), prelu_leakage=dleak))
+        gl.weights[...] = d.T @ lc.inputs
+        gl.biases[...] = d.sum(axis=0)
         d = d @ lp.weights
-    grads.reverse()
-    return grads
-
-
-def flatten(layers: list[LayerParams]) -> np.ndarray:
-    """Concatenate weights, biases, and leakages into one parameter vector."""
-    parts = []
-    for lp in layers:
-        parts.append(lp.weights.ravel())
-        parts.append(lp.biases)
-        parts.append(np.array([lp.prelu_leakage]))
-    return np.concatenate(parts)
-
-
-def unflatten(vector: np.ndarray, specs) -> list[LayerParams]:
-    expected = sum(s.output_width * (s.input_width + 1) + 1 for s in specs)
-    if vector.size != expected:
-        raise ValueError(f"vector length {vector.size} does not match the layer specs ({expected})")
-    layers = []
-    offset = 0
-    for s in specs:
-        nw = s.output_width * s.input_width
-        w = vector[offset : offset + nw].reshape(s.output_width, s.input_width)
-        offset += nw
-        b = vector[offset : offset + s.output_width].copy()
-        offset += s.output_width
-        leak = float(vector[offset])
-        offset += 1
-        layers.append(LayerParams(weights=w.copy(), biases=b, prelu_leakage=leak))
-    return layers
+    return grad
 
 
 def to_json(params: NetworkParams) -> str:
@@ -192,7 +179,7 @@ def to_json(params: NetworkParams) -> str:
                 "dropout_retention": s.dropout_retention,
                 "weights": lp.weights.tolist(),
                 "biases": lp.biases.tolist(),
-                "prelu_leakage": lp.prelu_leakage,
+                "prelu_leakage": float(lp.prelu_leakage),
             }
             for s, lp in zip(params.specs, params.layers)
         ],
@@ -205,25 +192,23 @@ def from_json(text: str) -> NetworkParams:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    specs = []
-    layers = []
-    for entry in doc["layers"]:
-        specs.append(
-            LayerSpec(
-                input_width=entry["input_width"],
-                output_width=entry["output_width"],
-                activation=entry["activation"],
-                dropout_retention=entry["dropout_retention"],
-            )
+    specs = tuple(
+        LayerSpec(
+            input_width=entry["input_width"],
+            output_width=entry["output_width"],
+            activation=entry["activation"],
+            dropout_retention=entry["dropout_retention"],
         )
-        layers.append(
-            LayerParams(
-                weights=np.asarray(entry["weights"], dtype=float),
-                biases=np.asarray(entry["biases"], dtype=float),
-                prelu_leakage=float(entry["prelu_leakage"]),
-            )
-        )
-    return NetworkParams(specs=tuple(specs), layers=layers)
+        for entry in doc["layers"]
+    )
+    params = NetworkParams(specs, np.zeros(_vector_size(specs)))
+    for i, (entry, lp) in enumerate(zip(doc["layers"], params.layers)):
+        for name, view in vars(lp).items():
+            value = np.asarray(entry[name], dtype=float)
+            if value.shape != view.shape:
+                raise ValueError(f"layer {i} {name} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
+    return params
 
 
 def save_params(params: NetworkParams, path) -> None:

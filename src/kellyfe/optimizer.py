@@ -1,7 +1,7 @@
 """The Adam parameter update.
 
-It acts on flat float64 parameter vectors (see network.flatten) and is
-purely functional: it returns updated copies instead of mutating.
+It acts on the flat float64 parameter vector (network.NetworkParams.vector)
+and is purely functional: it returns an updated copy instead of mutating.
 """
 
 from __future__ import annotations

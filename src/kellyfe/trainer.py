@@ -22,7 +22,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, batches
 from .kelly import _sweep, clamp_probability_rows
-from .network import LayerSpec, NetworkParams, backward, flatten, forward, init_he, unflatten
+from .network import LayerSpec, NetworkParams, backward, forward, init_he
 from .optimizer import adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
@@ -31,6 +31,15 @@ MODE_NAMES = ("grpr", "grnp", "ngpr", "ngnp")
 
 class IncompatibleConfigError(ValueError):
     """Loss and supervision mode cannot be combined."""
+
+
+class NonFiniteError(ValueError):
+    """A training step or validation pass produced a non-finite number."""
+
+
+def _check_finite(values: np.ndarray, iteration: int, phase: str) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"the {phase} went non-finite at iteration {iteration}")
 
 
 @dataclass
@@ -196,6 +205,7 @@ def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tupl
     return tuple(specs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise NonFiniteError
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     """Optimize a fresh network on train_set; returns (params, history).
 
@@ -206,7 +216,9 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     improved on its best value for ``patience`` iterations, or at
     ``max_iterations``; the returned parameters are a snapshot from the
     best-EMA iteration.  Candidate sets for the expected-free-energy loss
-    are recomputed from fresh posteriors every iteration.
+    are recomputed from fresh posteriors every iteration.  A non-finite
+    logit or parameter raises NonFiniteError naming the iteration and
+    whether the training step or the validation pass produced it.
 
     Clamping (kelly.clamp_probability_rows) happens here and in batch_loss
     only: the train and validation priors once per run, together with the
@@ -219,9 +231,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     specs = _network_specs(config, train_set.n_features, train_set.n_classes)
     params = init_he(specs, seed=_derived_seed(config.seed, 0))
-    state = init_adam(
-        flatten(params.layers).size, config.alpha_lr, config.beta_fm, config.beta_sm
-    )
+    state = init_adam(params.vector.size, config.alpha_lr, config.beta_fm, config.beta_sm)
 
     train_labels = _label_matrix(train_set, config.mode)
     train_priors, train_ln_priors = _clamped_priors(train_set, config.mode)
@@ -231,7 +241,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     history: list[HistoryRecord] = []
     best_ema = np.inf
     best_iteration = 0
-    best_params = params.copy()
+    best_params = params
     ema = None
     iteration = 0
     epoch = 0
@@ -245,6 +255,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
                 training=True,
                 seed=_derived_seed(config.seed, 2, iteration),
             )
+            _check_finite(logits, iteration, "training step")
             ev = batch_loss(
                 config,
                 losses.softmax(logits),
@@ -253,11 +264,12 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
                 train_ln_priors[idx],
                 train_set.reference_labels[idx],
             )
-            grads = backward(params, cache, ev.grad_logits)
-            state, flat = adam_step(state, flatten(params.layers), flatten(grads))
-            params = NetworkParams(specs=params.specs, layers=unflatten(flat, params.specs))
+            state, vector = adam_step(state, params.vector, backward(params, cache, ev.grad_logits))
+            _check_finite(vector, iteration, "training step")
+            params = NetworkParams(specs, vector)
 
             val_logits, _ = forward(params, val_set.features, training=False)
+            _check_finite(val_logits, iteration, "validation pass")
             val_ev = batch_loss(
                 config,
                 losses.softmax(val_logits),
@@ -284,7 +296,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             if ema < best_ema:
                 best_ema = ema
                 best_iteration = iteration
-                best_params = params.copy()
+                best_params = params
             if iteration - best_iteration >= config.patience or iteration >= config.max_iterations:
                 stop = True
                 break

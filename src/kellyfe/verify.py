@@ -24,7 +24,7 @@ from .kelly import (
     clamp_probabilities,
     kelly_objective_value,
 )
-from .network import LayerSpec, NetworkParams, backward, flatten, forward, init_he, unflatten
+from .network import LayerSpec, NetworkParams, backward, forward, init_he
 
 PAIR_FLOOR = 0.05
 
@@ -175,7 +175,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
     """Central finite differences vs every analytic loss gradient.
 
     Each instance composes the loss with a two-layer network and perturbs
-    the flattened parameters.  Candidate sets for the expected-free-energy
+    the parameter vector.  Candidate sets for the expected-free-energy
     loss are frozen at the unperturbed posteriors, matching the loss's
     stop-gradient semantics.  Also tracks the softmax null-direction
     property (gradient rows sum to zero).
@@ -188,7 +188,6 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
         n = (1, 2, 8)[(i // 3) % 3]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77, i]))
         specs, params, features, labels, priors = _gradient_instance(rng, k, n)
-        theta0 = flatten(params.layers)
 
         logits0, _ = forward(params, features, training=False)
         post0 = losses.softmax(logits0)
@@ -198,15 +197,15 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
             evaluate = losses.LOSSES[name].evaluate
 
             def value_at(theta, evaluate=evaluate, gamma=gamma):
-                p = NetworkParams(specs=specs, layers=unflatten(theta, specs))
+                p = NetworkParams(specs, theta)
                 logits, _ = forward(p, features, training=False)
                 return evaluate(losses.softmax(logits), labels, priors, mask, None, gamma).value
 
             logits, cache = forward(params, features, training=False)
             ev = evaluate(losses.softmax(logits), labels, priors, mask, None, gamma)
             worst_rowsum = max(worst_rowsum, float(np.abs(ev.grad_logits.sum(axis=1)).max()))
-            analytic = flatten(backward(params, cache, ev.grad_logits))
-            numeric = finite_difference_gradient(value_at, theta0, h)
+            analytic = backward(params, cache, ev.grad_logits)
+            numeric = finite_difference_gradient(value_at, params.vector, h)
             worst[prop] = max(worst[prop], relative_gradient_error(analytic, numeric))
 
     results = [

@@ -229,6 +229,18 @@ class TestTrain:
         args[args.index("--out-dir") + 1] = str(blocker / "nested")
         assert cli.main(args) == 1
 
+    def test_non_finite_run_exits_1_with_one_error_line(self, tmp_path, capsys):
+        args = self._train_args(tmp_path, "diverged")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_lr": 1e300}))
+        assert cli.main(args + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[-1] == "error: the validation pass went non-finite at iteration 1"
+        assert sum("error:" in line for line in lines) == 1
+        assert not (tmp_path / "diverged").exists()
+
     def test_config_file_with_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"loss": "ce", "turbo": True}))

@@ -1,5 +1,7 @@
 """Forward/backward correctness, dropout behaviour, and exact persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from kellyfe.network import (
     NetworkParams,
     StaleCacheError,
     backward,
-    flatten,
     forward,
     from_json,
     init_he,
     load_params,
     save_params,
     to_json,
-    unflatten,
 )
 from kellyfe.verify import finite_difference_gradient, relative_gradient_error
 
@@ -49,14 +49,14 @@ class TestInitHe:
 class TestForward:
     def test_identity_linear_layer(self):
         params = init_he([LayerSpec(3, 3, activation="linear")], seed=0)
-        params.layers[0].weights = np.eye(3)
+        params.layers[0].weights[...] = np.eye(3)
         x = np.random.default_rng(0).standard_normal((4, 3))
         logits, _ = forward(params, x)
         np.testing.assert_array_equal(logits, x)
 
     def test_prelu_negative_leakage(self):
         params = init_he([LayerSpec(1, 1)], seed=0)
-        params.layers[0].weights = np.array([[1.0]])
+        params.layers[0].weights[...] = np.array([[1.0]])
         logits, _ = forward(params, [[-2.0]])
         np.testing.assert_allclose(logits, [[-0.3]], atol=1e-12)
 
@@ -70,7 +70,7 @@ class TestForward:
     def test_dropout_reproducible_and_scale_preserving(self):
         retention = 0.7
         params = init_he([LayerSpec(2, 1, activation="linear", dropout_retention=retention)], seed=2)
-        params.layers[0].weights = np.array([[1.0, 1.0]])
+        params.layers[0].weights[...] = np.array([[1.0, 1.0]])
         x = np.ones((10000, 2))
         a, _ = forward(params, x, training=True, seed=123)
         b, _ = forward(params, x, training=True, seed=123)
@@ -91,20 +91,20 @@ class TestBackward:
         params = init_he([LayerSpec(3, 4), LayerSpec(4, 2)], seed=4)
         x = np.random.default_rng(4).standard_normal((6, 3))
         logits, cache = forward(params, x)
-        grads = backward(params, cache, np.zeros_like(logits))
-        assert all(
-            np.all(g.weights == 0) and np.all(g.biases == 0) and g.prelu_leakage == 0.0
-            for g in grads
-        )
+        grad = backward(params, cache, np.zeros_like(logits))
+        assert grad.shape == params.vector.shape
+        assert np.all(grad == 0.0)
 
     def test_single_linear_layer_outer_product(self):
         params = init_he([LayerSpec(3, 2, activation="linear")], seed=5)
         x = np.array([[1.0, -2.0, 0.5]])
         logits, cache = forward(params, x)
         upstream = np.array([[0.3, -0.7]])
-        grads = backward(params, cache, upstream)
-        np.testing.assert_allclose(grads[0].weights, np.outer(upstream[0], x[0]), atol=1e-12)
-        np.testing.assert_allclose(grads[0].biases, upstream[0], atol=1e-12)
+        grad = backward(params, cache, upstream)
+        # layout: 2x3 weights row-major, 2 biases, the leakage
+        np.testing.assert_allclose(grad[:6].reshape(2, 3), np.outer(upstream[0], x[0]), atol=1e-12)
+        np.testing.assert_allclose(grad[6:8], upstream[0], atol=1e-12)
+        assert grad[8] == 0.0
 
     def test_two_layer_gradient_against_finite_differences(self):
         specs = (LayerSpec(3, 4), LayerSpec(4, 3, activation="linear"))
@@ -114,14 +114,14 @@ class TestBackward:
         labels = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
         def value_at(theta):
-            p = NetworkParams(specs=specs, layers=unflatten(theta, specs))
+            p = NetworkParams(specs, theta)
             logits, _ = forward(p, x)
             return losses.cross_entropy(losses.softmax(logits), labels).value
 
         logits, cache = forward(params, x)
         ev = losses.cross_entropy(losses.softmax(logits), labels)
-        analytic = flatten(backward(params, cache, ev.grad_logits))
-        numeric = finite_difference_gradient(value_at, flatten(params.layers), 1e-6)
+        analytic = backward(params, cache, ev.grad_logits)
+        numeric = finite_difference_gradient(value_at, params.vector, 1e-6)
         assert relative_gradient_error(analytic, numeric) <= 1e-5
 
     def test_gradient_with_active_dropout_mask(self):
@@ -133,25 +133,26 @@ class TestBackward:
         labels = np.tile([[1.0, 0.0]], (4, 1))
 
         def value_at(theta):
-            p = NetworkParams(specs=specs, layers=unflatten(theta, specs))
+            p = NetworkParams(specs, theta)
             logits, _ = forward(p, x, training=True, seed=99)
             return losses.cross_entropy(losses.softmax(logits), labels).value
 
         logits, cache = forward(params, x, training=True, seed=99)
         ev = losses.cross_entropy(losses.softmax(logits), labels)
-        analytic = flatten(backward(params, cache, ev.grad_logits))
-        numeric = finite_difference_gradient(value_at, flatten(params.layers), 1e-6)
+        analytic = backward(params, cache, ev.grad_logits)
+        numeric = finite_difference_gradient(value_at, params.vector, 1e-6)
         assert relative_gradient_error(analytic, numeric) <= 1e-5
 
     def test_prelu_leakage_gradient(self):
         spec = (LayerSpec(1, 1),)
         params = init_he(spec, seed=8)
-        params.layers[0].weights = np.array([[1.0]])
+        params.layers[0].weights[...] = np.array([[1.0]])
         x = np.array([[-3.0]])
         logits, cache = forward(params, x)
-        grads = backward(params, cache, np.array([[2.0]]))
-        # d(a * x)/da * upstream = x * upstream at negative pre-activations
-        assert grads[0].prelu_leakage == -6.0
+        grad = backward(params, cache, np.array([[2.0]]))
+        # d(a * x)/da * upstream = x * upstream at negative pre-activations;
+        # the leakage follows the weight and the bias
+        assert grad[2] == -6.0
 
     def test_stale_cache_rejected(self):
         params = init_he([LayerSpec(2, 2)], seed=9)
@@ -182,14 +183,45 @@ class TestPersistence:
         with pytest.raises(ValueError):
             from_json(text)
 
-    def test_flatten_unflatten_round_trip(self):
+    def test_vector_length_must_match_specs(self):
         specs = (LayerSpec(3, 4), LayerSpec(4, 2))
-        params = init_he(specs, seed=13)
-        vec = flatten(params.layers)
-        rebuilt = unflatten(vec, specs)
-        for la, lb in zip(params.layers, rebuilt):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.biases, lb.biases)
-            assert la.prelu_leakage == lb.prelu_leakage
-        with pytest.raises(ValueError):
-            unflatten(vec[:-1], specs)
+        vector = init_he(specs, seed=13).vector
+        assert vector.shape == (4 * 3 + 4 + 1 + 2 * 4 + 2 + 1,)
+        for wrong in (vector[:-1], np.append(vector, 0.0)):
+            with pytest.raises(ValueError):
+                NetworkParams(specs, wrong)
+
+
+class TestFlatVector:
+    def test_layers_are_views_in_vector_layout(self):
+        specs = (LayerSpec(3, 4), LayerSpec(4, 2, activation="linear"))
+        params = init_he(specs, seed=14)
+        parts = [
+            np.concatenate([lp.weights.ravel(), lp.biases, [lp.prelu_leakage]])
+            for lp in params.layers
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts), params.vector)
+        for lp in params.layers:
+            for view in vars(lp).values():
+                assert np.shares_memory(view, params.vector)
+
+    def test_writes_through_views_reach_the_vector(self):
+        params = init_he([LayerSpec(2, 2)], seed=15)
+        params.layers[0].weights[...] = [[1.0, 2.0], [3.0, 4.0]]
+        params.layers[0].biases[...] = [5.0, 6.0]
+        params.layers[0].prelu_leakage[...] = 7.0
+        np.testing.assert_array_equal(params.vector, np.arange(1.0, 8.0))
+
+    def test_views_cannot_be_rebound(self):
+        params = init_he([LayerSpec(2, 2)], seed=16)
+        with pytest.raises(AttributeError):
+            params.layers[0].weights = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            params.vector = np.zeros(7)
+
+    def test_from_json_rejects_a_misshapen_layer(self):
+        params = init_he([LayerSpec(2, 3)], seed=17)
+        doc = json.loads(to_json(params))
+        doc["layers"][0]["weights"] = np.zeros((2, 3)).tolist()  # transposed
+        with pytest.raises(ValueError, match="weights has shape"):
+            from_json(json.dumps(doc))

@@ -73,6 +73,39 @@ class TestTrain:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
 
+    def test_best_snapshot_equals_a_run_capped_at_its_iteration(self):
+        # the returned parameters are a reference to the best iteration's
+        # vector, so later updates must leave them untouched
+        train_set = data.with_synthesized_priors(
+            data.generate(2, 2, 200, [0.5, 0.5], 1.0, seed=3), 0.1
+        )
+        val_set = data.with_synthesized_priors(
+            data.generate(2, 2, 100, [0.5, 0.5], 1.0, seed=4), 0.1
+        )
+        cfg = trainer.TrainConfig(
+            loss="ce", mode="grnp", alpha_lr=0.05, max_iterations=200, patience=200, seed=4
+        )
+        params_long, history_long = trainer.train(cfg, train_set, val_set)
+        best = int(np.argmin([h.val_loss_ema for h in history_long])) + 1
+        assert 1 < best < len(history_long) - 50
+        capped = dataclasses.replace(cfg, max_iterations=best)
+        params_capped, history_capped = trainer.train(capped, train_set, val_set)
+        assert history_capped == history_long[:best]
+        assert params_long.vector.tobytes() == params_capped.vector.tobytes()
+
+    def test_non_finite_validation_pass_names_iteration(self):
+        train_set, val_set = _separable_sets(seed=15)
+        cfg = trainer.TrainConfig(loss="efe", mode="grpr", alpha_lr=1e300, max_iterations=5)
+        with pytest.raises(trainer.NonFiniteError, match="validation pass went non-finite at iteration 1$"):
+            trainer.train(cfg, train_set, val_set)
+
+    def test_non_finite_training_step_names_iteration(self):
+        train_set, val_set = _separable_sets(seed=16)
+        huge = dataclasses.replace(train_set, features=np.full_like(train_set.features, 1e308))
+        cfg = trainer.TrainConfig(loss="ce", mode="grnp", max_iterations=5)
+        with pytest.raises(trainer.NonFiniteError, match="training step went non-finite at iteration 1$"):
+            trainer.train(cfg, huge, val_set)
+
     def test_incompatible_loss_mode(self):
         train_set, val_set = _separable_sets(seed=10)
         for loss in ("ce", "wce", "focal", "wfocal", "dice", "lovasz"):
@@ -103,7 +136,7 @@ class TestTrain:
 class TestEvaluate:
     def _all_zero_params(self, n_features, n_classes):
         params = init_he([LayerSpec(n_features, n_classes, activation="linear")], seed=0)
-        params.layers[0].weights = np.zeros_like(params.layers[0].weights)
+        params.layers[0].weights[...] = 0.0
         return params
 
     def test_all_one_class_predictor(self):

@@ -6,19 +6,23 @@ Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 rows, class split 90/9/1, separation 3, prior noise 0.1; train rows
 from seed 1, clean and with 20% flipped reference labels, validation rows
 from seed 2), runs ``kellyfe train --seed 5 --max-iterations 250`` for
-each of the 22 configurations below and prints one markdown row per
+each of the 24 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
-``metrics.json``.  Every call runs ``python -m kellyfe.cli`` in a fresh
-interpreter on the package under ``--src`` (default: this checkout's
-``src``).  A change that claims byte-identical outputs prints the same
-table as its parent: run the script on both trees and diff the output.
-Uses only the standard library.
+``metrics.json``.  Two of the configurations come from a ``--config``
+file that sets two hidden layers and dropout.  A second table gives the
+exit code and the sha256 of the stdout of two ``kellyfe verify`` runs.
+Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
+package under ``--src`` (default: this checkout's ``src``).  A change that
+claims byte-identical outputs prints the same tables as its parent: run
+the script on both trees and diff the output.  Uses only the standard
+library.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -48,23 +52,34 @@ RUNS = [
     ("efe", ["--loss", "efe"], "ngpr"),
     ("efe", ["--loss", "efe"], "ngnp"),
     ("focal --gamma 0", ["--loss", "focal", "--gamma", "0"], "grnp"),
+    ("efe, --config hidden [8, 8] dropout 0.8", ["--config", "{config}"], "grpr"),
+]
+CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
+VERIFY = [
+    ["--suite", "gradients", "--trials", "30", "--seed", "0"],
+    ["--suite", "kelly", "--trials", "100", "--seed", "0"],
 ]
 TRAIN = ["--seed", "5", "--max-iterations", "250", "--no-timestamp"]
 OUTPUTS = ("history.csv", "model.json", "metrics.json")
 
 
-def kellyfe(src: Path, argv: list[str]) -> None:
+def kellyfe(src: Path, argv: list[str], allowed=(0,)) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "kellyfe.cli", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "kellyfe.cli", *argv], env=env, capture_output=True
     )
-    if proc.returncode != 0:
-        raise SystemExit(f"kellyfe {' '.join(argv)} exited with {proc.returncode}:\n{proc.stderr}")
+    if proc.returncode not in allowed:
+        raise SystemExit(
+            f"kellyfe {' '.join(argv)} exited with {proc.returncode}:\n{proc.stderr.decode()}"
+        )
+    return proc
 
 
 def digest_table(src: Path, work: Path) -> list[str]:
     for name, flags in INPUTS.items():
         kellyfe(src, ["generate", *GENERATE, *flags, "--out", str(work / f"{name}.csv")])
+    config = work / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
     rows = [
         "| data | loss | mode | " + " | ".join(OUTPUTS) + " |",
         "|---|---|---|" + "---|" * len(OUTPUTS),
@@ -73,12 +88,18 @@ def digest_table(src: Path, work: Path) -> list[str]:
         for i, (label, loss_flags, mode) in enumerate(RUNS):
             out = work / f"{data}-{i}"
             kellyfe(src, [
-                "train", *loss_flags, "--mode", mode, *TRAIN,
+                "train", *(f.format(config=config) for f in loss_flags), "--mode", mode, *TRAIN,
                 "--train", str(work / f"{data}.csv"), "--val", str(work / "val.csv"),
                 "--out-dir", str(out),
             ])
             digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS]
             rows.append(f"| {data} | {label} | {mode} | " + " | ".join(digests) + " |")
+    rows += ["", "| verify | exit | stdout |", "|---|---|---|"]
+    for flags in VERIFY:
+        # a failed property exits 1 and is part of what must not change
+        proc = kellyfe(src, ["verify", *flags, "--no-timestamp"], allowed=(0, 1))
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        rows.append(f"| {' '.join(flags)} | {proc.returncode} | {digest} |")
     return rows
 
 
