@@ -46,16 +46,60 @@ class GridDimensionError(ValueError):
     """Exhaustive grid search requested for too many classes."""
 
 
+def row_sums(x) -> np.ndarray:
+    """``x.sum(axis=-1)``, bit for bit, from column slices.
+
+    For rows stored contiguously (C order), as every caller here builds
+    them, numpy sums each row pairwise: below 8 entries left to right from
+    +0.0; from 8 to 128 entries in eight interleaved accumulators combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    remainder left to right; above 128 entries as the sum of two halves
+    split at n // 2 rounded down to a multiple of 8.  The same additions in
+    the same order, done on whole columns, give the same bits, and on a
+    short class axis they avoid numpy's per-row reduction overhead, which
+    is most of the cost of a row sum there.
+    """
+    x = np.asarray(x, dtype=float)
+    return _pairwise_sum(x, 0, x.shape[-1])
+
+
+def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Sums of the ``n`` columns of ``x`` from ``lo`` in numpy's pairwise order."""
+    if n < 8:
+        total = x[..., lo] + 0.0
+        for c in range(lo + 1, lo + n):
+            total += x[..., c]
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        acc = x[..., lo : lo + 8] + 0.0
+        for i in range(lo + 8, end, 8):
+            acc += x[..., i : i + 8]
+        acc = acc[..., 0::2] + acc[..., 1::2]
+        acc = acc[..., 0::2] + acc[..., 1::2]
+        total = acc[..., 0] + acc[..., 1]
+        for c in range(end, lo + n):
+            total += x[..., c]
+        return total
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_sum(x, lo, half)
+    total += _pairwise_sum(x, lo + half, n - half)
+    return total
+
+
 def clamp_probability_rows(rows) -> np.ndarray:
     """Clamp an (N, K) matrix to [1e-8, 1 - 1e-8] and renormalize each row.
 
     Keeps vectors on the open simplex so ratios and logarithms stay finite
-    even when a softmax underflows.  Clamping is not idempotent: a second
-    pass may move the last bit of a row, so raw input is clamped exactly
-    once.  The public sweep, ``log_growth`` and ``losses.efe_loss`` clamp
-    what they are given; the trainer clamps its priors once per run and
-    each posterior batch once, and hands the clamped arrays to the private
-    sweep and EFE kernels, which do not clamp again.
+    even when a softmax underflows.  The rows are summed by ``row_sums``,
+    so the result has the bits of ``p / p.sum(axis=1, keepdims=True)``.
+    Clamping is not idempotent: a second pass may move the last bit of a
+    row, so raw input is clamped exactly once.  The public sweep,
+    ``log_growth`` and ``losses.efe_loss`` clamp what they are given; the
+    trainer clamps its priors once per run and each posterior batch once,
+    and hands the clamped arrays to the private sweep and EFE kernels,
+    which do not clamp again.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -63,7 +107,7 @@ def clamp_probability_rows(rows) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("probability rows have non-finite entries")
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / row_sums(p)[:, None]
 
 
 def clamp_probabilities(values) -> np.ndarray:
@@ -164,10 +208,10 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     """The sweep of candidate_labels_batch on clamped (N, K) rows.
 
     With ``mask_only`` the fractions and the unspent ratios are not built
-    and come back as None.  Works column by column on the sorted rows: on
-    the short K axis a column operation is far cheaper than a row
-    reduction, and suffix sums, running conjunctions and gathers give the
-    same bits in either layout.
+    and come back as None.  Works column by column on the sorted rows, as
+    ``row_sums`` does: on the short K axis a column operation is far
+    cheaper than a row reduction, and suffix sums, running conjunctions
+    and gathers give the same bits in either layout.
     """
     n, k = a.shape
     q = a / p

@@ -24,6 +24,11 @@ and priors once and calls the private kernel ``_efe``; the trainer, which
 already holds clamped rows (see ``kelly.clamp_probability_rows``), calls
 the kernel directly, so no array is clamped twice.
 
+Sums over the short class axis (the softmax normalization, the softmax
+Jacobian and the EFE rest masses) go through ``kelly.row_sums``, which
+gives the bits of numpy's row sum from column slices at a fraction of its
+cost.
+
 LOSSES maps each trainable loss name to one evaluate call plus whether it
 needs reference labels and whether it uses the candidate sets; the trainer,
 the verify suites and the command line all read it.
@@ -39,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kelly import clamp_probabilities, clamp_probability_rows
+from .kelly import clamp_probabilities, clamp_probability_rows, row_sums
 
 LN_EPS = 1e-12
 
@@ -66,8 +71,9 @@ class LossEvaluation:
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max-subtraction for overflow safety.
 
-    The row maximum is a running maximum over the columns, which is exact
-    and, on the short class axis, much cheaper than a row reduction.
+    The row maximum is a running maximum over the columns and the row sum
+    is ``kelly.row_sums``: both give the bits of numpy's row reductions
+    and, on the short class axis, cost much less.
     """
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -77,7 +83,7 @@ def softmax(logits) -> np.ndarray:
         np.maximum(top, z[..., c], out=top)
     z = z - top[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / row_sums(e)[..., None]
 
 
 def _check_pair(posteriors, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +96,7 @@ def _check_pair(posteriors, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain_softmax(posteriors: np.ndarray, grad_posteriors: np.ndarray) -> np.ndarray:
     """Pull a posterior-space gradient back through the softmax Jacobian."""
-    inner = (grad_posteriors * posteriors).sum(axis=1, keepdims=True)
+    inner = row_sums(grad_posteriors * posteriors)[:, None]
     return posteriors * (grad_posteriors - inner)
 
 
@@ -331,9 +337,9 @@ def _efe(p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np
     ln_p = np.log(p)
     uncertainty = -scale * float((l * p * ln_p).sum())
 
-    rest_a = np.where(mask, 0.0, a).sum(axis=1)
-    rest_p = np.where(mask, 0.0, p).sum(axis=1)
-    cand_terms = np.where(mask, a * (ln_a - ln_p), 0.0).sum(axis=1)
+    rest_a = row_sums(np.where(mask, 0.0, a))
+    rest_p = row_sums(np.where(mask, 0.0, p))
+    cand_terms = row_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
     rest_terms = np.where(rest_a > 0.0, rest_a * np.log(np.maximum(rest_a, LN_EPS) / np.maximum(rest_p, LN_EPS)), 0.0)
     complexity = scale * float((cand_terms + rest_terms).sum())
     if not grad:

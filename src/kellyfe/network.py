@@ -116,14 +116,15 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     During training, dropout keeps each activation with its layer's
     retention probability and rescales survivors by 1/retention, so
     inference needs no weight rescaling.  Retention 1.0 draws no mask and
-    makes the training pass identical to inference.
+    makes the training pass identical to inference; a network whose layers
+    all have retention 1.0 builds no random generator at all.
     """
     h = np.asarray(batch_features, dtype=float)
     if h.ndim != 2 or h.shape[1] != params.specs[0].input_width:
         raise ValueError(
             f"features with {h.shape} do not match input width {params.specs[0].input_width}"
         )
-    rng = np.random.default_rng(seed) if training else None
+    rng = None
     cache = ForwardCache(params=params)
     for spec, lp in zip(params.specs, params.layers):
         z = h @ lp.weights.T + lp.biases
@@ -133,6 +134,8 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
             act = z
         mask = None
         if training and spec.dropout_retention < 1.0:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             keep = rng.random(act.shape) < spec.dropout_retention
             mask = keep / spec.dropout_retention
             act = act * mask

@@ -37,9 +37,16 @@ class NonFiniteError(ValueError):
     """A training step or validation pass produced a non-finite number."""
 
 
-def _check_finite(values: np.ndarray, iteration: int, phase: str) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"the {phase} went non-finite at iteration {iteration}")
+def _non_finite(iteration: int, phase: str) -> NonFiniteError:
+    return NonFiniteError(f"the {phase} went non-finite at iteration {iteration}")
+
+
+def _softmax(logits: np.ndarray, iteration: int, phase: str) -> np.ndarray:
+    """losses.softmax, whose finiteness check of the logits is the only one."""
+    try:
+        return losses.softmax(logits)
+    except ValueError:
+        raise _non_finite(iteration, phase) from None
 
 
 @dataclass
@@ -249,30 +256,25 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     while not stop:
         for idx in batches(train_set, config.batch_size, _derived_seed(config.seed, 1, epoch)):
             iteration += 1
-            logits, cache = forward(
-                params,
-                train_set.features[idx],
-                training=True,
-                seed=_derived_seed(config.seed, 2, iteration),
-            )
-            _check_finite(logits, iteration, "training step")
+            dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
+            logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
             ev = batch_loss(
                 config,
-                losses.softmax(logits),
+                _softmax(logits, iteration, "training step"),
                 train_labels[idx],
                 train_priors[idx],
                 train_ln_priors[idx],
                 train_set.reference_labels[idx],
             )
             state, vector = adam_step(state, params.vector, backward(params, cache, ev.grad_logits))
-            _check_finite(vector, iteration, "training step")
+            if not np.isfinite(vector).all():
+                raise _non_finite(iteration, "training step")
             params = NetworkParams(specs, vector)
 
             val_logits, _ = forward(params, val_set.features, training=False)
-            _check_finite(val_logits, iteration, "validation pass")
             val_ev = batch_loss(
                 config,
-                losses.softmax(val_logits),
+                _softmax(val_logits, iteration, "validation pass"),
                 val_labels,
                 val_priors,
                 val_ln_priors,

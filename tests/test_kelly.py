@@ -4,18 +4,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellyfe.kelly import (
     GridDimensionError,
     InfeasibleFractionsError,
     KellySolution,
     MissingReferenceLabelError,
+    PROB_CLAMP,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
     clamp_probabilities,
+    clamp_probability_rows,
     kelly_objective_value,
     log_growth,
+    row_sums,
 )
 from kellyfe.verify import PAIR_FLOOR, draw_probability_pair
 
@@ -81,6 +86,64 @@ class TestClampProbabilities:
             clamp_probabilities([0.5])
         with pytest.raises(ValueError):
             clamp_probabilities([np.nan, 0.5])
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 20, 129])
+    def test_bitwise_equal_to_numpy_row_sum_form(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.dirichlet(np.ones(k), 50)
+        rows[::5, 0] = 0.0  # rows with an entry pulled up to the floor
+        clipped = np.clip(rows, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        expected = clipped / clipped.sum(axis=1, keepdims=True)
+        assert clamp_probability_rows(rows).tobytes() == expected.tobytes()
+
+
+def _assert_numpy_sum_bits(x):
+    assert row_sums(x).tobytes() == x.sum(axis=-1).tobytes()
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("n", [1, 32, 2000])
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 16, 17, 20, 64, 127, 128, 129, 300])
+    def test_bitwise_equal_to_numpy_sum(self, k, n):
+        rng = np.random.default_rng(k * 10000 + n)
+        # magnitudes over ten decades, so the summation order shows in the bits
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-5, 6, (n, k))
+        _assert_numpy_sum_bits(x)
+
+    @pytest.mark.parametrize("k", [3, 7, 8, 20, 129])
+    def test_negative_zero_rows_sum_to_positive_zero(self, k):
+        x = np.full((4, k), -0.0)
+        _assert_numpy_sum_bits(x)
+        assert not np.signbit(row_sums(x)).any()
+
+    @pytest.mark.parametrize("k", [3, 8, 20, 129])
+    def test_infinite_and_nan_rows(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((5, k))
+        x[0, k // 2] = np.inf
+        x[1, 1] = -np.inf
+        x[2, 0], x[2, -1] = np.inf, -np.inf  # inf - inf: numpy's default NaN
+        x[3, k // 3] = np.nan
+        x[4, 0], x[4, 1] = np.nan, -np.nan  # two NaNs of opposite sign
+        with np.errstate(invalid="ignore"):
+            _assert_numpy_sum_bits(x)
+
+    def test_one_dimensional_vector(self):
+        v = np.random.default_rng(5).standard_normal(77)
+        assert row_sums(v).shape == ()
+        _assert_numpy_sum_bits(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=0, max_size=2).flatmap(
+            lambda lead: st.integers(1, 400).map(lambda k: (*lead, k))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bitwise_equal_on_random_shapes(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        _assert_numpy_sum_bits(x)
 
 
 class TestLogGrowth:

@@ -56,7 +56,7 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             losses.softmax([[np.inf, 0.0]])
 
-    @pytest.mark.parametrize("shape", [(50, 2), (50, 3), (50, 20), (50, 64), (7,)])
+    @pytest.mark.parametrize("shape", [(50, 2), (50, 3), (50, 20), (50, 64), (7,), (50, 8), (50, 9), (50, 129)])
     def test_bitwise_equal_to_row_max_form(self, shape):
         rng = np.random.default_rng(len(shape) * 100 + shape[-1])
         z = rng.standard_normal(shape) * 5.0

@@ -67,6 +67,17 @@ class TestForward:
         infer_logits, _ = forward(params, x, training=False)
         np.testing.assert_array_equal(train_logits, infer_logits)
 
+    def test_full_retention_training_builds_no_generator(self, monkeypatch):
+        params = init_he([LayerSpec(3, 4), LayerSpec(4, 4), LayerSpec(4, 2, activation="linear")], seed=1)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a dropout-free forward pass built a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        logits, cache = forward(params, np.ones((5, 3)), training=True, seed=7)
+        assert logits.shape == (5, 2)
+        assert all(lc.mask is None for lc in cache.layers)
+
     def test_dropout_reproducible_and_scale_preserving(self):
         retention = 0.7
         params = init_he([LayerSpec(2, 1, activation="linear", dropout_retention=retention)], seed=2)

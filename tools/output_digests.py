@@ -5,11 +5,15 @@
 Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 rows, class split 90/9/1, separation 3, prior noise 0.1; train rows
 from seed 1, clean and with 20% flipped reference labels, validation rows
-from seed 2), runs ``kellyfe train --seed 5 --max-iterations 250`` for
-each of the 24 configurations below and prints one markdown row per
+from seed 2) and a 20-class set of the same size (one class at 43%, the
+others at 3% each), runs ``kellyfe train --seed 5 --max-iterations 250``
+for each of the 26 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
-file that sets two hidden layers and dropout.  A second table gives the
+file that sets two hidden layers and dropout.  The two 20-class runs
+(efe and ce) put at least 8 entries in every row sum, which numpy adds in
+eight interleaved accumulators where a 3-entry row is added left to
+right.  A second table gives the
 exit code and the sha256 of the stdout of two ``kellyfe verify`` runs.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
@@ -30,17 +34,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GENERATE = [
-    "--classes", "3", "--samples", "2000", "--frequencies", "0.9,0.09,0.01",
-    "--separation", "3", "--prior-noise", "0.1", "--no-timestamp",
-]
+GENERATE = ["--samples", "2000", "--separation", "3", "--prior-noise", "0.1", "--no-timestamp"]
+K3 = ["--classes", "3", "--frequencies", "0.9,0.09,0.01"]
+K20 = ["--classes", "20", "--frequencies", ",".join(["0.43"] + ["0.03"] * 19)]
 INPUTS = {
-    "clean": ["--seed", "1"],
-    "flip20": ["--seed", "1", "--label-flip", "0.2"],
-    "val": ["--seed", "2"],
+    "clean": [*K3, "--seed", "1"],
+    "flip20": [*K3, "--seed", "1", "--label-flip", "0.2"],
+    "val": [*K3, "--seed", "2"],
+    "k20": [*K20, "--seed", "1"],
+    "k20-val": [*K20, "--seed", "2"],
 }
-# (loss label, extra train flags, mode), run on both clean and flip20
-RUNS = [
+# (loss label, extra train flags, mode)
+K3_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
     ("wce", ["--loss", "wce"], "grpr"),
@@ -54,6 +59,12 @@ RUNS = [
     ("focal --gamma 0", ["--loss", "focal", "--gamma", "0"], "grnp"),
     ("efe, --config hidden [8, 8] dropout 0.8", ["--config", "{config}"], "grpr"),
 ]
+K20_RUNS = [
+    ("efe", ["--loss", "efe"], "grpr"),
+    ("ce", ["--loss", "ce"], "grpr"),
+]
+# (train input, validation input, runs)
+TABLE = [("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", K20_RUNS)]
 CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
     ["--suite", "gradients", "--trials", "30", "--seed", "0"],
@@ -84,12 +95,12 @@ def digest_table(src: Path, work: Path) -> list[str]:
         "| data | loss | mode | " + " | ".join(OUTPUTS) + " |",
         "|---|---|---|" + "---|" * len(OUTPUTS),
     ]
-    for data in ("clean", "flip20"):
-        for i, (label, loss_flags, mode) in enumerate(RUNS):
+    for data, val, runs in TABLE:
+        for i, (label, loss_flags, mode) in enumerate(runs):
             out = work / f"{data}-{i}"
             kellyfe(src, [
                 "train", *(f.format(config=config) for f in loss_flags), "--mode", mode, *TRAIN,
-                "--train", str(work / f"{data}.csv"), "--val", str(work / "val.csv"),
+                "--train", str(work / f"{data}.csv"), "--val", str(work / f"{val}.csv"),
                 "--out-dir", str(out),
             ])
             digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS]
