@@ -19,7 +19,7 @@ PRELU_INIT = 0.15
 
 
 class StaleCacheError(ValueError):
-    """backward() received a cache produced by a different forward pass."""
+    """backward() received no cache, or one produced by a different forward pass."""
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,34 @@ def init_he(specs, seed: int) -> NetworkParams:
     return params
 
 
+def _prelu(z: np.ndarray, leakage, out=None) -> np.ndarray:
+    """PReLU by max/min, with one temporary fewer than ``where``; see ``forward``.
+
+    A NaN leakage would give NaN at every positive z, where ``where`` gives
+    z, so ``from_json`` rejects one.
+    """
+    pick = np.maximum if leakage <= 1.0 else np.minimum
+    return pick(z, leakage * z, out=out)
+
+
 def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
     """Run a batch through the network; returns (logits, cache).
+
+    Only a ``training=True`` pass builds the cache that ``backward`` needs.
+    An inference pass (``training=False``) returns ``(logits, None)`` and
+    computes each layer's activation in place in its pre-activation array.
+
+    PReLU is ``max(z, a*z)`` for a leakage ``a <= 1`` and ``min(z, a*z)``
+    above 1 (``_prelu``).  That has the bits of ``where(z > 0, z, a*z)`` for
+    every finite leakage and finite pre-activation, signed zeros and an
+    ``a*z`` that overflows to +-inf included; only z = +-inf with a = +-0
+    differs (0*inf is NaN), and such logits are non-finite either way.
 
     During training, dropout keeps each activation with its layer's
     retention probability and rescales survivors by 1/retention, so
     inference needs no weight rescaling.  Retention 1.0 draws no mask and
-    makes the training pass identical to inference; a network whose layers
-    all have retention 1.0 builds no random generator at all.
+    makes the training pass compute the inference logits; a network whose
+    layers all have retention 1.0 builds no random generator at all.
     """
     h = np.asarray(batch_features, dtype=float)
     if h.ndim != 2 or h.shape[1] != params.specs[0].input_width:
@@ -125,21 +145,22 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
             f"features with {h.shape} do not match input width {params.specs[0].input_width}"
         )
     rng = None
-    cache = ForwardCache(params=params)
+    cache = ForwardCache(params=params) if training else None
     for spec, lp in zip(params.specs, params.layers):
-        z = h @ lp.weights.T + lp.biases
+        z = h @ lp.weights.T
+        z += lp.biases
+        act = z
         if spec.activation == "prelu":
-            act = np.where(z > 0.0, z, lp.prelu_leakage * z)
-        else:
-            act = z
-        mask = None
-        if training and spec.dropout_retention < 1.0:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            keep = rng.random(act.shape) < spec.dropout_retention
-            mask = keep / spec.dropout_retention
-            act = act * mask
-        cache.layers.append(_LayerCache(inputs=h, pre_activation=z, mask=mask))
+            act = _prelu(z, lp.prelu_leakage, out=None if training else z)
+        if training:
+            mask = None
+            if spec.dropout_retention < 1.0:
+                if rng is None:
+                    rng = np.random.default_rng(seed)
+                keep = rng.random(act.shape) < spec.dropout_retention
+                mask = keep / spec.dropout_retention
+                act = act * mask
+            cache.layers.append(_LayerCache(inputs=h, pre_activation=z, mask=mask))
         h = act
     return h, cache
 
@@ -147,10 +168,14 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
 def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> np.ndarray:
     """Backpropagate a logits gradient; returns the parameter gradient.
 
+    ``cache`` comes from a ``training=True`` forward pass on ``params``.
     The gradient is one vector in the layout of ``params.vector``.  The
     leakage gradient collects pre-activation * upstream over the
-    negative-input positions.
+    non-positive-input positions: at an exact kink (z = +-0) the leakage
+    side is taken.
     """
+    if cache is None:
+        raise StaleCacheError("backward needs the cache of a training=True forward pass")
     if cache.params is not params:
         raise StaleCacheError("cache does not belong to these parameters")
     d = np.asarray(grad_logits, dtype=float)
@@ -210,6 +235,9 @@ def from_json(text: str) -> NetworkParams:
             value = np.asarray(entry[name], dtype=float)
             if value.shape != view.shape:
                 raise ValueError(f"layer {i} {name} has shape {value.shape}, expected {view.shape}")
+            # json reads NaN and Infinity; the max/min PReLU needs a non-NaN leakage
+            if not np.isfinite(value).all():
+                raise ValueError(f"layer {i} {name} holds a non-finite value")
             view[...] = value
     return params
 

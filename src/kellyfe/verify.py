@@ -201,7 +201,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
                 logits, _ = forward(p, features, training=False)
                 return evaluate(losses.softmax(logits), labels, priors, mask, None, gamma).value
 
-            logits, cache = forward(params, features, training=False)
+            logits, cache = forward(params, features, training=True)
             ev = evaluate(losses.softmax(logits), labels, priors, mask, None, gamma)
             worst_rowsum = max(worst_rowsum, float(np.abs(ev.grad_logits.sum(axis=1)).max()))
             analytic = backward(params, cache, ev.grad_logits)

@@ -1,15 +1,19 @@
 """Forward/backward correctness, dropout behaviour, and exact persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kellyfe import losses
 from kellyfe.network import (
+    ForwardCache,
     LayerSpec,
     NetworkParams,
     StaleCacheError,
+    _LayerCache,
+    _prelu,
     backward,
     forward,
     from_json,
@@ -64,8 +68,9 @@ class TestForward:
         params = init_he([LayerSpec(3, 4, dropout_retention=1.0), LayerSpec(4, 2)], seed=1)
         x = np.random.default_rng(1).standard_normal((5, 3))
         train_logits, _ = forward(params, x, training=True, seed=7)
-        infer_logits, _ = forward(params, x, training=False)
-        np.testing.assert_array_equal(train_logits, infer_logits)
+        infer_logits, cache = forward(params, x, training=False)
+        assert train_logits.tobytes() == infer_logits.tobytes()
+        assert cache is None
 
     def test_full_retention_training_builds_no_generator(self, monkeypatch):
         params = init_he([LayerSpec(3, 4), LayerSpec(4, 4), LayerSpec(4, 2, activation="linear")], seed=1)
@@ -96,12 +101,72 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros((4, 5)))
 
+    def test_inference_peaks_at_two_hidden_arrays(self):
+        params = init_he([LayerSpec(2, 16), LayerSpec(16, 3, activation="linear")], seed=0)
+        x = np.random.default_rng(0).standard_normal((2000, 2))
+        hidden_bytes = 2000 * 16 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, _ = forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (2000, 3)
+        # the pre-activation and one leakage * z temporary
+        assert peak - base <= 2.1 * hidden_bytes
+
+
+LEAKAGES = (-2.0, -0.5, -0.0, 0.0, 0.15, 1.0, np.nextafter(1.0, 2.0), 1.5, 3.0)
+# leakage * 1e300 overflows to +-inf for |leakage| > 1
+PRE_ACTIVATIONS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 0.3, -0.3, 2.5, -7.0]
+)
+
+
+def where_prelu(z, leakage):
+    return np.where(z > 0.0, z, leakage * z)
+
+
+class TestPrelu:
+    @pytest.mark.parametrize("leakage", LEAKAGES)
+    def test_max_min_form_has_the_bits_of_where(self, leakage):
+        leak = np.array(leakage)
+        # 9 rows: numpy's vector loops and their scalar tails
+        z = np.tile(PRE_ACTIVATIONS, (9, 1))
+        expected = where_prelu(z, leak).tobytes()
+        with np.errstate(over="ignore"):
+            assert _prelu(z, leak).tobytes() == expected
+            in_place = z.copy()
+            assert _prelu(in_place, leak, out=in_place) is in_place
+        assert in_place.tobytes() == expected
+
+    @pytest.mark.parametrize("leakage", LEAKAGES)
+    def test_forward_has_the_bits_of_where_in_both_modes(self, leakage):
+        # weights 0 and input 1 make the pre-activations equal the biases;
+        # a matmul's zero is +0.0, so -0.0 cannot reach a pre-activation here
+        values = PRE_ACTIVATIONS[(PRE_ACTIVATIONS != 0.0) | ~np.signbit(PRE_ACTIVATIONS)]
+        params = init_he([LayerSpec(1, values.size)], seed=0)
+        layer = params.layers[0]
+        layer.weights[...] = 0.0
+        layer.biases[...] = values
+        layer.prelu_leakage[...] = leakage
+        x = np.ones((9, 1))
+        z = np.tile(values, (9, 1))
+        with np.errstate(over="ignore"):
+            expected = where_prelu(z, layer.prelu_leakage).tobytes()
+            infer, _ = forward(params, x, training=False)
+            train, cache = forward(params, x, training=True)
+        assert cache.layers[0].pre_activation.tobytes() == z.tobytes()
+        assert infer.tobytes() == expected
+        assert train.tobytes() == expected
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params = init_he([LayerSpec(3, 4), LayerSpec(4, 2)], seed=4)
         x = np.random.default_rng(4).standard_normal((6, 3))
-        logits, cache = forward(params, x)
+        logits, cache = forward(params, x, training=True)
         grad = backward(params, cache, np.zeros_like(logits))
         assert grad.shape == params.vector.shape
         assert np.all(grad == 0.0)
@@ -109,7 +174,7 @@ class TestBackward:
     def test_single_linear_layer_outer_product(self):
         params = init_he([LayerSpec(3, 2, activation="linear")], seed=5)
         x = np.array([[1.0, -2.0, 0.5]])
-        logits, cache = forward(params, x)
+        logits, cache = forward(params, x, training=True)
         upstream = np.array([[0.3, -0.7]])
         grad = backward(params, cache, upstream)
         # layout: 2x3 weights row-major, 2 biases, the leakage
@@ -129,7 +194,7 @@ class TestBackward:
             logits, _ = forward(p, x)
             return losses.cross_entropy(losses.softmax(logits), labels).value
 
-        logits, cache = forward(params, x)
+        logits, cache = forward(params, x, training=True)
         ev = losses.cross_entropy(losses.softmax(logits), labels)
         analytic = backward(params, cache, ev.grad_logits)
         numeric = finite_difference_gradient(value_at, params.vector, 1e-6)
@@ -159,16 +224,36 @@ class TestBackward:
         params = init_he(spec, seed=8)
         params.layers[0].weights[...] = np.array([[1.0]])
         x = np.array([[-3.0]])
-        logits, cache = forward(params, x)
+        logits, cache = forward(params, x, training=True)
         grad = backward(params, cache, np.array([[2.0]]))
         # d(a * x)/da * upstream = x * upstream at negative pre-activations;
         # the leakage follows the weight and the bias
         assert grad[2] == -6.0
 
+    @pytest.mark.parametrize("kink", [0.0, -0.0])
+    def test_exact_kink_takes_the_leakage_side(self, kink):
+        # a matmul never yields -0.0, so the cache is built by hand
+        params = init_he([LayerSpec(1, 1)], seed=8)
+        x = np.array([[1.0]])
+        z = np.array([[kink]])
+        cache = ForwardCache(params, [_LayerCache(inputs=x, pre_activation=z, mask=None)])
+        grad = backward(params, cache, np.array([[2.0]]))
+        scaled = 2.0 * float(params.layers[0].prelu_leakage)
+        # layout: weight, bias, leakage
+        assert grad[0] == scaled
+        assert grad[1] == scaled
+        assert grad[2] == 0.0
+
+    def test_inference_cache_rejected(self):
+        params = init_he([LayerSpec(2, 2)], seed=9)
+        _, cache = forward(params, np.zeros((1, 2)), training=False)
+        with pytest.raises(StaleCacheError, match="^backward needs the cache of a training=True forward pass$"):
+            backward(params, cache, np.zeros((1, 2)))
+
     def test_stale_cache_rejected(self):
         params = init_he([LayerSpec(2, 2)], seed=9)
         other = init_he([LayerSpec(2, 2)], seed=10)
-        _, cache = forward(params, np.zeros((1, 2)))
+        _, cache = forward(params, np.zeros((1, 2)), training=True)
         with pytest.raises(StaleCacheError):
             backward(other, cache, np.zeros((1, 2)))
 
@@ -193,6 +278,18 @@ class TestPersistence:
         text = to_json(params).replace('"format_version": 1', '"format_version": 99')
         with pytest.raises(ValueError):
             from_json(text)
+
+    @pytest.mark.parametrize("name", ["weights", "biases", "prelu_leakage"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_from_json_rejects_non_finite_values(self, name, bad):
+        params = init_he([LayerSpec(2, 3), LayerSpec(3, 2)], seed=0)
+        doc = json.loads(to_json(params))
+        if name == "prelu_leakage":
+            doc["layers"][1][name] = bad
+        else:
+            doc["layers"][1][name] = np.full(np.shape(doc["layers"][1][name]), bad).tolist()
+        with pytest.raises(ValueError, match=f"^layer 1 {name} holds a non-finite value$"):
+            from_json(json.dumps(doc))
 
     def test_vector_length_must_match_specs(self):
         specs = (LayerSpec(3, 4), LayerSpec(4, 2))
