@@ -157,14 +157,28 @@ GRADIENT_LOSSES = tuple(
 )
 
 
-def _gradient_instance(rng: np.random.Generator, k: int, n: int):
+def _gradient_instance(rng: np.random.Generator, k: int, n: int, h: float):
+    """A two-layer network and a batch whose PReLU kinks lie out of reach of ``h``.
+
+    Moving one first-layer weight by h moves a pre-activation z by at most
+    h * max|x|, and one bias by h, so no single parameter step of size h
+    moves z by more than h * max(1, max|x|).  The features are redrawn from
+    ``rng`` while any |z| <= 2 * h * max(1, max|x|), so central differences
+    never straddle the kink, where the gradient is one-sided.  An instance
+    with no such z takes the same draws as without the rule.
+    """
     d, hidden = 3, 4
     specs = (
         LayerSpec(d, hidden, activation="prelu"),
         LayerSpec(hidden, k, activation="linear"),
     )
     params = init_he(specs, seed=int(rng.integers(2**31)))
-    features = rng.standard_normal((n, d))
+    first = params.layers[0]
+    while True:
+        features = rng.standard_normal((n, d))
+        reach = 2.0 * h * max(1.0, float(np.abs(features).max()))
+        if np.abs(features @ first.weights.T + first.biases).min() > reach:
+            break
     labels = np.zeros((n, k))
     labels[np.arange(n), rng.integers(0, k, n)] = 1.0
     priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
@@ -177,8 +191,10 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
     Each instance composes the loss with a two-layer network and perturbs
     the parameter vector.  Candidate sets for the expected-free-energy
     loss are frozen at the unperturbed posteriors, matching the loss's
-    stop-gradient semantics.  Also tracks the softmax null-direction
-    property (gradient rows sum to zero).
+    stop-gradient semantics.  No first-layer pre-activation lies within
+    reach of a step of ``h`` (see ``_gradient_instance``), so the
+    differences never cross a PReLU kink.  Also tracks the softmax
+    null-direction property (gradient rows sum to zero).
     """
     rowsum_tol = 1e-7
     worst = {prop: 0.0 for prop, _, _ in GRADIENT_LOSSES}
@@ -187,7 +203,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
         k = (2, 3, 4)[i % 3]
         n = (1, 2, 8)[(i // 3) % 3]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77, i]))
-        specs, params, features, labels, priors = _gradient_instance(rng, k, n)
+        specs, params, features, labels, priors = _gradient_instance(rng, k, n, h)
 
         logits0, _ = forward(params, features, training=False)
         post0 = losses.softmax(logits0)
@@ -258,19 +274,16 @@ def lovasz_suite(seed: int = 0, pairs: int = 500) -> list[PropertyResult]:
                 direct = losses.jaccard_distance_set(m, gt.astype(bool), gt.astype(bool) ^ m)
                 worst_prefix = max(worst_prefix, abs(prefix_jd[j - 1] - direct))
 
+    # Jaccard distance of every mask, indexed by the mask's bits, so that
+    # the union and intersection of two masks index by | and &
     worst_submod = 0.0
     for n in range(1, 5):
-        sets = _bit_vectors(n)
-        for gt in sets:
-            gtb = gt.astype(bool)
-
-            def jd(mask):
-                return losses.jaccard_distance_set(mask, gtb, gtb ^ mask)
-
-            for m1, m2 in itertools.product(sets, repeat=2):
-                b1, b2 = m1.astype(bool), m2.astype(bool)
-                violation = jd(b1 | b2) + jd(b1 & b2) - jd(b1) - jd(b2)
-                worst_submod = max(worst_submod, violation)
+        sets = [m.astype(bool) for m in _bit_vectors(n)]
+        i, j = np.divmod(np.arange(len(sets) ** 2), len(sets))
+        for gtb in sets:
+            jd = np.array([losses.jaccard_distance_set(m, gtb, gtb ^ m) for m in sets])
+            violation = jd[i | j] + jd[i & j] - jd[i] - jd[j]
+            worst_submod = max(worst_submod, float(violation.max()))
 
     worst_convex = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))

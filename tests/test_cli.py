@@ -284,6 +284,32 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS gradient-efe" in out
 
+    def test_gradients_suite_seed_44_passes(self, capsys):
+        # instance 87 first draws a pre-activation of 6.8e-8, which the
+        # 1e-6 finite-difference step crosses; its features are redrawn
+        assert cli.main(["verify", "--suite", "gradients", "--seed", "44", "--no-timestamp"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "9/9 properties passed" in out
+
+    def test_gradient_instances_keep_kinks_out_of_reach(self):
+        from kellyfe.verify import _gradient_instance
+
+        h = 1e-6
+        redrawn = 0
+        for i in range(100):
+            k, n = (2, 3, 4)[i % 3], (1, 2, 8)[(i // 3) % 3]
+            rng = np.random.default_rng(np.random.SeedSequence([44, 77, i]))
+            _, params, features, _, _ = _gradient_instance(rng, k, n, h)
+            first = params.layers[0]
+            z = features @ first.weights.T + first.biases
+            assert np.abs(z).min() > 2.0 * h * max(1.0, np.abs(features).max())
+            # without the rule the features are the draw after the init seed
+            rng = np.random.default_rng(np.random.SeedSequence([44, 77, i]))
+            rng.integers(2**31)
+            redrawn += features.tobytes() != rng.standard_normal((n, 3)).tobytes()
+        assert redrawn == 1
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "everything"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kellyfe.kelly import (
     GridDimensionError,
@@ -13,6 +14,7 @@ from kellyfe.kelly import (
     KellySolution,
     MissingReferenceLabelError,
     PROB_CLAMP,
+    _max_units,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
@@ -68,6 +70,61 @@ def reference_candidate_labels(prior, posterior, reference_label=None) -> KellyS
         unspent=float(s),
         log_growth=log_growth(fractions, a, p),
     )
+
+
+def _combine_full(left: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best split of y units between a combined prefix and one more class.
+
+    Returns (best[y], arg[y]) where best[y] = max_j left[j] + values[y - j]
+    for y = 0..n-1 (first j on ties), down the columns of a fresh
+    anti-diagonal table.
+    """
+    n = left.size
+    if n == 1:
+        return left + values, np.zeros(1, dtype=np.intp)
+    padded = np.concatenate([np.full(n - 1, -np.inf), values])
+    windows = sliding_window_view(padded, n)[::-1]  # windows[j, y] = values[y - j]
+    table = left[:, None] + windows
+    arg = table.argmax(axis=0)
+    return table[arg, np.arange(n)], arg
+
+
+def reference_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, float]:
+    """The grid DP as one column-major combine per total and class: the
+    reference that ``brute_force_oracle``'s row-major DP must match bit for
+    bit.  Returns (grid units, value).
+    """
+    a = clamp_probabilities(prior)
+    p = clamp_probabilities(posterior)
+    k = a.size
+    h = float(grid_step)
+    m_max = _max_units(h)
+    units = np.arange(m_max + 1)
+    totals = 1.0 - units * h
+    tables = [a[c] * np.log(totals[:, None] + units[None, :] * (h / p[c])) for c in range(k)]
+    best_value, best_units = -np.inf, None
+    for m in range(m_max + 1):
+        rows = [t[m, : m + 1] for t in tables]
+        acc = rows[0]
+        args = []
+        for c in range(1, k - 1):
+            acc, arg = _combine_full(acc, rows[c])
+            args.append(arg)
+        final = acc + rows[k - 1][::-1]
+        j = int(final.argmax())
+        value = float(final[j])
+        if value > best_value + 1e-12:
+            best_value = value
+            alloc = np.zeros(k, dtype=int)
+            alloc[k - 1] = m - j
+            y = j
+            for c in range(k - 2, 0, -1):
+                split = int(args[c - 1][y])
+                alloc[c] = y - split
+                y = split
+            alloc[0] = y
+            best_units = alloc
+    return best_units, best_value
 
 
 class TestClampProbabilities:
@@ -294,23 +351,40 @@ class TestBruteForceOracle:
             brute_force_oracle([0.5, 0.5], [0.5, 0.5], 0.2)
 
     def test_dynamic_program_equals_direct_enumeration(self):
-        # the DP must reproduce the plain triple-loop grid search exactly
-        step = 0.05
+        # the DP must reproduce the plain nested-loop grid search exactly
+        for k, step in ((2, 0.05), (3, 0.05), (4, 0.1)):
+            for trial in range(5):
+                rng = np.random.default_rng(np.random.SeedSequence([31, trial]))
+                self._assert_equals_enumeration(*draw_probability_pair(rng, k), step)
+
+    @staticmethod
+    def _assert_equals_enumeration(prior, posterior, step):
         m_max = int((1 - 1e-12) // step)
-        for trial in range(5):
-            rng = np.random.default_rng(np.random.SeedSequence([31, trial]))
-            prior, posterior = draw_probability_pair(rng, 3)
-            best, best_g = -np.inf, None
-            for units in itertools.product(range(m_max + 1), repeat=3):
-                if sum(units) > m_max:
-                    continue
-                g = np.array(units) * step
-                value = log_growth(g, prior, posterior)
-                if value > best + 1e-12:
-                    best, best_g = value, g
+        best, best_g = -np.inf, None
+        for units in itertools.product(range(m_max + 1), repeat=len(prior)):
+            if sum(units) > m_max:
+                continue
+            g = np.array(units) * step
+            value = log_growth(g, prior, posterior)
+            if value > best + 1e-12:
+                best, best_g = value, g
+        fractions, value = brute_force_oracle(prior, posterior, step)
+        np.testing.assert_allclose(value, best, atol=1e-12)
+        np.testing.assert_array_equal(fractions, best_g)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("step", [0.005, 0.033, 0.1])
+    def test_bit_identical_to_column_major_dp(self, k, step):
+        rng = np.random.default_rng(np.random.SeedSequence([37, k, int(step * 1000)]))
+        pairs = [draw_probability_pair(rng, k) for _ in range(4)]
+        pairs += [(rng.dirichlet(np.ones(k)),) * 2, (np.full(k, 1.0 / k),) * 2]
+        pairs += list(zip(*_tied_floor_rows(rng, k, 3)))
+        pairs += _twin_rows(rng, k, 4)
+        for prior, posterior in pairs:
+            expected_units, expected_value = reference_oracle(prior, posterior, step)
             fractions, value = brute_force_oracle(prior, posterior, step)
-            np.testing.assert_allclose(value, best, atol=1e-12)
-            np.testing.assert_array_equal(fractions, best_g)
+            assert fractions.tobytes() == (expected_units * step).tobytes()
+            assert value.hex() == expected_value.hex()
 
 
 def _tied_floor_rows(rng, k: int, rows: int):
@@ -330,6 +404,22 @@ def _tied_floor_rows(rng, k: int, rows: int):
         priors.append(pair[0])
         posteriors.append(pair[1])
     return np.array(priors), np.array(posteriors)
+
+
+def _twin_rows(rng, k: int, rows: int):
+    """Pairs whose first two outcomes are equal in both prior and posterior
+    and, for K > 2, worth betting on, so that splitting units between them
+    ties exactly and the DP's first-index rule decides the allocation.
+    """
+    pairs = []
+    for _ in range(rows):
+        twin_a, twin_p = rng.uniform(0.25, 0.4), rng.uniform(0.05, 0.2)
+        rest = rng.dirichlet(np.ones(k - 2)) if k > 2 else np.zeros(0)
+        pairs.append((
+            np.concatenate([[twin_a, twin_a], (1.0 - 2.0 * twin_a) * rest]),
+            np.concatenate([[twin_p, twin_p], (1.0 - 2.0 * twin_p) * rest]),
+        ))
+    return pairs
 
 
 class TestBatchSweep:

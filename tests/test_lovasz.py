@@ -131,6 +131,22 @@ class TestSubmodularityAndConvexity:
                     rhs = _jd(m1 | m2, gt) + _jd(m1 & m2, gt)
                     assert lhs >= rhs - 1e-12
 
+    def test_suite_worst_violation_equals_pairwise_loop(self):
+        # lovasz_suite tabulates the distance of every mask once; its worst
+        # violation must have the bits of the plain loop over all mask pairs
+        from kellyfe.verify import lovasz_suite
+
+        worst = 0.0
+        for n in range(1, 5):
+            vectors = [np.array(b, dtype=bool) for b in itertools.product((0, 1), repeat=n)]
+            for gt in vectors:
+                for m1, m2 in itertools.product(vectors, repeat=2):
+                    violation = _jd(m1 | m2, gt) + _jd(m1 & m2, gt) - _jd(m1, gt) - _jd(m2, gt)
+                    worst = max(worst, violation)
+        suite = {r.name: r for r in lovasz_suite(pairs=1)}["jaccard-submodularity"]
+        assert suite.worst_error.hex() == worst.hex()
+        assert suite.passed
+
     def test_extension_midpoint_convexity(self):
         rng = np.random.default_rng(13)
         for i in range(200):

@@ -14,7 +14,8 @@ file that sets two hidden layers and dropout.  The two 20-class runs
 (efe and ce) put at least 8 entries in every row sum, which numpy adds in
 eight interleaved accumulators where a 3-entry row is added left to
 right.  A second table gives the
-exit code and the sha256 of the stdout of two ``kellyfe verify`` runs.
+exit code and the sha256 of the stdout of three ``kellyfe verify`` runs,
+one per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent: run
@@ -69,6 +70,7 @@ CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
     ["--suite", "gradients", "--trials", "30", "--seed", "0"],
     ["--suite", "kelly", "--trials", "100", "--seed", "0"],
+    ["--suite", "lovasz", "--seed", "0"],
 ]
 TRAIN = ["--seed", "5", "--max-iterations", "250", "--no-timestamp"]
 OUTPUTS = ("history.csv", "model.json", "metrics.json")
