@@ -22,7 +22,6 @@ from .losses import (
     LossEvaluation,
     cross_entropy,
     dice_similarity,
-    efe_decompose,
     efe_loss,
     focal,
     jaccard_distance_set,
@@ -60,7 +59,6 @@ __all__ = [
     "corrupt_labels",
     "cross_entropy",
     "dice_similarity",
-    "efe_decompose",
     "efe_loss",
     "evaluate",
     "focal",

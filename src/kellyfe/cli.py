@@ -134,6 +134,8 @@ def cmd_train(args, parser) -> int:
             f"{train_path} has {train_set.n_features} features and {train_set.n_classes} classes, "
             f"{val_path} has {val_set.n_features} and {val_set.n_classes}"
         )
+    if config.class_weights is not None and len(config.class_weights) != train_set.n_classes:
+        parser.error(f"class_weights has {len(config.class_weights)} entries for {train_set.n_classes} classes")
     _print_timestamp(args)
     try:
         params, history = trainer.train(config, train_set, val_set)

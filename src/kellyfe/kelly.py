@@ -95,12 +95,8 @@ def clamp_probability_rows(rows) -> np.ndarray:
     Keeps vectors on the open simplex so ratios and logarithms stay finite
     even when a softmax underflows.  The rows are summed by ``row_sums``,
     so the result has the bits of ``p / p.sum(axis=1, keepdims=True)``.
-    Clamping is not idempotent: a second pass may move the last bit of a
-    row, so raw input is clamped exactly once.  The public sweep,
-    ``log_growth`` and ``losses.efe_loss`` clamp what they are given; the
-    trainer clamps its priors once per run and each posterior batch once,
-    and hands the clamped arrays to the private sweep and EFE kernels,
-    which do not clamp again.
+    The public sweep and ``log_growth`` clamp what they are given; the
+    private sweep does not clamp.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -206,9 +202,12 @@ def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False):
-    """The sweep of candidate_labels_batch on clamped (N, K) rows.
+    """The sweep of candidate_labels_batch, on rows it does not clamp.
 
-    With ``mask_only`` the fractions and the unspent ratios are not built
+    The priors ``a`` must be positive.  A posterior of 0 then gives
+    q = +inf, which sorts first and is admitted, and every level stays
+    finite, as the lowest-q outcome has a positive posterior.  With
+    ``mask_only`` the fractions and the unspent ratios are not built
     and come back as None.  Works column by column on the sorted rows, as
     ``row_sums`` does: on the short K axis a column operation is far
     cheaper than a row reduction, and suffix sums, running conjunctions

@@ -1,40 +1,42 @@
 """Classification objectives evaluated as value plus gradient in the logits.
 
-Every loss takes an (N, K) matrix of softmax posteriors and an (N, K) label
+Every trainable loss takes an (N, K) matrix of logits and an (N, K) label
 matrix whose rows are one-hot (supervised) or uniform 1/K (label-free), and
 returns a LossEvaluation holding the scalar value and the analytic gradient
-with respect to the pre-softmax outputs.  Gradients are derived in the
-posteriors and chained through the softmax Jacobian, which makes every
-gradient row sum to zero.  Each loss computes its value first and its
-gradient only when asked: with ``grad=False`` the evaluation carries the
-same value bit for bit and no gradient, which is how the trainer scores
-its validation set.
+with respect to the logits; every gradient row sums to zero.  Each loss
+computes its value first and its gradient only when asked: with
+``grad=False`` the evaluation carries the same value bit for bit and no
+gradient, which is how the trainer scores its validation set.
 
-The cross-entropy family (plain, class-weighted, focal, weighted focal) is
-one weighted-focal kernel: cross entropy is its unit-weight, gamma_mod = 0
-case.  It normalizes by 1/(K*N) and returns nonnegative values.  The Dice
-similarity is returned as the quantity to *maximize*; the loss table
-minimizes 1 - value with the negated gradient.  The Lovasz-Softmax loss is
-the convex closure of the per-class Jaccard distance over sorted
-mispredictions.  The expected-free-energy loss combines a label-weighted
-posterior-entropy term with the coarsened prior/posterior divergence over
-per-sample candidate outcome sets from the kelly module, which are held
-constant under differentiation.  ``efe_loss`` clamps its raw posteriors
-and priors once and calls the private kernel ``_efe``; the trainer, which
-already holds clamped rows (see ``kelly.clamp_probability_rows``), calls
-the kernel directly, so no array is clamped twice.
+The cross-entropy family and the expected-free-energy loss read ln p and p
+from one ``log_softmax``, which holds the only finiteness check of the
+logits.  No posterior is clamped: ln p is the shifted logit less the log of
+the row sum, finite and exact where p underflows to 0.  The cross-entropy
+family (plain, class-weighted, focal, weighted focal) is one weighted-focal
+kernel with its gradient formed in the logits: cross entropy is its
+unit-weight, gamma_mod = 0 case.  It normalizes by 1/(K*N) and returns
+nonnegative values.  The expected-free-energy loss combines a
+label-weighted posterior-entropy term with the coarsened prior/posterior
+divergence over per-sample candidate outcome sets from the kelly module,
+which are held constant under differentiation.  ``efe_loss`` clamps its
+priors and calls the private kernel ``_efe``, which the trainer calls
+directly with its own once-clamped priors.
 
-Sums over the short class axis (the softmax normalization, the softmax
-Jacobian and the EFE rest masses) go through ``kelly.row_sums``, which
-gives the bits of numpy's row sum from column slices at a fraction of its
-cost.
+The Dice similarity and the Lovasz-Softmax loss are defined on posteriors,
+which may sit at exact 0/1 vertices; their gradients are chained through
+the softmax Jacobian and their table entries apply ``softmax`` to the
+logits.  The Dice similarity is returned as the quantity to *maximize*; the
+loss table minimizes 1 - value with the negated gradient.  The
+Lovasz-Softmax loss is the convex closure of the per-class Jaccard distance
+over sorted mispredictions.
+
+Sums over the short class axis go through ``kelly.row_sums``, which gives
+the bits of numpy's row sum from column slices at a fraction of its cost.
 
 LOSSES maps each trainable loss name to one evaluate call plus whether it
 needs reference labels and whether it uses the candidate sets; the trainer,
-the verify suites and the command line all read it.
-
-vfe_decompose / efe_decompose are single-distribution diagnostics for the
-free-energy identities; they do not produce gradients.
+the verify suites and the command line all read it.  vfe_decompose is a
+single-distribution diagnostic for the free-energy identities.
 """
 
 from __future__ import annotations
@@ -46,11 +48,13 @@ import numpy as np
 
 from .kelly import clamp_probabilities, clamp_probability_rows, row_sums
 
-LN_EPS = 1e-12
-
 
 class LabelsNotOneHotError(ValueError):
     """A supervised-only loss received rows that are not one-hot."""
+
+
+class NonFiniteLogitsError(ValueError):
+    """A logit, or the spread of a row of logits, is not finite."""
 
 
 @dataclass
@@ -68,30 +72,39 @@ class LossEvaluation:
     expected_complexity: float | None = None
 
 
-def softmax(logits) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety.
+def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
+    """``(ln p, p)`` of the row-wise softmax, shifted by the row maximum.
 
     The row maximum is a running maximum over the columns and the row sum
     is ``kelly.row_sums``: both give the bits of numpy's row reductions
-    and, on the short class axis, cost much less.
+    and, on the short class axis, cost much less.  Raises
+    NonFiniteLogitsError unless every shifted logit is finite, which
+    rejects non-finite logits and rows whose spread overflows.
     """
     z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
     top = z[..., 0].copy()
     for c in range(1, z.shape[-1]):
         np.maximum(top, z[..., c], out=top)
-    z = z - top[..., None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = z - top[..., None]
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteLogitsError("logits must be finite")
     e = np.exp(z)
-    return e / row_sums(e)[..., None]
+    total = row_sums(e)[..., None]
+    return z - np.log(total), e / total
 
 
-def _check_pair(posteriors, labels) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(posteriors, dtype=float)
+def softmax(logits) -> np.ndarray:
+    """The posteriors p of ``log_softmax``."""
+    return log_softmax(logits)[1]
+
+
+def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(values, dtype=float)
     l = np.asarray(labels, dtype=float)
-    if p.ndim != 2 or p.shape != l.shape:
-        raise ValueError(f"posteriors {p.shape} and labels {l.shape} must be equal 2-d shapes")
-    return p, l
+    if x.ndim != 2 or x.shape != l.shape:
+        raise ValueError(f"inputs {x.shape} and labels {l.shape} must be equal 2-d shapes")
+    return x, l
 
 
 def _chain_softmax(posteriors: np.ndarray, grad_posteriors: np.ndarray) -> np.ndarray:
@@ -111,37 +124,39 @@ def _onehot_required(labels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def _weighted_focal(
-    posteriors, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool = True
+    logits, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool = True
 ) -> LossEvaluation:
     """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
 
     ``class_weights`` None means unit weights.  Unit weights enter as an
     exact 1.0 and gamma_mod = 0 drops the modulation factor, so
     cross_entropy, focal at gamma_mod = 0 and unit-weight variants agree
-    bit for bit.
+    bit for bit.  The gradient in the logits is scale * (p * sum(u) - u)
+    with u = w * l * ((1 - p)^g - g * (1 - p)^(g - 1) * p * ln p) for
+    g = gamma_mod; the second term is taken as 0 where 1 - p == 0, its
+    limit for every g > 0.
     """
-    if gamma_mod < 0.0:
-        raise ValueError("gamma_mod must be >= 0")
-    p, l = _check_pair(posteriors, labels)
+    if not 0.0 <= gamma_mod < np.inf:
+        raise ValueError("gamma_mod must be finite and >= 0")
+    z, l = _check_pair(logits, labels)
+    ln_p, p = log_softmax(z)
     n, k = p.shape
     w = 1.0 if class_weights is None else class_weights[None, :]
     scale = 1.0 / (k * n)
-    pc = np.maximum(p, LN_EPS)
-    ln_p = np.log(pc)
     if gamma_mod == 0.0:
         value = -scale * float((w * l * ln_p).sum())
         if not grad:
             return LossEvaluation(value, None)
-        grad_post = -scale * w * l / pc
+        u = w * l
     else:
         one_minus = 1.0 - p
         mod = one_minus**gamma_mod
         value = -scale * float((w * mod * l * ln_p).sum())
         if not grad:
             return LossEvaluation(value, None)
-        dmod = -gamma_mod * one_minus ** (gamma_mod - 1.0)
-        grad_post = -scale * w * l * (dmod * ln_p + mod / pc)
-    return LossEvaluation(value, _chain_softmax(p, grad_post))
+        slope = np.power(one_minus, gamma_mod - 1.0, out=np.zeros_like(p), where=one_minus > 0.0)
+        u = w * l * (mod - gamma_mod * slope * p * ln_p)
+    return LossEvaluation(value, scale * (p * row_sums(u)[:, None] - u))
 
 
 def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
@@ -149,8 +164,8 @@ def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
         w = np.asarray(class_weights, dtype=float)
         if w.shape != (k,):
             raise ValueError("class_weights must have one entry per class")
-        if np.any(w <= 0.0):
-            raise ValueError("class_weights must be positive")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise ValueError("class_weights must be finite and positive")
         return w
     counts = np.asarray(class_counts, dtype=float)
     if counts.shape != (k,):
@@ -158,12 +173,12 @@ def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
     return counts.sum() / (counts + 1e-8)
 
 
-def cross_entropy(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
+def cross_entropy(logits, labels, *, grad: bool = True) -> LossEvaluation:
     """Softmax cross entropy, normalized by 1/(K*N)."""
-    return _weighted_focal(posteriors, labels, None, 0.0, grad)
+    return _weighted_focal(logits, labels, None, 0.0, grad)
 
 
-def weighted_cross_entropy(posteriors, labels, class_weights, class_counts, *, grad: bool = True) -> LossEvaluation:
+def weighted_cross_entropy(logits, labels, class_weights, class_counts, *, grad: bool = True) -> LossEvaluation:
     """Cross entropy with per-class weights.
 
     ``class_weights``, when given, is used as is; otherwise the weight of
@@ -171,23 +186,23 @@ def weighted_cross_entropy(posteriors, labels, class_weights, class_counts, *, g
     name exceeds 1 for any non-dominant class.
     """
     w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _weighted_focal(posteriors, labels, w, 0.0, grad)
+    return _weighted_focal(logits, labels, w, 0.0, grad)
 
 
-def focal(posteriors, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluation:
+def focal(logits, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluation:
     """Cross entropy modulated by (1 - posterior)^gamma_mod.
 
     gamma_mod = 0 reduces exactly to cross_entropy, value and gradient.
     """
-    return _weighted_focal(posteriors, labels, None, gamma_mod, grad)
+    return _weighted_focal(logits, labels, None, gamma_mod, grad)
 
 
 def weighted_focal(
-    posteriors, labels, class_weights, class_counts, gamma_mod: float, *, grad: bool = True
+    logits, labels, class_weights, class_counts, gamma_mod: float, *, grad: bool = True
 ) -> LossEvaluation:
     """Focal loss with the same per-class weights as weighted_cross_entropy."""
     w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _weighted_focal(posteriors, labels, w, gamma_mod, grad)
+    return _weighted_focal(logits, labels, w, gamma_mod, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +311,7 @@ def lovasz_softmax(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
 def _candidate_mask(candidate_sets, n: int, k: int) -> np.ndarray:
     if isinstance(candidate_sets, np.ndarray) and candidate_sets.dtype == bool:
         if candidate_sets.shape != (n, k):
-            raise ValueError("candidate mask shape must match posteriors")
+            raise ValueError("candidate mask shape must match the logits")
         return candidate_sets
     sets: Sequence = list(candidate_sets)
     if len(sets) != n:
@@ -308,50 +323,60 @@ def _candidate_mask(candidate_sets, n: int, k: int) -> np.ndarray:
     return mask
 
 
-def efe_loss(posteriors, labels, priors, candidate_sets, *, grad: bool = True) -> LossEvaluation:
+def efe_loss(logits, labels, priors, candidate_sets, *, grad: bool = True) -> LossEvaluation:
     """Expected free energy: label-weighted uncertainty plus expected complexity.
 
     uncertainty        = -1/(K*N) * sum l * p * ln p
-    expected_complexity = 1/(K*N) * sum_j [ sum_{c in cand_j} a ln(a/p)
+    expected_complexity = 1/(K*N) * sum_j [ sum_{c in cand_j} a (ln a - ln p)
                                             + rest_a * ln(rest_a / rest_p) ]
 
     ``candidate_sets`` is one candidate collection per sample (KellySolution
     instances, index sets, or an (N, K) boolean mask).  The sets come from a
     discrete pre-minimization and are treated as constants: the gradient
-    flows only through the posteriors.  Both terms are reported on the
-    returned evaluation.  Posteriors and priors are clamped here, once.
+    flows only through the logits.  Both terms are reported on the
+    returned evaluation.  The priors are clamped here; the posteriors are
+    the unclamped softmax of the logits.
     """
-    p_raw, l = _check_pair(posteriors, labels)
-    n, k = p_raw.shape
+    z, l = _check_pair(logits, labels)
+    n, k = z.shape
     a = clamp_probability_rows(priors)
     if a.shape != (n, k):
-        raise ValueError("priors shape must match posteriors")
-    p = clamp_probability_rows(p_raw)
-    return _efe(p, l, a, np.log(a), _candidate_mask(candidate_sets, n, k), grad)
+        raise ValueError("priors shape must match the logits")
+    ln_p, p = log_softmax(z)
+    return _efe(ln_p, p, l, a, np.log(a), _candidate_mask(candidate_sets, n, k), grad)
 
 
-def _efe(p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool) -> LossEvaluation:
-    """efe_loss on clamped posteriors ``p`` and priors ``a`` (with ``ln_a = log a``)."""
+def _efe(
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
+) -> LossEvaluation:
+    """efe_loss on ``(ln p, p)`` of ``log_softmax`` and clamped priors ``a`` (``ln_a = log a``).
+
+    The uncertainty gradient is chained through the softmax Jacobian.  The
+    complexity gradient in the logits is scale * (p * sum(a) - target),
+    with target = a on the candidates and rest_a * p / rest_p off them.
+    For a mask of the sweep the rest holds at least as much posterior as
+    prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding; a
+    hand-made mask whose rest posteriors all underflow gives an infinite
+    value and a NaN gradient.  A row without a rest has no rest term.
+    """
     n, k = p.shape
     scale = 1.0 / (k * n)
-    ln_p = np.log(p)
     uncertainty = -scale * float((l * p * ln_p).sum())
 
     rest_a = row_sums(np.where(mask, 0.0, a))
     rest_p = row_sums(np.where(mask, 0.0, p))
+    ratio = np.divide(rest_a, rest_p, out=np.ones(n), where=rest_a > 0.0)
     cand_terms = row_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
-    rest_terms = np.where(rest_a > 0.0, rest_a * np.log(np.maximum(rest_a, LN_EPS) / np.maximum(rest_p, LN_EPS)), 0.0)
-    complexity = scale * float((cand_terms + rest_terms).sum())
+    complexity = scale * float((cand_terms + rest_a * np.log(ratio)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
 
-    grad_unc = -scale * l * (ln_p + 1.0)
-    ratio = np.where(rest_p > 0.0, rest_a / np.maximum(rest_p, LN_EPS), 0.0)
-    grad_cmp = scale * np.where(mask, -a / p, -ratio[:, None])
-    grad_post = grad_unc + grad_cmp
+    grad_unc = _chain_softmax(p, -scale * l * (ln_p + 1.0))
+    target = np.where(mask, a, p * ratio[:, None])
+    grad_cmp = scale * (p * row_sums(a)[:, None] - target)
     return LossEvaluation(
         value=uncertainty + complexity,
-        grad_logits=_chain_softmax(p, grad_post),
+        grad_logits=grad_unc + grad_cmp,
         uncertainty=uncertainty,
         expected_complexity=complexity,
     )
@@ -365,10 +390,10 @@ def _efe(p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np
 class LossEntry:
     """One trainable loss.
 
-    ``evaluate(posteriors, labels, priors, mask, class_weights, gamma_mod,
+    ``evaluate(logits, labels, priors, mask, class_weights, gamma_mod,
     grad=True)`` returns the value to minimize and, unless ``grad`` is
     False, its gradient; each loss reads only the arguments it needs.
-    Posteriors and priors are raw rows.  ``mask`` is the candidate mask of
+    Priors are raw rows.  ``mask`` is the candidate mask of
     the sweep, given to losses that set ``uses_candidates`` and None
     otherwise.  ``needs_reference`` losses are undefined without reference
     labels.
@@ -388,20 +413,20 @@ def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda p, l, a, mask, w, g, grad=True: efe_loss(p, l, a, mask, grad=grad),
+        lambda z, l, a, mask, w, g, grad=True: efe_loss(z, l, a, mask, grad=grad),
         needs_reference=False,
         uses_candidates=True,
     ),
-    "ce": LossEntry(lambda p, l, a, mask, w, g, grad=True: cross_entropy(p, l, grad=grad)),
+    "ce": LossEntry(lambda z, l, a, mask, w, g, grad=True: cross_entropy(z, l, grad=grad)),
     "wce": LossEntry(
-        lambda p, l, a, mask, w, g, grad=True: weighted_cross_entropy(p, l, w, l.sum(axis=0), grad=grad)
+        lambda z, l, a, mask, w, g, grad=True: weighted_cross_entropy(z, l, w, l.sum(axis=0), grad=grad)
     ),
-    "focal": LossEntry(lambda p, l, a, mask, w, g, grad=True: focal(p, l, g, grad=grad)),
+    "focal": LossEntry(lambda z, l, a, mask, w, g, grad=True: focal(z, l, g, grad=grad)),
     "wfocal": LossEntry(
-        lambda p, l, a, mask, w, g, grad=True: weighted_focal(p, l, w, l.sum(axis=0), g, grad=grad)
+        lambda z, l, a, mask, w, g, grad=True: weighted_focal(z, l, w, l.sum(axis=0), g, grad=grad)
     ),
-    "dice": LossEntry(lambda p, l, a, mask, w, g, grad=True: _dice_loss(p, l, grad)),
-    "lovasz": LossEntry(lambda p, l, a, mask, w, g, grad=True: lovasz_softmax(p, l, grad=grad)),
+    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _dice_loss(softmax(z), l, grad)),
+    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: lovasz_softmax(softmax(z), l, grad=grad)),
 }
 
 
@@ -431,18 +456,3 @@ def vfe_decompose(state_dist, approx_state_dist, approx_likelihood) -> VfeDecomp
     entropy = -float(np.sum(p * np.log(p)))
     cross_entropy = -float(np.sum(p * np.log(q * lh)))
     return VfeDecomposition(complexity, accuracy, entropy, cross_entropy)
-
-
-class EfeDecomposition(NamedTuple):
-    expected_complexity: float
-    uncertainty: float
-
-
-def efe_decompose(preferred_obs, predicted_obs, state_dist) -> EfeDecomposition:
-    """Expected free energy terms for one preferred/predicted observation pair."""
-    p = clamp_probabilities(preferred_obs)
-    q = clamp_probabilities(predicted_obs)
-    s = clamp_probabilities(state_dist)
-    expected_complexity = float(np.sum(p * (np.log(p) - np.log(q))))
-    uncertainty = float(s.sum() * -np.sum(q * np.log(q)))
-    return EfeDecomposition(expected_complexity, uncertainty)

@@ -41,14 +41,6 @@ def _non_finite(iteration: int, phase: str) -> NonFiniteError:
     return NonFiniteError(f"the {phase} went non-finite at iteration {iteration}")
 
 
-def _softmax(logits: np.ndarray, iteration: int, phase: str) -> np.ndarray:
-    """losses.softmax, whose finiteness check of the logits is the only one."""
-    try:
-        return losses.softmax(logits)
-    except ValueError:
-        raise _non_finite(iteration, phase) from None
-
-
 @dataclass
 class TrainConfig:
     loss: str = "efe"
@@ -85,6 +77,10 @@ class TrainConfig:
             raise ValueError("dropout_retention must lie in (0, 1]")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in [0, 1)")
+        if not 0.0 <= self.gamma_mod < np.inf:
+            raise ValueError("gamma_mod must be finite and >= 0")
+        if self.class_weights is not None and not all(0.0 < w < np.inf for w in self.class_weights):
+            raise ValueError("class_weights must all be finite and > 0")
 
 
 @dataclass
@@ -162,38 +158,47 @@ def _prior_matrix(dataset: Dataset, mode: str) -> np.ndarray:
     return np.full((len(dataset), dataset.n_classes), 1.0 / dataset.n_classes)
 
 
-def _clamped_priors(dataset: Dataset, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """The mode's prior rows, clamped once, and their logarithms."""
+def _loss_rows(dataset: Dataset, mode: str) -> tuple[np.ndarray, ...]:
+    """batch_loss's arrays after the logits: the mode's label rows, its prior
+    rows clamped once, their logarithms, and the reference labels."""
     priors = clamp_probability_rows(_prior_matrix(dataset, mode))
-    return priors, np.log(priors)
+    return _label_matrix(dataset, mode), priors, np.log(priors), dataset.reference_labels
 
 
 def batch_loss(
     config: TrainConfig,
-    posteriors: np.ndarray,
+    logits: np.ndarray,
     labels: np.ndarray,
     priors: np.ndarray,
     ln_priors: np.ndarray,
     reference_labels: np.ndarray,
     grad: bool = True,
 ) -> losses.LossEvaluation:
-    """The configured loss of one batch of softmax posteriors.
+    """The configured loss of one batch of logits.
 
     ``priors`` are clamped rows and ``ln_priors`` their logarithms.  A loss
-    that uses candidate sets clamps the posteriors once and hands the same
-    clamped rows to the mask-only sweep and to the EFE kernel; rows the
-    sweep leaves empty fall back to the reference label in gr* modes and to
-    the argmax of the unclamped posteriors in ng* modes.  ``grad=False``
-    gives the value alone.
+    that uses candidate sets hands the unclamped posteriors of one
+    log-softmax to the mask-only sweep, and both arrays to the EFE kernel;
+    rows the sweep leaves empty fall back to the reference label in gr*
+    modes and to the argmax posterior in ng* modes.  ``grad=False`` gives
+    the value alone.
     """
     entry = losses.LOSSES[config.loss]
     if entry.uses_candidates:
-        p = clamp_probability_rows(posteriors)
-        fallback = reference_labels if supervised(config.mode) else posteriors.argmax(axis=1)
+        ln_p, p = losses.log_softmax(logits)
+        fallback = reference_labels if supervised(config.mode) else p.argmax(axis=1)
         mask, _, _ = _sweep(priors, p, fallback, mask_only=True)
-        return losses._efe(p, labels, priors, ln_priors, mask, grad)
+        return losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
     weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
-    return entry.evaluate(posteriors, labels, priors, None, weights, config.gamma_mod, grad)
+    return entry.evaluate(logits, labels, priors, None, weights, config.gamma_mod, grad)
+
+
+def _scored(config: TrainConfig, iteration: int, phase: str, *batch, grad: bool = True) -> losses.LossEvaluation:
+    """batch_loss, with non-finite logits reported as the iteration's NonFiniteError."""
+    try:
+        return batch_loss(config, *batch, grad=grad)
+    except losses.NonFiniteLogitsError:
+        raise _non_finite(iteration, phase) from None
 
 
 def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tuple[LayerSpec, ...]:
@@ -212,7 +217,8 @@ def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tupl
     return tuple(specs)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise NonFiniteError
+# an underflowed posterior sweeps as prior/0 = +inf; non-finite results raise NonFiniteError
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     """Optimize a fresh network on train_set; returns (params, history).
 
@@ -227,23 +233,22 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     logit or parameter raises NonFiniteError naming the iteration and
     whether the training step or the validation pass produced it.
 
-    Clamping (kelly.clamp_probability_rows) happens here and in batch_loss
-    only: the train and validation priors once per run, together with the
-    logarithms the EFE loss needs, and each posterior batch once per
-    evaluation, shared by the sweep and the loss.
+    The train and validation priors are clamped (kelly.clamp_probability_rows)
+    once per run, together with the logarithms the EFE loss needs; no
+    posterior is clamped.
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
         raise ValueError("train and validation sets have mismatched shapes")
+    if config.class_weights is not None and len(config.class_weights) != train_set.n_classes:
+        raise ValueError(f"class_weights has {len(config.class_weights)} entries for {train_set.n_classes} classes")
 
     specs = _network_specs(config, train_set.n_features, train_set.n_classes)
     params = init_he(specs, seed=_derived_seed(config.seed, 0))
     state = init_adam(params.vector.size, config.alpha_lr, config.beta_fm, config.beta_sm)
 
-    train_labels = _label_matrix(train_set, config.mode)
-    train_priors, train_ln_priors = _clamped_priors(train_set, config.mode)
-    val_labels = _label_matrix(val_set, config.mode)
-    val_priors, val_ln_priors = _clamped_priors(val_set, config.mode)
+    train_rows = _loss_rows(train_set, config.mode)
+    val_rows = _loss_rows(val_set, config.mode)
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -258,29 +263,14 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             iteration += 1
             dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
             logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
-            ev = batch_loss(
-                config,
-                _softmax(logits, iteration, "training step"),
-                train_labels[idx],
-                train_priors[idx],
-                train_ln_priors[idx],
-                train_set.reference_labels[idx],
-            )
+            ev = _scored(config, iteration, "training step", logits, *(rows[idx] for rows in train_rows))
             state, vector = adam_step(state, params.vector, backward(params, cache, ev.grad_logits))
             if not np.isfinite(vector).all():
                 raise _non_finite(iteration, "training step")
             params = NetworkParams(specs, vector)
 
             val_logits, _ = forward(params, val_set.features, training=False)
-            val_ev = batch_loss(
-                config,
-                _softmax(val_logits, iteration, "validation pass"),
-                val_labels,
-                val_priors,
-                val_ln_priors,
-                val_set.reference_labels,
-                grad=False,
-            )
+            val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False)
             if ema is None:
                 ema = val_ev.value
             else:

@@ -215,10 +215,10 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
             def value_at(theta, evaluate=evaluate, gamma=gamma):
                 p = NetworkParams(specs, theta)
                 logits, _ = forward(p, features, training=False)
-                return evaluate(losses.softmax(logits), labels, priors, mask, None, gamma).value
+                return evaluate(logits, labels, priors, mask, None, gamma).value
 
             logits, cache = forward(params, features, training=True)
-            ev = evaluate(losses.softmax(logits), labels, priors, mask, None, gamma)
+            ev = evaluate(logits, labels, priors, mask, None, gamma)
             worst_rowsum = max(worst_rowsum, float(np.abs(ev.grad_logits.sum(axis=1)).max()))
             analytic = backward(params, cache, ev.grad_logits)
             numeric = finite_difference_gradient(value_at, params.vector, h)

@@ -78,11 +78,12 @@ def test_criterion_03_identity_suite(kelly_results):
     min_complexity = np.inf
     for _ in range(20):
         n, k = 6, int(rng.integers(2, 5))
-        posteriors = losses.softmax(rng.standard_normal((n, k)) * 2.0)
+        logits = rng.standard_normal((n, k)) * 2.0
+        posteriors = losses.softmax(logits)
         priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
         labels = np.full((n, k), 1.0 / k)
         sols = [candidate_labels(priors[j], posteriors[j], reference_label=0) for j in range(n)]
-        ev = losses.efe_loss(posteriors, labels, priors, sols)
+        ev = losses.efe_loss(logits, labels, priors, sols)
         total = sum(kelly_objective_value(s, priors[j], posteriors[j]) for j, s in enumerate(sols))
         worst_batch = max(worst_batch, abs(ev.expected_complexity - total / (k * n)))
         min_complexity = min(min_complexity, ev.expected_complexity)

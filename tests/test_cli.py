@@ -241,6 +241,28 @@ class TestTrain:
         assert sum("error:" in line for line in lines) == 1
         assert not (tmp_path / "diverged").exists()
 
+    @pytest.mark.parametrize(
+        "flags, doc, message",
+        [
+            (["--gamma", "-1"], {}, "gamma_mod"),
+            (["--gamma", "nan"], {}, "gamma_mod"),
+            ([], {"class_weights": [1, 0, 1]}, "class_weights"),
+            ([], {"class_weights": [1, 2]}, "class_weights has 2 entries for 3 classes"),
+        ],
+    )
+    def test_bad_numeric_input_is_one_line_usage_error(self, tmp_path, capsys, flags, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = self._train_args(tmp_path, "bad", loss="wfocal", mode="grnp") + flags + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert not (tmp_path / "bad").exists()
+
     def test_config_file_with_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"loss": "ce", "turbo": True}))

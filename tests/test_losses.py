@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellyfe import cli, losses, trainer, verify
 from kellyfe.kelly import (
+    _sweep,
     candidate_labels,
     candidate_labels_batch,
     clamp_probabilities,
@@ -71,20 +74,20 @@ class TestCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
         labels = np.eye(3)
         posteriors = np.vstack([clamp_probabilities(row) for row in labels])
-        ev = losses.cross_entropy(posteriors, labels)
+        ev = losses.cross_entropy(np.log(posteriors), labels)
         expected = -np.log(posteriors[0, 0]) / 3.0
         np.testing.assert_allclose(ev.value, expected, rtol=1e-6)
         assert 0.0 < ev.value < 1e-7
 
     def test_single_sample_value(self):
-        ev = losses.cross_entropy([[0.5, 0.5]], [[1.0, 0.0]])
+        ev = losses.cross_entropy(np.log([[0.5, 0.5]]), [[1.0, 0.0]])
         np.testing.assert_allclose(ev.value, -0.5 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.value, 0.3466, atol=5e-5)
 
     def test_uniform_labels_value(self):
         rng = np.random.default_rng(1)
-        _, posteriors, labels = _random_instance(rng, 4, 3, uniform_labels=True)
-        ev = losses.cross_entropy(posteriors, labels)
+        logits, posteriors, labels = _random_instance(rng, 4, 3, uniform_labels=True)
+        ev = losses.cross_entropy(logits, labels)
         manual = -(labels * np.log(posteriors)).sum() / 12.0
         np.testing.assert_allclose(ev.value, manual, atol=1e-12)
 
@@ -98,7 +101,7 @@ class TestWeightedCrossEntropy:
         # class weights (100/90, 10) for counts (90, 10)
         posteriors = np.array([[0.5, 0.5], [0.5, 0.5]])
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ev = losses.weighted_cross_entropy(posteriors, labels, None, [90, 10])
+        ev = losses.weighted_cross_entropy(np.log(posteriors), labels, None, [90, 10])
         w0, w1 = 100.0 / (90.0 + 1e-8), 100.0 / (10.0 + 1e-8)
         np.testing.assert_allclose(w0, 1.111, atol=5e-4)
         np.testing.assert_allclose(w1, 10.0, rtol=1e-8)
@@ -107,18 +110,18 @@ class TestWeightedCrossEntropy:
 
     def test_equal_counts_scale_cross_entropy(self):
         rng = np.random.default_rng(2)
-        _, posteriors, labels = _random_instance(rng, 6, 3)
-        ev_w = losses.weighted_cross_entropy(posteriors, labels, None, [4, 4, 4])
-        ev = losses.cross_entropy(posteriors, labels)
+        logits, _, labels = _random_instance(rng, 6, 3)
+        ev_w = losses.weighted_cross_entropy(logits, labels, None, [4, 4, 4])
+        ev = losses.cross_entropy(logits, labels)
         w = 12.0 / (4.0 + 1e-8)
         np.testing.assert_allclose(ev_w.value, w * ev.value, rtol=1e-12)
         np.testing.assert_allclose(ev_w.grad_logits, w * ev.grad_logits, rtol=1e-10)
 
     def test_unit_weights_reduce_to_cross_entropy_bitwise(self):
         rng = np.random.default_rng(3)
-        _, posteriors, labels = _random_instance(rng, 5, 4)
-        ev_w = losses.weighted_cross_entropy(posteriors, labels, np.ones(4), labels.sum(axis=0))
-        ev = losses.cross_entropy(posteriors, labels)
+        logits, _, labels = _random_instance(rng, 5, 4)
+        ev_w = losses.weighted_cross_entropy(logits, labels, np.ones(4), labels.sum(axis=0))
+        ev = losses.cross_entropy(logits, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
@@ -126,50 +129,61 @@ class TestWeightedCrossEntropy:
 class TestFocal:
     def test_gamma_zero_is_cross_entropy_bitwise(self):
         rng = np.random.default_rng(4)
-        _, posteriors, labels = _random_instance(rng, 7, 3)
-        ev_f = losses.focal(posteriors, labels, 0.0)
-        ev = losses.cross_entropy(posteriors, labels)
+        logits, _, labels = _random_instance(rng, 7, 3)
+        ev_f = losses.focal(logits, labels, 0.0)
+        ev = losses.cross_entropy(logits, labels)
         assert ev_f.value == ev.value
         np.testing.assert_array_equal(ev_f.grad_logits, ev.grad_logits)
 
     def test_single_sample_gamma_two(self):
-        ev = losses.focal([[0.5, 0.5]], [[1.0, 0.0]], 2.0)
+        ev = losses.focal(np.log([[0.5, 0.5]]), [[1.0, 0.0]], 2.0)
         np.testing.assert_allclose(ev.value, -0.5 * 0.25 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.value, 0.0866, atol=5e-5)
 
     def test_confident_prediction_decays_faster_than_ce(self):
-        posteriors = np.array([[0.99, 0.01]])
+        logits = np.log([[0.99, 0.01]])
         labels = np.array([[1.0, 0.0]])
-        focal_value = losses.focal(posteriors, labels, 2.0).value
-        ce_value = losses.cross_entropy(posteriors, labels).value
+        focal_value = losses.focal(logits, labels, 2.0).value
+        ce_value = losses.cross_entropy(logits, labels).value
         assert focal_value < 1e-3 * ce_value
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             losses.focal([[0.5, 0.5]], [[1.0, 0.0]], -1.0)
 
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])
+    def test_saturated_row_has_finite_gradient(self, gamma):
+        # 1 - p == 0 on the labeled class, where (1 - p)^(gamma - 1) is infinite
+        logits = np.array([[40.0, 0.0, 0.0]])
+        ev = losses.focal(logits, [[1.0, 0.0, 0.0]], gamma)
+        assert np.all(np.isfinite(ev.grad_logits))
+        numeric = finite_difference_gradient(
+            lambda flat: losses.focal(flat.reshape(1, 3), [[1.0, 0.0, 0.0]], gamma).value, logits.ravel()
+        )
+        assert relative_gradient_error(ev.grad_logits.ravel(), numeric) <= 1e-5
+
 
 class TestWeightedFocal:
     def test_unit_weights_equal_focal_bitwise(self):
         rng = np.random.default_rng(5)
-        _, posteriors, labels = _random_instance(rng, 6, 3)
-        ev_w = losses.weighted_focal(posteriors, labels, np.ones(3), labels.sum(axis=0), 2.0)
-        ev = losses.focal(posteriors, labels, 2.0)
+        logits, _, labels = _random_instance(rng, 6, 3)
+        ev_w = losses.weighted_focal(logits, labels, np.ones(3), labels.sum(axis=0), 2.0)
+        ev = losses.focal(logits, labels, 2.0)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
     def test_count_weights_scale_the_focal_term(self):
-        posteriors = np.array([[0.5, 0.5]])
+        logits = np.log([[0.5, 0.5]])
         labels = np.array([[0.0, 1.0]])
-        ev_w = losses.weighted_focal(posteriors, labels, None, [90, 10], 2.0)
-        ev = losses.focal(posteriors, labels, 2.0)
+        ev_w = losses.weighted_focal(logits, labels, None, [90, 10], 2.0)
+        ev = losses.focal(logits, labels, 2.0)
         np.testing.assert_allclose(ev_w.value, (100.0 / (10.0 + 1e-8)) * ev.value, rtol=1e-9)
 
     def test_gamma_zero_unit_weights_equal_cross_entropy(self):
         rng = np.random.default_rng(6)
-        _, posteriors, labels = _random_instance(rng, 4, 2)
-        ev_w = losses.weighted_focal(posteriors, labels, np.ones(2), labels.sum(axis=0), 0.0)
-        ev = losses.cross_entropy(posteriors, labels)
+        logits, _, labels = _random_instance(rng, 4, 2)
+        ev_w = losses.weighted_focal(logits, labels, np.ones(2), labels.sum(axis=0), 0.0)
+        ev = losses.cross_entropy(logits, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
@@ -195,7 +209,7 @@ class TestDiceSimilarity:
 
 class TestEfeLoss:
     def test_matched_prior_posterior_fallback(self):
-        ev = losses.efe_loss([[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], [{0}])
+        ev = losses.efe_loss(np.log([[0.5, 0.5]]), [[1.0, 0.0]], [[0.5, 0.5]], [{0}])
         assert ev.expected_complexity == 0.0
         np.testing.assert_allclose(ev.uncertainty, -0.5 * 0.5 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.uncertainty, 0.1733, atol=5e-5)
@@ -203,7 +217,7 @@ class TestEfeLoss:
 
     def test_complexity_equals_kelly_objective(self):
         sol = candidate_labels(PRIOR3, POST3)
-        ev = losses.efe_loss([POST3], [[1.0, 0.0, 0.0]], [PRIOR3], [sol])
+        ev = losses.efe_loss(np.log([POST3]), [[1.0, 0.0, 0.0]], [PRIOR3], [sol])
         np.testing.assert_allclose(ev.expected_complexity, G3 / 3.0, atol=1e-12)
         np.testing.assert_allclose(ev.expected_complexity, 0.1661, atol=5e-5)
 
@@ -216,7 +230,7 @@ class TestEfeLoss:
             priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
             labels = np.full((n, k), 1.0 / k)
             sols = [candidate_labels(priors[j], posteriors[j], reference_label=0) for j in range(n)]
-            ev = losses.efe_loss(posteriors, labels, priors, sols)
+            ev = losses.efe_loss(logits, labels, priors, sols)
             total = sum(kelly_objective_value(s, priors[j], posteriors[j]) for j, s in enumerate(sols))
             np.testing.assert_allclose(ev.expected_complexity, total / (k * n), atol=1e-12)
             assert ev.expected_complexity >= 0.0
@@ -235,10 +249,9 @@ class TestEfeLoss:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
 
             def value_at(flat):
-                post = losses.softmax(flat.reshape(n, k))
-                return losses.efe_loss(post, labels, priors, mask).value
+                return losses.efe_loss(flat.reshape(n, k), labels, priors, mask).value
 
-            ev = losses.efe_loss(posteriors, labels, priors, mask)
+            ev = losses.efe_loss(logits, labels, priors, mask)
             numeric = finite_difference_gradient(value_at, logits.ravel(), 1e-6)
             worst = max(worst, relative_gradient_error(ev.grad_logits.ravel(), numeric))
         assert worst <= 1e-5
@@ -277,37 +290,71 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             losses.vfe_decompose([0.5, 0.5], [0.5, 0.5], [0.5, 1.5])
 
-    def test_efe_decompose_matched_observations(self):
-        dec = losses.efe_decompose([0.4, 0.6], [0.4, 0.6], [0.5, 0.5])
-        np.testing.assert_allclose(dec.expected_complexity, 0.0, atol=1e-12)
-
-    def test_efe_decompose_uniform_entropy(self):
-        uniform = [0.25] * 4
-        dec = losses.efe_decompose(uniform, uniform, uniform)
-        np.testing.assert_allclose(dec.uncertainty, np.log(4.0), atol=1e-9)
-
-    def test_efe_decompose_vertex_against_uniform(self):
-        dec = losses.efe_decompose([1.0, 0.0], [0.5, 0.5], [0.5, 0.5])
-        np.testing.assert_allclose(dec.expected_complexity, np.log(2.0), atol=1e-5)
-
 
 class TestGradientStructure:
     @pytest.mark.parametrize("name", list(losses.LOSSES))
     def test_zero_row_sums(self, name):
         rng = np.random.default_rng(9)
-        _, posteriors, labels = _random_instance(rng, 8, 4)
+        logits, posteriors, labels = _random_instance(rng, 8, 4)
         priors = np.vstack([rng.dirichlet(np.ones(4)) for _ in range(8)])
         entry = losses.LOSSES[name]
         mask = None
         if entry.uses_candidates:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
-        ev = entry.evaluate(posteriors, labels, priors, mask, None, 2.0)
+        ev = entry.evaluate(logits, labels, priors, mask, None, 2.0)
         np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
 
 
+def _trainer_mask(logits, priors, labels):
+    """The candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
+    mask, _, _ = _sweep(clamp_probability_rows(priors), losses.softmax(logits), labels.argmax(axis=1), mask_only=True)
+    return mask
+
+
+def _fd_error(name, logits, labels, priors, gamma):
+    entry = losses.LOSSES[name]
+    mask = _trainer_mask(logits, priors, labels) if entry.uses_candidates else None
+    ev = entry.evaluate(logits, labels, priors, mask, None, gamma)
+
+    def value_at(flat):
+        return entry.evaluate(flat.reshape(logits.shape), labels, priors, mask, None, gamma).value
+
+    numeric = finite_difference_gradient(value_at, logits.ravel(), 1e-6)
+    return relative_gradient_error(ev.grad_logits.ravel(), numeric)
+
+
+class TestSaturatedLogits:
+    @pytest.mark.parametrize("s", [15.0, 20.0, 30.0, 50.0])
+    @pytest.mark.parametrize("name", ["efe", "ce"])
+    def test_spread_row_matches_finite_differences(self, name, s):
+        # logits [s, 0, -s], label 1, prior [.2, .5, .3]: the posterior of
+        # class 2 is far below 1e-8, where a clamped loss goes flat
+        logits = np.array([[s, 0.0, -s]])
+        error = _fd_error(name, logits, np.array([[0.0, 1.0, 0.0]]), np.array([[0.2, 0.5, 0.3]]), 2.0)
+        assert error <= 1e-5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(list(losses.LOSSES)),
+        gamma=st.sampled_from([0.0, 0.5, 2.0]),
+        spread=st.floats(0.0, 50.0),
+        data=st.data(),
+    )
+    def test_every_loss_matches_finite_differences(self, name, gamma, spread, data):
+        k = data.draw(st.integers(2, 64), label="k")
+        unit = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), label="unit")
+        prior = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k), label="prior")
+        label = data.draw(st.integers(0, k - 1), label="label")
+        labels = np.zeros((1, k))
+        labels[0, label] = 1.0
+        logits = spread * np.array([unit])
+        priors = np.array([prior]) / sum(prior)
+        assert _fd_error(name, logits, labels, priors, gamma) <= 1e-5
+
+
 def _mode_inputs(rng, mode, n, k):
-    """Raw posteriors, labels and priors of a supervision mode, with
-    fallback rows (prior equal to posterior) among them."""
+    """Logits, raw posteriors, labels and priors of a supervision mode,
+    with fallback rows (prior equal to posterior) among them."""
     logits = rng.standard_normal((n, k)) * 3.0
     logits[::5] = 0.0
     posteriors = losses.softmax(logits)
@@ -322,7 +369,7 @@ def _mode_inputs(rng, mode, n, k):
         priors[1::5] = posteriors[1::5]
     else:
         priors = np.full((n, k), 1.0 / k)
-    return posteriors, labels, priors, reference
+    return logits, posteriors, labels, priors, reference
 
 
 def _allowed(name):
@@ -335,10 +382,10 @@ class TestValueOnly:
     def test_value_only_equals_full_value_bitwise(self, name, k):
         rng = np.random.default_rng(k)
         for mode in _allowed(name):
-            posteriors, labels, priors, reference = _mode_inputs(rng, mode, 40, k)
+            logits, posteriors, labels, priors, reference = _mode_inputs(rng, mode, 40, k)
             config = trainer.TrainConfig(loss=name, mode=mode, gamma_mod=2.0)
             a = clamp_probability_rows(priors)
-            args = (config, posteriors, labels, a, np.log(a), reference)
+            args = (config, logits, labels, a, np.log(a), reference)
             full = trainer.batch_loss(*args)
             value_only = trainer.batch_loss(*args, grad=False)
             assert value_only.grad_logits is None and full.grad_logits is not None
@@ -350,13 +397,15 @@ class TestValueOnly:
             mask = None
             if entry.uses_candidates:
                 fallback = reference if trainer.supervised(mode) else posteriors.argmax(axis=1)
-                mask, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+                _, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
                 assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
-            table_full = entry.evaluate(posteriors, labels, priors, mask, None, 2.0)
-            table_value = entry.evaluate(posteriors, labels, priors, mask, None, 2.0, grad=False)
+                # the trainer sweeps its clamped priors against unclamped posteriors
+                mask, _, _ = _sweep(a, posteriors, fallback, mask_only=True)
+            table_full = entry.evaluate(logits, labels, priors, mask, None, 2.0)
+            table_value = entry.evaluate(logits, labels, priors, mask, None, 2.0, grad=False)
             assert table_value.grad_logits is None
             assert table_value.value.hex() == table_full.value.hex()
-            # the trainer's clamp-once path gives the public wrappers' bits
+            # the trainer's path gives the public wrappers' bits
             assert full.value.hex() == table_full.value.hex()
             assert full.grad_logits.tobytes() == table_full.grad_logits.tobytes()
 

@@ -229,6 +229,12 @@ class TestConfig:
             ("hidden_widths", (16, 0), "hidden_widths"),
             ("dropout_retention", 0.0, "dropout_retention"),
             ("dropout_retention", 1.5, "dropout_retention"),
+            ("gamma_mod", -1.0, "gamma_mod"),
+            ("gamma_mod", float("nan"), "gamma_mod"),
+            ("gamma_mod", float("inf"), "gamma_mod"),
+            ("class_weights", (1.0, 0.0, 1.0), "class_weights"),
+            ("class_weights", (1.0, float("nan"), 1.0), "class_weights"),
+            ("class_weights", (1.0, float("inf")), "class_weights"),
         ],
     )
     def test_rejects_bad_numeric_fields(self, field, value, message):
