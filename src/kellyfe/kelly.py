@@ -21,7 +21,9 @@ over the total of allocated grid units, so the closed form can be checked
 rather than trusted, and ``kelly_objective_value`` evaluates the
 coarsened-KL form of the optimum.
 
-Everything here is pure and operates on plain numpy arrays.
+Everything here is pure and operates on plain numpy arrays.  The public
+functions take (N, K) rows, one per sample; the private sweep and
+``class_sums`` work on class-major (K, N) arrays, one row per class.
 """
 
 from __future__ import annotations
@@ -47,40 +49,37 @@ class GridDimensionError(ValueError):
     """Exhaustive grid search requested for too many classes."""
 
 
-def row_sums(x) -> np.ndarray:
-    """``x.sum(axis=-1)``, bit for bit, from column slices.
+def class_sums(x) -> np.ndarray:
+    """Sums over the classes of a class-major (K, ...) array, bit for bit numpy's row sums.
 
-    For rows stored contiguously (C order), as every caller here builds
-    them, numpy sums each row pairwise: below 8 entries left to right from
-    +0.0; from 8 to 128 entries in eight interleaved accumulators combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    remainder left to right; above 128 entries as the sum of two halves
-    split at n // 2 rounded down to a multiple of 8.  The same additions in
-    the same order, done on whole columns, give the same bits, and on a
-    short class axis they avoid numpy's per-row reduction overhead, which
-    is most of the cost of a row sum there.
+    Numpy sums each row of the C-ordered (N, K) layout pairwise: below 8
+    classes left to right from +0.0; from 8 to 128 in eight interleaved
+    accumulators combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)), then the remainder left to right; above 128 as two halves split
+    at K // 2 rounded down to a multiple of 8.  The same additions on whole
+    class rows give the same bits without numpy's per-row overhead.
     """
     x = np.asarray(x, dtype=float)
-    return _pairwise_sum(x, 0, x.shape[-1])
+    return _pairwise_sum(x, 0, x.shape[0])
 
 
 def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Sums of the ``n`` columns of ``x`` from ``lo`` in numpy's pairwise order."""
+    """Sums of the ``n`` rows of ``x`` from ``lo`` in numpy's pairwise order."""
     if n < 8:
-        total = x[..., lo] + 0.0
+        total = x[lo] + 0.0
         for c in range(lo + 1, lo + n):
-            total += x[..., c]
+            total += x[c]
         return total
     if n <= 128:
         end = lo + n - n % 8
-        acc = x[..., lo : lo + 8] + 0.0
+        acc = x[lo : lo + 8] + 0.0
         for i in range(lo + 8, end, 8):
-            acc += x[..., i : i + 8]
-        acc = acc[..., 0::2] + acc[..., 1::2]
-        acc = acc[..., 0::2] + acc[..., 1::2]
-        total = acc[..., 0] + acc[..., 1]
+            acc += x[i : i + 8]
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        total = acc[0] + acc[1]
         for c in range(end, lo + n):
-            total += x[..., c]
+            total += x[c]
         return total
     half = n // 2
     half -= half % 8
@@ -89,14 +88,18 @@ def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
     return total
 
 
+def _transposed(x) -> np.ndarray:
+    """A C-ordered copy of ``x.T``: moves an array between the (N, K) and (K, N) layouts."""
+    return np.ascontiguousarray(np.transpose(x))
+
+
 def clamp_probability_rows(rows) -> np.ndarray:
     """Clamp an (N, K) matrix to [1e-8, 1 - 1e-8] and renormalize each row.
 
     Keeps vectors on the open simplex so ratios and logarithms stay finite
-    even when a softmax underflows.  The rows are summed by ``row_sums``,
-    so the result has the bits of ``p / p.sum(axis=1, keepdims=True)``.
-    The public sweep and ``log_growth`` clamp what they are given; the
-    private sweep does not clamp.
+    even when a softmax underflows.  Rows are summed by numpy (callers clamp
+    once per run or one row).  The public sweep and ``log_growth`` clamp
+    what they are given; the private sweep does not clamp.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -104,7 +107,7 @@ def clamp_probability_rows(rows) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("probability rows have non-finite entries")
     p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return p / row_sums(p)[:, None]
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def clamp_probabilities(values) -> np.ndarray:
@@ -165,12 +168,12 @@ def candidate_labels(prior, posterior, reference_label: int | None = None) -> Ke
     """
     a, p = _clamp_pair([prior], [posterior])
     fallback = None if reference_label is None else [reference_label]
-    mask, fractions, unspent = _sweep(a, p, fallback)
+    mask, fractions, unspent = _sweep(a.T, p.T, fallback)
     return KellySolution(
-        candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
-        fractions=fractions[0],
+        candidates=frozenset(int(c) for c in np.flatnonzero(mask[:, 0])),
+        fractions=fractions[:, 0],
         unspent=float(unspent[0]),
-        log_growth=_log_growth(fractions[0], a[0], p[0]),
+        log_growth=_log_growth(fractions[:, 0], a[0], p[0]),
     )
 
 
@@ -190,7 +193,8 @@ def candidate_labels_batch(
     MissingReferenceLabelError.
     """
     a, p = _clamp_pair(priors, posteriors)
-    return _sweep(a, p, fallback_labels)
+    mask, fractions, unspent = _sweep(_transposed(a), _transposed(p), fallback_labels)
+    return _transposed(mask), _transposed(fractions), unspent
 
 
 def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
@@ -202,22 +206,20 @@ def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False):
-    """The sweep of candidate_labels_batch, on rows it does not clamp.
+    """The sweep of candidate_labels_batch on class-major (K, N) arrays it does not clamp.
 
-    The priors ``a`` must be positive.  A posterior of 0 then gives
+    The mask and the fractions come back (K, N) too, the unspent ratios
+    (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
-    ``mask_only`` the fractions and the unspent ratios are not built
-    and come back as None.  Works column by column on the sorted rows, as
-    ``row_sums`` does: on the short K axis a column operation is far
-    cheaper than a row reduction, and suffix sums, running conjunctions
-    and gathers give the same bits in either layout.
+    ``mask_only`` the fractions and the unspent ratios come back as None.
+    Suffix sums, running conjunctions and gathers over whole class rows of
+    the sorted order give the same bits as per-sample ones, far cheaper.
     """
-    n, k = a.shape
+    k, n = a.shape
     q = a / p
-    order = np.argsort(-q, axis=1, kind="stable")
-    # flat[t, j] is the raveled (N, K) index of the t-th largest ratio of row j
-    flat = (order + np.arange(0, n * k, k)[:, None]).T
+    # flat[t, j] is the raveled (K, N) index of the t-th largest ratio of sample j
+    flat = np.argsort(-q, axis=0, kind="stable") * n + np.arange(n)
     q_sorted = q.ravel()[flat]
     a_sorted = a.ravel()[flat]
     p_sorted = p.ravel()[flat]
@@ -235,15 +237,15 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     for t in range(1, k):
         np.logical_and(admitted[t], admitted[t - 1], out=admitted[t])
 
-    mask = np.zeros(n * k, dtype=bool)
+    mask = np.zeros(k * n, dtype=bool)
     mask[flat] = admitted
-    mask = mask.reshape(n, k)
+    mask = mask.reshape(k, n)
     fractions = unspent = None
     if not mask_only:
         # the lowest-q outcome always has q equal to the last level, so at
         # most K - 1 outcomes are admitted and the level index is in range
         unspent = levels[admitted.sum(axis=0), np.arange(n)]
-        fractions = np.where(mask, a - p * unspent[:, None], 0.0)
+        fractions = np.where(mask, a - p * unspent, 0.0)
 
     empty = ~admitted[0]
     if np.any(empty):
@@ -252,7 +254,7 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
                 "empty candidate set and no fallback labels supplied"
             )
         fb = np.asarray(fallback_labels, dtype=int)
-        mask[empty, fb[empty]] = True
+        mask[fb[empty], empty] = True
     return mask, fractions, unspent
 
 

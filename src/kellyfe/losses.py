@@ -1,15 +1,15 @@
 """Classification objectives evaluated as value plus gradient in the logits.
 
-Every trainable loss takes an (N, K) matrix of logits and an (N, K) label
-matrix whose rows are one-hot (supervised) or uniform 1/K (label-free), and
+Every trainable loss takes a matrix of logits and a label matrix whose
+samples are one-hot (supervised) or uniform 1/K (label-free), and
 returns a LossEvaluation holding the scalar value and the analytic gradient
-with respect to the logits; every gradient row sums to zero.  Each loss
+with respect to the logits; every sample's gradient sums to zero.  Each loss
 computes its value first and its gradient only when asked: with
 ``grad=False`` the evaluation carries the same value bit for bit and no
 gradient, which is how the trainer scores its validation set.
 
 The cross-entropy family and the expected-free-energy loss read ln p and p
-from one ``log_softmax``, which holds the only finiteness check of the
+from one ``_log_softmax``, which holds the only finiteness check of the
 logits.  No posterior is clamped: ln p is the shifted logit less the log of
 the row sum, finite and exact where p underflows to 0.  The cross-entropy
 family (plain, class-weighted, focal, weighted focal) is one weighted-focal
@@ -30,8 +30,11 @@ loss table minimizes 1 - value with the negated gradient.  The
 Lovasz-Softmax loss is the convex closure of the per-class Jaccard distance
 over sorted mispredictions.
 
-Sums over the short class axis go through ``kelly.row_sums``, which gives
-the bits of numpy's row sum from column slices at a fraction of its cost.
+The public functions take and return (N, K) arrays; the kernels
+(``_log_softmax``, ``_weighted_focal``, ``_efe``) and the LOSSES entries
+take class-major (K, N) arrays, one contiguous row per class.  Class sums
+(``kelly.class_sums``) and whole-array totals (``_total``) follow numpy's
+order for the (N, K) layout, so both layouts give the same bits.
 
 LOSSES maps each trainable loss name to one evaluate call plus whether it
 needs reference labels and whether it uses the candidate sets; the trainer,
@@ -46,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kelly import clamp_probabilities, clamp_probability_rows, row_sums
+from .kelly import _transposed, class_sums, clamp_probabilities, clamp_probability_rows
 
 
 class LabelsNotOneHotError(ValueError):
@@ -73,30 +76,47 @@ class LossEvaluation:
 
 
 def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
-    """``(ln p, p)`` of the row-wise softmax, shifted by the row maximum.
+    """``(ln p, p)`` of the softmax of each (N, K) row, shifted by the row maximum.
 
-    The row maximum is a running maximum over the columns and the row sum
-    is ``kelly.row_sums``: both give the bits of numpy's row reductions
-    and, on the short class axis, cost much less.  Raises
-    NonFiniteLogitsError unless every shifted logit is finite, which
+    Raises NonFiniteLogitsError unless every shifted logit is finite, which
     rejects non-finite logits and rows whose spread overflows.
     """
-    z = np.asarray(logits, dtype=float)
-    top = z[..., 0].copy()
-    for c in range(1, z.shape[-1]):
-        np.maximum(top, z[..., c], out=top)
-    with np.errstate(invalid="ignore", over="ignore"):
-        z = z - top[..., None]
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteLogitsError("logits must be finite")
-    e = np.exp(z)
-    total = row_sums(e)[..., None]
-    return z - np.log(total), e / total
+    ln_p, p = _log_softmax(_transposed(logits))
+    return _transposed(ln_p), _transposed(p)
 
 
 def softmax(logits) -> np.ndarray:
     """The posteriors p of ``log_softmax``."""
-    return log_softmax(logits)[1]
+    return _transposed(_log_softmax(_transposed(logits))[1])
+
+
+def _log_softmax(z) -> tuple[np.ndarray, np.ndarray]:
+    """``log_softmax`` of class-major (K, N) logits; a maximum over the class
+    rows and ``kelly.class_sums`` give the bits of numpy's row reductions."""
+    z = np.asarray(z, dtype=float)
+    top = z.max(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        z = z - top
+    # a shifted logit is NaN or at most 0, so the minimum is finite exactly when all are
+    if z.size and not np.isfinite(z.min()):
+        raise NonFiniteLogitsError("logits must be finite")
+    e = np.exp(z)
+    total = class_sums(e)
+    return z - np.log(total), e / total
+
+
+def _total(x: np.ndarray, y: np.ndarray) -> float:
+    """The sum of ``x * y`` over (K, N) arrays, in the order numpy sums the C-ordered (N, K) product."""
+    product = np.empty(x.shape[::-1])
+    np.multiply(x, y, out=product.T)
+    return float(product.sum())
+
+
+def _transposed_grad(ev: LossEvaluation) -> LossEvaluation:
+    """``ev`` with its gradient moved to the other layout."""
+    if ev.grad_logits is not None:
+        ev.grad_logits = _transposed(ev.grad_logits)
+    return ev
 
 
 def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +128,8 @@ def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_softmax(posteriors: np.ndarray, grad_posteriors: np.ndarray) -> np.ndarray:
-    """Pull a posterior-space gradient back through the softmax Jacobian."""
-    inner = row_sums(grad_posteriors * posteriors)[:, None]
+    """Pull an (N, K) posterior-space gradient back through the softmax Jacobian."""
+    inner = (grad_posteriors * posteriors).sum(axis=1, keepdims=True)
     return posteriors * (grad_posteriors - inner)
 
 
@@ -128,8 +148,10 @@ def _weighted_focal(
 ) -> LossEvaluation:
     """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
 
-    ``class_weights`` None means unit weights.  Unit weights enter as an
-    exact 1.0 and gamma_mod = 0 drops the modulation factor, so
+    Takes class-major (K, N) logits and labels and returns a (K, N)
+    gradient.  ``class_weights`` is a (K, 1) column, or None for unit
+    weights, which enter as an exact 1.0; gamma_mod = 0 drops the
+    modulation factor, so
     cross_entropy, focal at gamma_mod = 0 and unit-weight variants agree
     bit for bit.  The gradient in the logits is scale * (p * sum(u) - u)
     with u = w * l * ((1 - p)^g - g * (1 - p)^(g - 1) * p * ln p) for
@@ -139,24 +161,31 @@ def _weighted_focal(
     if not 0.0 <= gamma_mod < np.inf:
         raise ValueError("gamma_mod must be finite and >= 0")
     z, l = _check_pair(logits, labels)
-    ln_p, p = log_softmax(z)
-    n, k = p.shape
-    w = 1.0 if class_weights is None else class_weights[None, :]
+    ln_p, p = _log_softmax(z)
+    k, n = p.shape
+    w = 1.0 if class_weights is None else class_weights
     scale = 1.0 / (k * n)
     if gamma_mod == 0.0:
-        value = -scale * float((w * l * ln_p).sum())
+        # a product with unit weights is exact, so they skip it
+        u = l if class_weights is None else w * l
+        value = -scale * _total(u, ln_p)
         if not grad:
             return LossEvaluation(value, None)
-        u = w * l
     else:
         one_minus = 1.0 - p
         mod = one_minus**gamma_mod
-        value = -scale * float((w * mod * l * ln_p).sum())
+        value = -scale * _total(w * mod * l, ln_p)
         if not grad:
             return LossEvaluation(value, None)
         slope = np.power(one_minus, gamma_mod - 1.0, out=np.zeros_like(p), where=one_minus > 0.0)
         u = w * l * (mod - gamma_mod * slope * p * ln_p)
-    return LossEvaluation(value, scale * (p * row_sums(u)[:, None] - u))
+    return LossEvaluation(value, scale * (p * class_sums(u) - u))
+
+
+def _focal_rows(logits, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool) -> LossEvaluation:
+    """``_weighted_focal`` on (N, K) rows, with (K,) or no class weights."""
+    w = None if class_weights is None else class_weights[:, None]
+    return _transposed_grad(_weighted_focal(_transposed(logits), _transposed(labels), w, gamma_mod, grad))
 
 
 def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
@@ -175,7 +204,7 @@ def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
 
 def cross_entropy(logits, labels, *, grad: bool = True) -> LossEvaluation:
     """Softmax cross entropy, normalized by 1/(K*N)."""
-    return _weighted_focal(logits, labels, None, 0.0, grad)
+    return _focal_rows(logits, labels, None, 0.0, grad)
 
 
 def weighted_cross_entropy(logits, labels, class_weights, class_counts, *, grad: bool = True) -> LossEvaluation:
@@ -186,7 +215,7 @@ def weighted_cross_entropy(logits, labels, class_weights, class_counts, *, grad:
     name exceeds 1 for any non-dominant class.
     """
     w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _weighted_focal(logits, labels, w, 0.0, grad)
+    return _focal_rows(logits, labels, w, 0.0, grad)
 
 
 def focal(logits, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluation:
@@ -194,7 +223,7 @@ def focal(logits, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluat
 
     gamma_mod = 0 reduces exactly to cross_entropy, value and gradient.
     """
-    return _weighted_focal(logits, labels, None, gamma_mod, grad)
+    return _focal_rows(logits, labels, None, gamma_mod, grad)
 
 
 def weighted_focal(
@@ -202,7 +231,7 @@ def weighted_focal(
 ) -> LossEvaluation:
     """Focal loss with the same per-class weights as weighted_cross_entropy."""
     w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _weighted_focal(logits, labels, w, gamma_mod, grad)
+    return _focal_rows(logits, labels, w, gamma_mod, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -335,45 +364,56 @@ def efe_loss(logits, labels, priors, candidate_sets, *, grad: bool = True) -> Lo
     discrete pre-minimization and are treated as constants: the gradient
     flows only through the logits.  Both terms are reported on the
     returned evaluation.  The priors are clamped here; the posteriors are
-    the unclamped softmax of the logits.
+    the unclamped softmax of the logits.  A row whose rest (positive prior
+    mass, once clamped) has only posteriors that underflowed to 0 would
+    have an infinite rest term, and raises ValueError.
     """
     z, l = _check_pair(logits, labels)
     n, k = z.shape
     a = clamp_probability_rows(priors)
     if a.shape != (n, k):
         raise ValueError("priors shape must match the logits")
-    ln_p, p = log_softmax(z)
-    return _efe(ln_p, p, l, a, np.log(a), _candidate_mask(candidate_sets, n, k), grad)
+    ln_p, p = _log_softmax(_transposed(z))
+    mask = _transposed(_candidate_mask(candidate_sets, n, k))
+    stranded = np.flatnonzero(~mask.all(axis=0) & ~np.any(~mask & (p > 0.0), axis=0))
+    if stranded.size:
+        raise ValueError(
+            f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
+        )
+    a = _transposed(a)
+    return _transposed_grad(_efe(ln_p, p, _transposed(l), a, np.log(a), mask, grad))
 
 
 def _efe(
     ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
 ) -> LossEvaluation:
-    """efe_loss on ``(ln p, p)`` of ``log_softmax`` and clamped priors ``a`` (``ln_a = log a``).
+    """efe_loss on ``(ln p, p)`` of ``_log_softmax`` and clamped priors ``a`` (``ln_a = log a``).
 
+    Every array is class-major (K, N), the mask and the gradient included.
     The uncertainty gradient is chained through the softmax Jacobian.  The
     complexity gradient in the logits is scale * (p * sum(a) - target),
     with target = a on the candidates and rest_a * p / rest_p off them.
     For a mask of the sweep the rest holds at least as much posterior as
-    prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding; a
-    hand-made mask whose rest posteriors all underflow gives an infinite
-    value and a NaN gradient.  A row without a rest has no rest term.
+    prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding;
+    ``efe_loss`` rejects a hand-made mask whose rest posteriors all
+    underflow.  A row without a rest has no rest term.
     """
-    n, k = p.shape
+    k, n = p.shape
     scale = 1.0 / (k * n)
-    uncertainty = -scale * float((l * p * ln_p).sum())
+    uncertainty = -scale * _total(l * p, ln_p)
 
-    rest_a = row_sums(np.where(mask, 0.0, a))
-    rest_p = row_sums(np.where(mask, 0.0, p))
+    rest_a = class_sums(np.where(mask, 0.0, a))
+    rest_p = class_sums(np.where(mask, 0.0, p))
     ratio = np.divide(rest_a, rest_p, out=np.ones(n), where=rest_a > 0.0)
-    cand_terms = row_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
+    cand_terms = class_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
     complexity = scale * float((cand_terms + rest_a * np.log(ratio)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
 
-    grad_unc = _chain_softmax(p, -scale * l * (ln_p + 1.0))
-    target = np.where(mask, a, p * ratio[:, None])
-    grad_cmp = scale * (p * row_sums(a)[:, None] - target)
+    grad_p = -scale * l * (ln_p + 1.0)
+    grad_unc = p * (grad_p - class_sums(grad_p * p))
+    target = np.where(mask, a, p * ratio)
+    grad_cmp = scale * (p * class_sums(a) - target)
     return LossEvaluation(
         value=uncertainty + complexity,
         grad_logits=grad_unc + grad_cmp,
@@ -393,10 +433,12 @@ class LossEntry:
     ``evaluate(logits, labels, priors, mask, class_weights, gamma_mod,
     grad=True)`` returns the value to minimize and, unless ``grad`` is
     False, its gradient; each loss reads only the arguments it needs.
-    Priors are raw rows.  ``mask`` is the candidate mask of
-    the sweep, given to losses that set ``uses_candidates`` and None
-    otherwise.  ``needs_reference`` losses are undefined without reference
-    labels.
+    Every array is class-major (K, N), and each entry has the bits of its
+    public (N, K) function.  Priors are raw rows.  ``mask`` is the
+    candidate mask of the sweep, given to losses that set
+    ``uses_candidates`` and None otherwise.  Without ``class_weights`` the
+    weighted losses count the (one-hot) label rows, exact in any order.
+    ``needs_reference`` losses are undefined without reference labels.
     """
 
     evaluate: Callable[..., LossEvaluation]
@@ -409,24 +451,35 @@ def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
     return LossEvaluation(1.0 - ev.value, None if ev.grad_logits is None else -ev.grad_logits)
 
 
+def _table_weights(class_weights, l: np.ndarray) -> np.ndarray:
+    return _class_weights(class_weights, l.sum(axis=1), l.shape[0])[:, None]
+
+
+def _of_posteriors(loss, z: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
+    """A table entry for an (N, K) loss of the posteriors, on (K, N) logits and labels."""
+    return _transposed_grad(loss(_transposed(_log_softmax(z)[1]), _transposed(l), grad=grad))
+
+
 # The entries look their functions up at call time, so a rebinding of a
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: efe_loss(z, l, a, mask, grad=grad),
+        lambda z, l, a, mask, w, g, grad=True: _transposed_grad(
+            efe_loss(*map(_transposed, (z, l, a, mask)), grad=grad)
+        ),
         needs_reference=False,
         uses_candidates=True,
     ),
-    "ce": LossEntry(lambda z, l, a, mask, w, g, grad=True: cross_entropy(z, l, grad=grad)),
+    "ce": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, 0.0, grad)),
     "wce": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: weighted_cross_entropy(z, l, w, l.sum(axis=0), grad=grad)
+        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _table_weights(w, l), 0.0, grad)
     ),
-    "focal": LossEntry(lambda z, l, a, mask, w, g, grad=True: focal(z, l, g, grad=grad)),
+    "focal": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, g, grad)),
     "wfocal": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: weighted_focal(z, l, w, l.sum(axis=0), g, grad=grad)
+        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _table_weights(w, l), g, grad)
     ),
-    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _dice_loss(softmax(z), l, grad)),
-    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: lovasz_softmax(softmax(z), l, grad=grad)),
+    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _of_posteriors(_dice_loss, z, l, grad)),
+    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: _of_posteriors(lovasz_softmax, z, l, grad)),
 }
 
 

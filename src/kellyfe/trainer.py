@@ -21,8 +21,8 @@ import numpy as np
 
 from . import losses
 from .data import Dataset, batches
-from .kelly import _sweep, clamp_probability_rows
-from .network import LayerSpec, NetworkParams, backward, forward, init_he
+from .kelly import _sweep, _transposed, clamp_probability_rows
+from .network import LayerSpec, NetworkParams, backward, forward, inference_out, init_he
 from .optimizer import adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
@@ -143,26 +143,20 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _label_matrix(dataset: Dataset, mode: str) -> np.ndarray:
-    k = dataset.n_classes
-    if supervised(mode):
-        rows = np.zeros((len(dataset), k))
-        rows[np.arange(len(dataset)), dataset.reference_labels] = 1.0
-        return rows
-    return np.full((len(dataset), k), 1.0 / k)
-
-
-def _prior_matrix(dataset: Dataset, mode: str) -> np.ndarray:
-    if mode in ("grpr", "ngpr"):
-        return dataset.priors
-    return np.full((len(dataset), dataset.n_classes), 1.0 / dataset.n_classes)
-
-
 def _loss_rows(dataset: Dataset, mode: str) -> tuple[np.ndarray, ...]:
-    """batch_loss's arrays after the logits: the mode's label rows, its prior
-    rows clamped once, their logarithms, and the reference labels."""
-    priors = clamp_probability_rows(_prior_matrix(dataset, mode))
-    return _label_matrix(dataset, mode), priors, np.log(priors), dataset.reference_labels
+    """batch_loss's arrays after the logits: the mode's label rows (one-hot in
+    gr* modes, uniform otherwise), its prior rows (uniform in *np modes)
+    clamped once and their logarithms, each class-major (K, N), and the (N,)
+    reference labels.  A batch takes ``rows[..., idx]`` of each."""
+    n, k = len(dataset), dataset.n_classes
+    if supervised(mode):
+        labels = np.zeros((k, n))
+        labels[dataset.reference_labels, np.arange(n)] = 1.0
+    else:
+        labels = np.full((k, n), 1.0 / k)
+    priors = dataset.priors if mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
+    priors = _transposed(clamp_probability_rows(priors))
+    return labels, priors, np.log(priors), dataset.reference_labels
 
 
 def batch_loss(
@@ -174,23 +168,29 @@ def batch_loss(
     reference_labels: np.ndarray,
     grad: bool = True,
 ) -> losses.LossEvaluation:
-    """The configured loss of one batch of logits.
+    """The configured loss of one batch of (N, K) logits.
 
-    ``priors`` are clamped rows and ``ln_priors`` their logarithms.  A loss
-    that uses candidate sets hands the unclamped posteriors of one
+    ``labels``, ``priors`` (clamped) and ``ln_priors`` (their logarithms)
+    are class-major (K, N) rows of ``_loss_rows``.  The logits are
+    transposed once to (K, N), every kernel works on whole class rows, and
+    the gradient comes back as a C-ordered (N, K) array for ``backward``.
+    A loss that uses candidate sets hands the unclamped posteriors of one
     log-softmax to the mask-only sweep, and both arrays to the EFE kernel;
     rows the sweep leaves empty fall back to the reference label in gr*
     modes and to the argmax posterior in ng* modes.  ``grad=False`` gives
     the value alone.
     """
+    z = _transposed(logits)
     entry = losses.LOSSES[config.loss]
     if entry.uses_candidates:
-        ln_p, p = losses.log_softmax(logits)
-        fallback = reference_labels if supervised(config.mode) else p.argmax(axis=1)
+        ln_p, p = losses._log_softmax(z)
+        fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
         mask, _, _ = _sweep(priors, p, fallback, mask_only=True)
-        return losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
-    weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
-    return entry.evaluate(logits, labels, priors, None, weights, config.gamma_mod, grad)
+        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
+    else:
+        weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
+        ev = entry.evaluate(z, labels, priors, None, weights, config.gamma_mod, grad)
+    return losses._transposed_grad(ev)
 
 
 def _scored(config: TrainConfig, iteration: int, phase: str, *batch, grad: bool = True) -> losses.LossEvaluation:
@@ -235,7 +235,9 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
-    posterior is clamped.
+    posterior is clamped.  The loss rows are kept class-major (K, N), and
+    the validation activations go to arrays allocated once per run
+    (``network.inference_out``).
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
@@ -249,6 +251,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     train_rows = _loss_rows(train_set, config.mode)
     val_rows = _loss_rows(val_set, config.mode)
+    val_out = inference_out(specs, len(val_set))
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -263,13 +266,13 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             iteration += 1
             dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
             logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
-            ev = _scored(config, iteration, "training step", logits, *(rows[idx] for rows in train_rows))
+            ev = _scored(config, iteration, "training step", logits, *(rows[..., idx] for rows in train_rows))
             state, vector = adam_step(state, params.vector, backward(params, cache, ev.grad_logits))
             if not np.isfinite(vector).all():
                 raise _non_finite(iteration, "training step")
             params = NetworkParams(specs, vector)
 
-            val_logits, _ = forward(params, val_set.features, training=False)
+            val_logits, _ = forward(params, val_set.features, out=val_out)
             val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False)
             if ema is None:
                 ema = val_ev.value

@@ -260,6 +260,16 @@ class TestEfeLoss:
         with pytest.raises(ValueError):
             losses.efe_loss([[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], [{0}, {1}])
 
+    def test_rest_with_underflowed_posteriors_is_rejected(self):
+        # the rest {1, 2} holds prior mass .8 and posteriors exp(-800) == 0
+        with pytest.raises(ValueError, match="^row 0: the candidate set leaves prior mass on outcomes whose posteriors are all 0$"):
+            losses.efe_loss([[0, -800, -800]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], [{0}])
+        with pytest.raises(ValueError, match="^row 1: "):
+            losses.efe_loss([[0, 0, 0], [0, -800, -800]], [[1, 0, 0]] * 2, [[0.2, 0.5, 0.3]] * 2, [{0}, {0}])
+        # a rest with one positive posterior is finite
+        ev = losses.efe_loss([[0, -800, -30]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], [{0}])
+        assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad_logits))
+
 
 class TestDecompositions:
     def test_vfe_zero_complexity_for_identical_distributions(self):
@@ -301,25 +311,32 @@ class TestGradientStructure:
         mask = None
         if entry.uses_candidates:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
-        ev = entry.evaluate(logits, labels, priors, mask, None, 2.0)
-        np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
+        ev = entry.evaluate(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
+        np.testing.assert_allclose(ev.grad_logits.sum(axis=0), 0.0, atol=1e-7)
+
+
+def _transposed(x):
+    """x in the other layout; None stays None."""
+    return None if x is None else np.ascontiguousarray(np.transpose(x))
 
 
 def _trainer_mask(logits, priors, labels):
-    """The candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
-    mask, _, _ = _sweep(clamp_probability_rows(priors), losses.softmax(logits), labels.argmax(axis=1), mask_only=True)
+    """The (K, N) candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
+    a, p = _transposed(clamp_probability_rows(priors)), _transposed(losses.softmax(logits))
+    mask, _, _ = _sweep(a, p, labels.argmax(axis=1), mask_only=True)
     return mask
 
 
 def _fd_error(name, logits, labels, priors, gamma):
     entry = losses.LOSSES[name]
     mask = _trainer_mask(logits, priors, labels) if entry.uses_candidates else None
-    ev = entry.evaluate(logits, labels, priors, mask, None, gamma)
+    z, l, a = map(_transposed, (logits, labels, priors))
+    ev = entry.evaluate(z, l, a, mask, None, gamma)
 
     def value_at(flat):
-        return entry.evaluate(flat.reshape(logits.shape), labels, priors, mask, None, gamma).value
+        return entry.evaluate(flat.reshape(z.shape), l, a, mask, None, gamma).value
 
-    numeric = finite_difference_gradient(value_at, logits.ravel(), 1e-6)
+    numeric = finite_difference_gradient(value_at, z.ravel(), 1e-6)
     return relative_gradient_error(ev.grad_logits.ravel(), numeric)
 
 
@@ -384,8 +401,8 @@ class TestValueOnly:
         for mode in _allowed(name):
             logits, posteriors, labels, priors, reference = _mode_inputs(rng, mode, 40, k)
             config = trainer.TrainConfig(loss=name, mode=mode, gamma_mod=2.0)
-            a = clamp_probability_rows(priors)
-            args = (config, logits, labels, a, np.log(a), reference)
+            a = _transposed(clamp_probability_rows(priors))
+            args = (config, logits, _transposed(labels), a, np.log(a), reference)
             full = trainer.batch_loss(*args)
             value_only = trainer.batch_loss(*args, grad=False)
             assert value_only.grad_logits is None and full.grad_logits is not None
@@ -400,14 +417,48 @@ class TestValueOnly:
                 _, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
                 assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
                 # the trainer sweeps its clamped priors against unclamped posteriors
-                mask, _, _ = _sweep(a, posteriors, fallback, mask_only=True)
-            table_full = entry.evaluate(logits, labels, priors, mask, None, 2.0)
-            table_value = entry.evaluate(logits, labels, priors, mask, None, 2.0, grad=False)
+                mask, _, _ = _sweep(a, _transposed(posteriors), fallback, mask_only=True)
+            table_args = (*map(_transposed, (logits, labels, priors)), mask, None, 2.0)
+            table_full = entry.evaluate(*table_args)
+            table_value = entry.evaluate(*table_args, grad=False)
             assert table_value.grad_logits is None
             assert table_value.value.hex() == table_full.value.hex()
-            # the trainer's path gives the public wrappers' bits
+            # the trainer's path gives the table's bits
             assert full.value.hex() == table_full.value.hex()
-            assert full.grad_logits.tobytes() == table_full.grad_logits.tobytes()
+            assert full.grad_logits.tobytes() == _transposed(table_full.grad_logits).tobytes()
+            assert full.grad_logits.flags.c_contiguous
+
+
+def _public_evaluation(name, logits, labels, priors, mask, gamma):
+    """The public (N, K) function behind a table entry: (value, gradient)."""
+    if name == "dice":
+        ev = losses.dice_similarity(losses.softmax(logits), labels)
+        return 1.0 - ev.value, -ev.grad_logits
+    ev = {
+        "efe": lambda: losses.efe_loss(logits, labels, priors, mask),
+        "ce": lambda: losses.cross_entropy(logits, labels),
+        "wce": lambda: losses.weighted_cross_entropy(logits, labels, None, labels.sum(axis=0)),
+        "focal": lambda: losses.focal(logits, labels, gamma),
+        "wfocal": lambda: losses.weighted_focal(logits, labels, None, labels.sum(axis=0), gamma),
+        "lovasz": lambda: losses.lovasz_softmax(losses.softmax(logits), labels),
+    }[name]()
+    return ev.value, ev.grad_logits
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("n", [1, 32, 2000])
+    @pytest.mark.parametrize("k", [2, 3, 20])
+    @pytest.mark.parametrize("name", list(losses.LOSSES))
+    def test_table_entry_equals_public_function_bitwise(self, name, k, n):
+        rng = np.random.default_rng(k * 10000 + n)
+        logits, posteriors, labels = _random_instance(rng, n, k)
+        priors = rng.dirichlet(np.ones(k), n)
+        mask = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))[0]
+        value, grad = _public_evaluation(name, logits, labels, priors, mask, 2.0)
+        ev = losses.LOSSES[name].evaluate(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
+        assert ev.value.hex() == value.hex()
+        assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
+        assert _transposed(ev.grad_logits).tobytes() == grad.tobytes()
 
 
 class TestLossTable:

@@ -1,6 +1,7 @@
 """Marginal cost of one training iteration: wall time and minor page faults.
 
     python3 tools/iteration_cost.py --loss efe --mode grpr [--src PATH]
+    python3 tools/iteration_cost.py --loss ce --mode grnp --src A --src B [--pairs P]
 
 Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 train and 2000 validation rows, class split 90/9/1, separation 3,
@@ -13,8 +14,15 @@ pair, and prints the marginal cost of an iteration, (capped - one) /
 (``ru_minflt`` of this process), as the median over the repeats.  The
 patience equals the cap, so early stopping does not end the capped run.
 BLAS runs on one thread.  The package comes from ``--src`` (default:
-this checkout's ``src``), so the same script measures two trees.  Uses
-only the standard library and kellyfe.
+this checkout's ``src``).
+
+Given two ``--src`` trees, it measures them as ``--pairs`` alternating
+pairs instead, each measurement in a fresh interpreter (odd pairs run A
+first, even pairs B first), and prints per tree the median and quartiles
+of the milliseconds, the median faults per iteration, and in how many
+pairs the tree was faster.  A single measurement swings by tens of percent
+on a shared host, so compare two trees only this way.  Uses only the
+standard library and kellyfe.
 """
 
 from __future__ import annotations
@@ -23,8 +31,10 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -79,15 +89,54 @@ def measure(cli, work: Path, loss: str, mode: str) -> tuple[float, float, int]:
     return statistics.median(ms), statistics.median(faults), capped[2]
 
 
+LINE = re.compile(r": ([0-9.]+) ms and (-?[0-9.]+) minor page faults per iteration")
+
+
+def one_interpreter(src: Path, loss: str, mode: str) -> tuple[float, float]:
+    """(ms, faults) per iteration of ``src``, measured by this script in a fresh interpreter."""
+    argv = [sys.executable, __file__, "--loss", loss, "--mode", mode, "--src", str(src)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    ms, faults = LINE.search(out).groups()
+    return float(ms), float(faults)
+
+
+def paired(srcs: list[Path], loss: str, mode: str, pairs: int) -> None:
+    """Alternating pairs of two trees; prints one summary line per tree."""
+    ms = ([], [])
+    faults = ([], [])
+    for pair in range(1, pairs + 1):
+        for side in (0, 1) if pair % 2 else (1, 0):
+            m, f = one_interpreter(srcs[side], loss, mode)
+            ms[side].append(m)
+            faults[side].append(f)
+    for side in (0, 1):
+        q1, median, q3 = statistics.quantiles(ms[side], n=4)
+        wins = sum(m < o for m, o in zip(ms[side], ms[1 - side]))
+        print(
+            f"{srcs[side]}: {loss}/{mode} {median:.3f} ms per iteration (quartiles {q1:.3f}-{q3:.3f}),"
+            f" {statistics.median(faults[side]):.1f} minor page faults, faster in {wins} of {pairs} pairs"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--loss", required=True)
     parser.add_argument("--mode", required=True)
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the kellyfe package")
+    parser.add_argument(
+        "--src", type=Path, action="append", help="directory holding the kellyfe package (default: this checkout's src)"
+    )
+    parser.add_argument("--pairs", type=int, default=6, help="alternating pairs when two trees are given")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "kellyfe" / "__init__.py").is_file():
-        parser.error(f"{src} holds no kellyfe package")
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+    for src in srcs:
+        if not (src / "kellyfe" / "__init__.py").is_file():
+            parser.error(f"{src} holds no kellyfe package")
+    if len(srcs) > 2 or args.pairs < 2:
+        parser.error("give one --src, or two with --pairs of at least 2")
+    if len(srcs) == 2:
+        paired(srcs, args.loss, args.mode, args.pairs)
+        return 0
+    src = srcs[0]
     # one BLAS thread, set before kellyfe imports numpy
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
