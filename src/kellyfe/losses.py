@@ -30,16 +30,17 @@ loss table minimizes 1 - value with the negated gradient.  The
 Lovasz-Softmax loss is the convex closure of the per-class Jaccard distance
 over sorted mispredictions.
 
-The public functions take and return (N, K) arrays; the kernels
-(``_log_softmax``, ``_weighted_focal``, ``_efe``) and the LOSSES entries
-take class-major (K, N) arrays, one contiguous row per class.  Class sums
-(``kelly.class_sums``) and whole-array totals (``_total``) follow numpy's
-order for the (N, K) layout, so both layouts give the same bits.
+The public functions take and return (N, K) arrays, one row per sample;
+the kernels (``_log_softmax``, ``_weighted_focal``, ``_efe``) take
+class-major (K, N) arrays, one contiguous row per class.  Class sums
+(``kelly.class_sums``) and whole-array totals (``_total``) are taken in
+numpy's order for the (N, K) layout, so both layouts give the same bits.
 
-LOSSES maps each trainable loss name to one evaluate call plus whether it
-needs reference labels and whether it uses the candidate sets; the trainer,
-the verify suites and the command line all read it.  vfe_decompose is a
-single-distribution diagnostic for the free-energy identities.
+LOSSES maps each trainable loss name to its kernel plus whether it needs
+reference labels and whether it uses the candidate sets; the trainer calls
+the kernels, the verify suites the (N, K) ``evaluate`` and the command line
+reads the names.  vfe_decompose is a single-distribution diagnostic for the
+free-energy identities.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kelly import _transposed, class_sums, clamp_probabilities, clamp_probability_rows
+from .kelly import PROB_CLAMP, _transposed, class_sums, clamp_probabilities, clamp_probability_rows
 
 
 class LabelsNotOneHotError(ValueError):
@@ -75,24 +76,20 @@ class LossEvaluation:
     expected_complexity: float | None = None
 
 
-def log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
-    """``(ln p, p)`` of the softmax of each (N, K) row, shifted by the row maximum.
-
-    Raises NonFiniteLogitsError unless every shifted logit is finite, which
-    rejects non-finite logits and rows whose spread overflows.
-    """
-    ln_p, p = _log_softmax(_transposed(logits))
-    return _transposed(ln_p), _transposed(p)
-
-
 def softmax(logits) -> np.ndarray:
-    """The posteriors p of ``log_softmax``."""
+    """The posteriors of each (N, K) row of logits (see ``_log_softmax``)."""
     return _transposed(_log_softmax(_transposed(logits))[1])
 
 
-def _log_softmax(z) -> tuple[np.ndarray, np.ndarray]:
-    """``log_softmax`` of class-major (K, N) logits; a maximum over the class
-    rows and ``kelly.class_sums`` give the bits of numpy's row reductions."""
+def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(ln p, p)`` of class-major (K, N) logits, shifted by each sample's maximum.
+
+    The maximum over the class rows and ``kelly.class_sums`` give the bits
+    of numpy's row reductions in the (N, K) layout.  ``posteriors=False``
+    returns None for p.  Raises NonFiniteLogitsError unless every shifted
+    logit is finite, which rejects non-finite logits and samples whose
+    spread overflows.
+    """
     z = np.asarray(z, dtype=float)
     top = z.max(axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -102,7 +99,7 @@ def _log_softmax(z) -> tuple[np.ndarray, np.ndarray]:
         raise NonFiniteLogitsError("logits must be finite")
     e = np.exp(z)
     total = class_sums(e)
-    return z - np.log(total), e / total
+    return z - np.log(total), e / total if posteriors else None
 
 
 def _total(x: np.ndarray, y: np.ndarray) -> float:
@@ -148,21 +145,19 @@ def _weighted_focal(
 ) -> LossEvaluation:
     """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
 
-    Takes class-major (K, N) logits and labels and returns a (K, N)
-    gradient.  ``class_weights`` is a (K, 1) column, or None for unit
-    weights, which enter as an exact 1.0; gamma_mod = 0 drops the
-    modulation factor, so
-    cross_entropy, focal at gamma_mod = 0 and unit-weight variants agree
-    bit for bit.  The gradient in the logits is scale * (p * sum(u) - u)
-    with u = w * l * ((1 - p)^g - g * (1 - p)^(g - 1) * p * ln p) for
-    g = gamma_mod; the second term is taken as 0 where 1 - p == 0, its
-    limit for every g > 0.
+    Takes class-major (K, N) logits and labels and (K, 1) class weights,
+    or None for unit weights, which enter as an exact 1.0; gamma_mod = 0
+    drops the modulation factor, so cross_entropy, focal at gamma_mod = 0
+    and unit-weight variants agree bit for bit.  The (K, N) gradient in
+    the logits is scale * (p * sum(u) - u) with u = w * l * ((1 - p)^g -
+    g * (1 - p)^(g - 1) * p * ln p) for g = gamma_mod; the second term is
+    taken as 0 where 1 - p == 0, its limit for every g > 0.
     """
     if not 0.0 <= gamma_mod < np.inf:
         raise ValueError("gamma_mod must be finite and >= 0")
     z, l = _check_pair(logits, labels)
-    ln_p, p = _log_softmax(z)
-    k, n = p.shape
+    ln_p, p = _log_softmax(z, grad or gamma_mod != 0.0)
+    k, n = ln_p.shape
     w = 1.0 if class_weights is None else class_weights
     scale = 1.0 / (k * n)
     if gamma_mod == 0.0:
@@ -430,20 +425,23 @@ def _efe(
 class LossEntry:
     """One trainable loss.
 
-    ``evaluate(logits, labels, priors, mask, class_weights, gamma_mod,
-    grad=True)`` returns the value to minimize and, unless ``grad`` is
-    False, its gradient; each loss reads only the arguments it needs.
-    Every array is class-major (K, N), and each entry has the bits of its
-    public (N, K) function.  Priors are raw rows.  ``mask`` is the
-    candidate mask of the sweep, given to losses that set
-    ``uses_candidates`` and None otherwise.  Without ``class_weights`` the
-    weighted losses count the (one-hot) label rows, exact in any order.
+    ``kernel(logits, labels, priors, mask, class_weights, gamma_mod, grad)``
+    takes class-major (K, N) arrays and returns the value to minimize and,
+    unless ``grad`` is False, its (K, N) gradient; ``evaluate`` does the
+    same on (N, K) arrays.  Each loss reads only the arguments it needs.
+    Priors are raw.  ``mask`` is the candidate mask of the sweep, given to
+    losses that set ``uses_candidates`` and None otherwise.  Without
+    ``class_weights`` the weighted losses count the (one-hot) labels.
     ``needs_reference`` losses are undefined without reference labels.
     """
 
-    evaluate: Callable[..., LossEvaluation]
+    kernel: Callable[..., LossEvaluation]
     needs_reference: bool = True
     uses_candidates: bool = False
+
+    def evaluate(self, logits, labels, priors, mask, class_weights, gamma_mod, grad: bool = True) -> LossEvaluation:
+        rows = (None if x is None else _transposed(x) for x in (logits, labels, priors, mask))
+        return _transposed_grad(self.kernel(*rows, class_weights, gamma_mod, grad))
 
 
 def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
@@ -456,17 +454,23 @@ def _table_weights(class_weights, l: np.ndarray) -> np.ndarray:
 
 
 def _of_posteriors(loss, z: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
-    """A table entry for an (N, K) loss of the posteriors, on (K, N) logits and labels."""
+    """A kernel for an (N, K) loss of the posteriors, on (K, N) logits and labels."""
     return _transposed_grad(loss(_transposed(_log_softmax(z)[1]), _transposed(l), grad=grad))
 
 
-# The entries look their functions up at call time, so a rebinding of a
+def _efe_of_logits(z: np.ndarray, l: np.ndarray, a: np.ndarray, mask: np.ndarray, grad: bool) -> LossEvaluation:
+    """``_efe`` of (K, N) logits and raw priors, clamped as ``clamp_probability_rows`` clamps them."""
+    ln_p, p = _log_softmax(z)
+    a = np.clip(a, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    a = a / class_sums(a)
+    return _efe(ln_p, p, l, a, np.log(a), mask, grad)
+
+
+# The kernels look their functions up at call time, so a rebinding of a
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _transposed_grad(
-            efe_loss(*map(_transposed, (z, l, a, mask)), grad=grad)
-        ),
+        lambda z, l, a, mask, w, g, grad=True: _efe_of_logits(z, l, a, mask, grad),
         needs_reference=False,
         uses_candidates=True,
     ),

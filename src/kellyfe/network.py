@@ -110,34 +110,25 @@ def init_he(specs, seed: int) -> NetworkParams:
     return params
 
 
-def _prelu(z: np.ndarray, leakage, out=None, product=None) -> np.ndarray:
+def _prelu(z: np.ndarray, leakage, out=None) -> np.ndarray:
     """PReLU by max/min, with one temporary fewer than ``where``; see ``forward``.
 
-    ``product``, when given, receives ``leakage * z``.  A NaN leakage would
-    give NaN at every positive z, where ``where`` gives z, so ``from_json``
-    rejects one.
+    A NaN leakage would give NaN at every positive z, where ``where`` gives
+    z, so ``from_json`` rejects one.
     """
     pick = np.maximum if leakage <= 1.0 else np.minimum
-    return pick(z, np.multiply(leakage, z, out=product), out=out)
+    return pick(z, leakage * z, out=out)
 
 
-def inference_out(specs, n: int) -> list[np.ndarray]:
-    """``forward``'s ``out`` for n rows: an activation and a product per layer, the last class-major."""
-    return [np.empty((2, n, s.output_width)) for s in specs[:-1]] + [np.empty((2, specs[-1].output_width, n))]
-
-
-def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0, out=None):
-    """Run an (N, input width) batch through the network; returns (N, K) logits and a cache.
+def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
+    """Run a batch through the network; returns (logits, cache).
 
     Only a ``training=True`` pass builds the cache that ``backward`` needs.
     An inference pass (``training=False``) returns ``(logits, None)`` and
     computes each layer's activation in place in its pre-activation array.
-    ``out`` (``inference_out``, inference only) holds arrays that a
-    repeated pass allocates once: a fresh validation-size hidden activation
-    is mapped, or trimmed off the heap, and faulted in anew on every pass.
-    The last layer then adds its biases while it moves the logits to
-    class-major (K, N) rows, faster than a broadcast over K-long rows, and
-    returns the (N, K) view ``out[-1][0].T`` of them.
+    The last layer adds its biases while it writes the logits class-major,
+    so the (N, K) logits are the transpose of a C-ordered (K, N) array,
+    which the loss kernels read without a copy.
 
     PReLU is ``max(z, a*z)`` for a leakage ``a <= 1`` and ``min(z, a*z)``
     above 1 (``_prelu``).  That has the bits of ``where(z > 0, z, a*z)`` for
@@ -156,20 +147,17 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
         raise ValueError(
             f"features with {h.shape} do not match input width {params.specs[0].input_width}"
         )
-    if training and out is not None:
-        raise ValueError("out arrays are for inference passes")
     rng = None
     cache = ForwardCache(params=params) if training else None
-    for i, (spec, lp) in enumerate(zip(params.specs, params.layers)):
-        if out is not None and i == len(params.specs) - 1:
-            product = np.matmul(h, lp.weights.T, out=out[i][1].reshape(h.shape[0], -1))
-            z = np.add(product.T, lp.biases[:, None], out=out[i][0])
+    for spec, lp in zip(params.specs, params.layers):
+        z = h @ lp.weights.T
+        if lp is params.layers[-1]:
+            z = np.add(z.T, lp.biases[:, None], out=np.empty(z.shape[::-1])).T
         else:
-            z = np.matmul(h, lp.weights.T, out=None if out is None else out[i][0])
             z += lp.biases
         act = z
         if spec.activation == "prelu":
-            act = _prelu(z, lp.prelu_leakage, None if training else z, None if out is None else out[i][1])
+            act = _prelu(z, lp.prelu_leakage, out=None if training else z)
         if training:
             mask = None
             if spec.dropout_retention < 1.0:
@@ -180,7 +168,7 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
                 act = act * mask
             cache.layers.append(_LayerCache(inputs=h, pre_activation=z, mask=mask))
         h = act
-    return (h if out is None else h.T), cache
+    return h, cache
 
 
 def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> np.ndarray:

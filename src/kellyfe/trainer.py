@@ -22,7 +22,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, batches
 from .kelly import _sweep, _transposed, clamp_probability_rows
-from .network import LayerSpec, NetworkParams, backward, forward, inference_out, init_he
+from .network import LayerSpec, NetworkParams, backward, forward, init_he
 from .optimizer import adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
@@ -143,18 +143,21 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _loss_rows(dataset: Dataset, mode: str) -> tuple[np.ndarray, ...]:
+def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """batch_loss's arrays after the logits: the mode's label rows (one-hot in
-    gr* modes, uniform otherwise), its prior rows (uniform in *np modes)
-    clamped once and their logarithms, each class-major (K, N), and the (N,)
-    reference labels.  A batch takes ``rows[..., idx]`` of each."""
+    gr* modes, uniform otherwise) and, for a loss that uses candidate sets,
+    its prior rows (uniform in *np modes) clamped once, their logarithms and
+    the (N,) reference labels.  Rows are class-major (K, N); a batch takes
+    ``rows[..., idx]`` of each."""
     n, k = len(dataset), dataset.n_classes
-    if supervised(mode):
+    if supervised(config.mode):
         labels = np.zeros((k, n))
         labels[dataset.reference_labels, np.arange(n)] = 1.0
     else:
         labels = np.full((k, n), 1.0 / k)
-    priors = dataset.priors if mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
+    if not losses.LOSSES[config.loss].uses_candidates:
+        return (labels,)
+    priors = dataset.priors if config.mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
     priors = _transposed(clamp_probability_rows(priors))
     return labels, priors, np.log(priors), dataset.reference_labels
 
@@ -163,22 +166,21 @@ def batch_loss(
     config: TrainConfig,
     logits: np.ndarray,
     labels: np.ndarray,
-    priors: np.ndarray,
-    ln_priors: np.ndarray,
-    reference_labels: np.ndarray,
+    priors: np.ndarray | None = None,
+    ln_priors: np.ndarray | None = None,
+    reference_labels: np.ndarray | None = None,
     grad: bool = True,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
 
-    ``labels``, ``priors`` (clamped) and ``ln_priors`` (their logarithms)
-    are class-major (K, N) rows of ``_loss_rows``.  The logits are
-    transposed once to (K, N), every kernel works on whole class rows, and
-    the gradient comes back as a C-ordered (N, K) array for ``backward``.
-    A loss that uses candidate sets hands the unclamped posteriors of one
-    log-softmax to the mask-only sweep, and both arrays to the EFE kernel;
-    rows the sweep leaves empty fall back to the reference label in gr*
-    modes and to the argmax posterior in ng* modes.  ``grad=False`` gives
-    the value alone.
+    The other arrays are the class-major (K, N) rows of ``_loss_rows``.
+    The loss's kernel reads the logits class-major (``forward``'s need no
+    copy) and the gradient comes back as a C-ordered (N, K) array for
+    ``backward``.  A loss that uses candidate sets hands the unclamped
+    posteriors of one log-softmax to the mask-only sweep, and both arrays
+    to the EFE kernel; rows the sweep leaves empty fall back to the
+    reference label in gr* modes and to the argmax posterior in ng* modes.
+    ``grad=False`` gives the value alone.
     """
     z = _transposed(logits)
     entry = losses.LOSSES[config.loss]
@@ -189,7 +191,7 @@ def batch_loss(
         ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
     else:
         weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
-        ev = entry.evaluate(z, labels, priors, None, weights, config.gamma_mod, grad)
+        ev = entry.kernel(z, labels, priors, None, weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)
 
 
@@ -235,9 +237,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
-    posterior is clamped.  The loss rows are kept class-major (K, N), and
-    the validation activations go to arrays allocated once per run
-    (``network.inference_out``).
+    posterior is clamped.  The loss rows are kept class-major (K, N).
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
@@ -249,9 +249,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     params = init_he(specs, seed=_derived_seed(config.seed, 0))
     state = init_adam(params.vector.size, config.alpha_lr, config.beta_fm, config.beta_sm)
 
-    train_rows = _loss_rows(train_set, config.mode)
-    val_rows = _loss_rows(val_set, config.mode)
-    val_out = inference_out(specs, len(val_set))
+    train_rows = _loss_rows(train_set, config)
+    val_rows = _loss_rows(val_set, config)
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -272,7 +271,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
                 raise _non_finite(iteration, "training step")
             params = NetworkParams(specs, vector)
 
-            val_logits, _ = forward(params, val_set.features, out=val_out)
+            val_logits, _ = forward(params, val_set.features, training=False)
             val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False)
             if ema is None:
                 ema = val_ev.value

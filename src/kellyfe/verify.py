@@ -18,7 +18,6 @@ import numpy as np
 
 from . import losses
 from .kelly import (
-    _transposed,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
@@ -209,8 +208,6 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
         logits0, _ = forward(params, features, training=False)
         post0 = losses.softmax(logits0)
         mask, _, _ = candidate_labels_batch(priors, post0, fallback_labels=labels.argmax(axis=1))
-        # the table's entries take class-major (K, N) arrays
-        rows = [_transposed(x) for x in (labels, priors, mask)]
 
         for prop, name, gamma in GRADIENT_LOSSES:
             evaluate = losses.LOSSES[name].evaluate
@@ -218,12 +215,12 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
             def value_at(theta, evaluate=evaluate, gamma=gamma):
                 p = NetworkParams(specs, theta)
                 logits, _ = forward(p, features, training=False)
-                return evaluate(_transposed(logits), *rows, None, gamma).value
+                return evaluate(logits, labels, priors, mask, None, gamma).value
 
             logits, cache = forward(params, features, training=True)
-            grad_logits = _transposed(evaluate(_transposed(logits), *rows, None, gamma).grad_logits)
-            worst_rowsum = max(worst_rowsum, float(np.abs(grad_logits.sum(axis=1)).max()))
-            analytic = backward(params, cache, grad_logits)
+            ev = evaluate(logits, labels, priors, mask, None, gamma)
+            worst_rowsum = max(worst_rowsum, float(np.abs(ev.grad_logits.sum(axis=1)).max()))
+            analytic = backward(params, cache, ev.grad_logits)
             numeric = finite_difference_gradient(value_at, params.vector, h)
             worst[prop] = max(worst[prop], relative_gradient_error(analytic, numeric))
 

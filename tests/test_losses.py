@@ -311,8 +311,8 @@ class TestGradientStructure:
         mask = None
         if entry.uses_candidates:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
-        ev = entry.evaluate(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
-        np.testing.assert_allclose(ev.grad_logits.sum(axis=0), 0.0, atol=1e-7)
+        ev = entry.evaluate(logits, labels, priors, mask, None, 2.0)
+        np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
 
 
 def _transposed(x):
@@ -321,22 +321,21 @@ def _transposed(x):
 
 
 def _trainer_mask(logits, priors, labels):
-    """The (K, N) candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
+    """The candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
     a, p = _transposed(clamp_probability_rows(priors)), _transposed(losses.softmax(logits))
     mask, _, _ = _sweep(a, p, labels.argmax(axis=1), mask_only=True)
-    return mask
+    return _transposed(mask)
 
 
 def _fd_error(name, logits, labels, priors, gamma):
     entry = losses.LOSSES[name]
     mask = _trainer_mask(logits, priors, labels) if entry.uses_candidates else None
-    z, l, a = map(_transposed, (logits, labels, priors))
-    ev = entry.evaluate(z, l, a, mask, None, gamma)
+    ev = entry.evaluate(logits, labels, priors, mask, None, gamma)
 
     def value_at(flat):
-        return entry.evaluate(flat.reshape(z.shape), l, a, mask, None, gamma).value
+        return entry.evaluate(flat.reshape(logits.shape), labels, priors, mask, None, gamma).value
 
-    numeric = finite_difference_gradient(value_at, z.ravel(), 1e-6)
+    numeric = finite_difference_gradient(value_at, logits.ravel(), 1e-6)
     return relative_gradient_error(ev.grad_logits.ravel(), numeric)
 
 
@@ -418,14 +417,14 @@ class TestValueOnly:
                 assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
                 # the trainer sweeps its clamped priors against unclamped posteriors
                 mask, _, _ = _sweep(a, _transposed(posteriors), fallback, mask_only=True)
-            table_args = (*map(_transposed, (logits, labels, priors)), mask, None, 2.0)
-            table_full = entry.evaluate(*table_args)
-            table_value = entry.evaluate(*table_args, grad=False)
+                mask = _transposed(mask)
+            table_full = entry.evaluate(logits, labels, priors, mask, None, 2.0)
+            table_value = entry.evaluate(logits, labels, priors, mask, None, 2.0, grad=False)
             assert table_value.grad_logits is None
             assert table_value.value.hex() == table_full.value.hex()
             # the trainer's path gives the table's bits
             assert full.value.hex() == table_full.value.hex()
-            assert full.grad_logits.tobytes() == _transposed(table_full.grad_logits).tobytes()
+            assert full.grad_logits.tobytes() == table_full.grad_logits.tobytes()
             assert full.grad_logits.flags.c_contiguous
 
 
@@ -449,13 +448,13 @@ class TestLayouts:
     @pytest.mark.parametrize("n", [1, 32, 2000])
     @pytest.mark.parametrize("k", [2, 3, 20])
     @pytest.mark.parametrize("name", list(losses.LOSSES))
-    def test_table_entry_equals_public_function_bitwise(self, name, k, n):
+    def test_kernel_equals_public_function_bitwise(self, name, k, n):
         rng = np.random.default_rng(k * 10000 + n)
         logits, posteriors, labels = _random_instance(rng, n, k)
         priors = rng.dirichlet(np.ones(k), n)
         mask = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))[0]
         value, grad = _public_evaluation(name, logits, labels, priors, mask, 2.0)
-        ev = losses.LOSSES[name].evaluate(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
+        ev = losses.LOSSES[name].kernel(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
         assert ev.value.hex() == value.hex()
         assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
         assert _transposed(ev.grad_logits).tobytes() == grad.tobytes()

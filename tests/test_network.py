@@ -17,7 +17,6 @@ from kellyfe.network import (
     backward,
     forward,
     from_json,
-    inference_out,
     init_he,
     load_params,
     save_params,
@@ -117,25 +116,21 @@ class TestForward:
         # the pre-activation and one leakage * z temporary
         assert peak - base <= 2.1 * hidden_bytes
 
-    def test_out_arrays_keep_the_bits_and_allocate_no_hidden_array(self):
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("n", [1, 32, 2000])
+    def test_logits_are_class_major_with_the_bits_of_a_row_bias_add(self, n, training):
         params = init_he([LayerSpec(2, 16), LayerSpec(16, 3, activation="linear")], seed=0)
-        x = np.random.default_rng(0).standard_normal((2000, 2))
-        expected = forward(params, x)[0].tobytes()
-        out = inference_out(params.specs, 2000)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            for _ in range(2):
-                logits, cache = forward(params, x, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cache is None and logits.tobytes() == expected
-        assert np.shares_memory(logits, out[-1])
-        # numpy's broadcast bias add still takes its 64 KiB ufunc buffer
-        assert peak - base < 2000 * 16 * 8 / 2
-        with pytest.raises(ValueError, match="^out arrays are for inference passes$"):
-            forward(params, x, training=True, out=out)
+        params.vector[:] = np.random.default_rng(1).standard_normal(params.vector.size)
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        first, last = params.layers
+        hidden = x @ first.weights.T
+        hidden += first.biases
+        hidden = np.where(hidden > 0, hidden, first.prelu_leakage * hidden)
+        expected = hidden @ last.weights.T
+        expected += last.biases
+        logits, _ = forward(params, x, training=training)
+        assert logits.T.flags.c_contiguous
+        assert logits.tobytes() == expected.tobytes()
 
 
 LEAKAGES = (-2.0, -0.5, -0.0, 0.0, 0.15, 1.0, np.nextafter(1.0, 2.0), 1.5, 3.0)
@@ -177,11 +172,9 @@ class TestPrelu:
         with np.errstate(over="ignore"):
             expected = where_prelu(z, layer.prelu_leakage).tobytes()
             infer, _ = forward(params, x, training=False)
-            buffered, _ = forward(params, x, out=inference_out(params.specs, 9))
             train, cache = forward(params, x, training=True)
         assert cache.layers[0].pre_activation.tobytes() == z.tobytes()
         assert infer.tobytes() == expected
-        assert buffered.tobytes() == expected
         assert train.tobytes() == expected
 
 

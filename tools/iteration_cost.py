@@ -1,7 +1,7 @@
 """Marginal cost of one training iteration: wall time and minor page faults.
 
     python3 tools/iteration_cost.py --loss efe --mode grpr [--src PATH]
-    python3 tools/iteration_cost.py --loss ce --mode grnp --src A --src B [--pairs P]
+    python3 tools/iteration_cost.py --loss ce --mode grnp --src A --src B
 
 Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 train and 2000 validation rows, class split 90/9/1, separation 3,
@@ -16,9 +16,9 @@ patience equals the cap, so early stopping does not end the capped run.
 BLAS runs on one thread.  The package comes from ``--src`` (default:
 this checkout's ``src``).
 
-Given two ``--src`` trees, it measures them as ``--pairs`` alternating
-pairs instead, each measurement in a fresh interpreter (odd pairs run A
-first, even pairs B first), and prints per tree the median and quartiles
+Given two ``--src`` trees, it measures them as PAIRS alternating pairs
+instead, each measurement in a fresh interpreter (odd pairs run A first,
+even pairs B first), and prints per tree the median and quartiles
 of the milliseconds, the median faults per iteration, and in how many
 pairs the tree was faster.  A single measurement swings by tens of percent
 on a shared host, so compare two trees only this way.  Uses only the
@@ -43,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CAP = 400
 REPEATS = 5
+PAIRS = 10
 SEED = 0
 GENERATE = [
     "--classes", "3", "--samples", "2000", "--frequencies", "0.9,0.09,0.01",
@@ -100,11 +101,11 @@ def one_interpreter(src: Path, loss: str, mode: str) -> tuple[float, float]:
     return float(ms), float(faults)
 
 
-def paired(srcs: list[Path], loss: str, mode: str, pairs: int) -> None:
+def paired(srcs: list[Path], loss: str, mode: str) -> None:
     """Alternating pairs of two trees; prints one summary line per tree."""
     ms = ([], [])
     faults = ([], [])
-    for pair in range(1, pairs + 1):
+    for pair in range(1, PAIRS + 1):
         for side in (0, 1) if pair % 2 else (1, 0):
             m, f = one_interpreter(srcs[side], loss, mode)
             ms[side].append(m)
@@ -114,7 +115,7 @@ def paired(srcs: list[Path], loss: str, mode: str, pairs: int) -> None:
         wins = sum(m < o for m, o in zip(ms[side], ms[1 - side]))
         print(
             f"{srcs[side]}: {loss}/{mode} {median:.3f} ms per iteration (quartiles {q1:.3f}-{q3:.3f}),"
-            f" {statistics.median(faults[side]):.1f} minor page faults, faster in {wins} of {pairs} pairs"
+            f" {statistics.median(faults[side]):.1f} minor page faults, faster in {wins} of {PAIRS} pairs"
         )
 
 
@@ -125,16 +126,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--src", type=Path, action="append", help="directory holding the kellyfe package (default: this checkout's src)"
     )
-    parser.add_argument("--pairs", type=int, default=6, help="alternating pairs when two trees are given")
     args = parser.parse_args(argv)
     srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
     for src in srcs:
         if not (src / "kellyfe" / "__init__.py").is_file():
             parser.error(f"{src} holds no kellyfe package")
-    if len(srcs) > 2 or args.pairs < 2:
-        parser.error("give one --src, or two with --pairs of at least 2")
+    if len(srcs) > 2:
+        parser.error("give one --src, or two")
     if len(srcs) == 2:
-        paired(srcs, args.loss, args.mode, args.pairs)
+        paired(srcs, args.loss, args.mode)
         return 0
     src = srcs[0]
     # one BLAS thread, set before kellyfe imports numpy
