@@ -66,10 +66,8 @@ def class_sums(x) -> np.ndarray:
 def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
     """Sums of the ``n`` rows of ``x`` from ``lo`` in numpy's pairwise order."""
     if n < 8:
-        total = x[lo] + 0.0
-        for c in range(lo + 1, lo + n):
-            total += x[c]
-        return total
+        # an axis-0 reduce adds the rows in order onto the initial +0.0
+        return np.add.reduce(x[lo : lo + n], axis=0, initial=0.0)
     if n <= 128:
         end = lo + n - n % 8
         acc = x[lo : lo + 8] + 0.0
