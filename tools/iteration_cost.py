@@ -16,11 +16,11 @@ patience equals the cap, so early stopping does not end the capped run.
 BLAS runs on one thread.  The package comes from ``--src`` (default:
 this checkout's ``src``).
 
-Given two ``--src`` trees, it measures them as PAIRS alternating pairs
-instead, each measurement in a fresh interpreter (odd pairs run A first,
-even pairs B first), and prints per tree the median and quartiles
-of the milliseconds, the median faults per iteration, and in how many
-pairs the tree was faster.  A single measurement swings by tens of percent
+Given two ``--src`` trees, it measures them as ten alternating pairs
+(PAIRS) instead, each measurement in a fresh interpreter (odd pairs run
+A first, even pairs B first), and prints per tree the median and
+quartiles of the milliseconds, the median faults per iteration, and in
+how many pairs the tree was faster.  A single measurement swings by tens of percent
 on a shared host, so compare two trees only this way.  Uses only the
 standard library and kellyfe.
 """
