@@ -163,6 +163,10 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be >= 1")
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     _print_timestamp(args)
     results = verify.run_suites(suites, seed=args.seed, trials=args.trials)

@@ -203,7 +203,85 @@ def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
-def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False):
+class _SweepOrder:
+    """The sort state of the sweep for one fixed set of class-major (K, N) priors.
+
+    ``flat[t, j]`` is the raveled (K, N) index of the t-th largest ratio
+    q = a / p of sample j, in the stable descending order (ties by
+    ascending class); ``a_sorted`` holds the priors gathered in that order
+    and ``rest_a`` their suffix sums (``_rest_sums``).  A new state has no
+    order yet; its arrays are allocated once, with the state, and updated
+    in place.  The trainer keeps one for its validation rows: their priors
+    are fixed for the run and the order of their ratios barely moves
+    between iterations.
+    """
+
+    def __init__(self, priors: np.ndarray):
+        k, n = priors.shape
+        self.priors = priors
+        self.flat = np.empty((k, n), dtype=np.intp)
+        self.a_sorted = np.empty((k, n))
+        self.rest_a = np.empty((k - 1, n))
+        self.ordered = False
+
+    def follow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_sorted, q_sorted)``: the posteriors and ratios in the stable descending order of a / p.
+
+        The carried order is the stable one exactly for the samples whose
+        gathered ratios descend strictly, as that order is then unique; the
+        other samples, ties included, are sorted again and their columns of
+        the state replaced.  A gathered ratio ``a_sorted / p_sorted`` has
+        the bits of the gathered ``a / p``.
+        """
+        if not self.ordered:
+            self.ordered = True
+            self.flat[...], self.a_sorted[...], self.rest_a[...], p_sorted, q_sorted = _sorted(self.priors, p)
+            return p_sorted, q_sorted
+        p_sorted = p.ravel()[self.flat]
+        q_sorted = self.a_sorted / p_sorted
+        stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
+        if stale.size:
+            (
+                self.flat[:, stale],
+                self.a_sorted[:, stale],
+                self.rest_a[:, stale],
+                p_sorted[:, stale],
+                q_sorted[:, stale],
+            ) = _sorted(self.priors, p, stale)
+        return p_sorted, q_sorted
+
+
+def _sorted(a: np.ndarray, p: np.ndarray, cols=slice(None)):
+    """``(flat, a_sorted, rest_a, p_sorted, q_sorted)`` of the samples ``cols``, sorted afresh.
+
+    ``flat`` holds raveled (K, N) indices of ``a`` and ``p`` (see
+    ``_SweepOrder``); the sorted arrays have one column per sample of
+    ``cols``.
+    """
+    n = a.shape[1]
+    flat = np.argsort(-(a[:, cols] / p[:, cols]), axis=0, kind="stable") * n + np.arange(n)[cols]
+    a_sorted = a.ravel()[flat]
+    p_sorted = p.ravel()[flat]
+    return flat, a_sorted, _rest_sums(a_sorted), p_sorted, a_sorted / p_sorted
+
+
+def _rest_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rest[t - 1] = x[t] + ... + x[K - 1]`` of (K, N) rows for t = K-1 down to 1, in ``out`` if given.
+
+    The rows are added one at a time from the last up, as the sweep's
+    levels need them; an axis-0 accumulate would add in the same order but
+    takes several times as long.
+    """
+    rest = np.empty((x.shape[0] - 1, x.shape[1])) if out is None else out
+    rest[-1] = x[-1]
+    for t in range(x.shape[0] - 3, -1, -1):
+        np.add(rest[t + 1], x[t + 1], out=rest[t])
+    return rest
+
+
+def _sweep(
+    a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, order: _SweepOrder | None = None
+):
     """The sweep of candidate_labels_batch on class-major (K, N) arrays it does not clamp.
 
     The mask and the fractions come back (K, N) too, the unspent ratios
@@ -211,25 +289,25 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
     ``mask_only`` the fractions and the unspent ratios come back as None.
-    Suffix sums, running conjunctions and gathers over whole class rows of
-    the sorted order give the same bits as per-sample ones, far cheaper.
+    ``order`` is a ``_SweepOrder`` of ``a`` carried from earlier calls; it
+    is updated to the order of ``a / p``, which saves the sort of every
+    sample whose order did not change.  Without one, every sample is
+    sorted.  Either way the result has the same bits.  Suffix sums,
+    running conjunctions and gathers over whole class rows of the sorted
+    order give the same bits as per-sample ones, far cheaper.
     """
     k, n = a.shape
-    q = a / p
-    # flat[t, j] is the raveled (K, N) index of the t-th largest ratio of sample j
-    flat = np.argsort(-q, axis=0, kind="stable") * n + np.arange(n)
-    q_sorted = q.ravel()[flat]
-    a_sorted = a.ravel()[flat]
-    p_sorted = p.ravel()[flat]
+    if order is None:
+        flat, _, rest_a, p_sorted, q_sorted = _sorted(a, p)
+    elif order.priors is a:
+        p_sorted, q_sorted = order.follow(p)
+        flat, rest_a = order.flat, order.rest_a
+    else:
+        raise ValueError("the sweep order belongs to other priors")
     # levels[t] = unspent ratio of the K - t not-yet-admitted outcomes
-    levels = np.ones((k, n))
-    rest_a = a_sorted[k - 1]
-    rest_p = p_sorted[k - 1]
-    levels[k - 1] = rest_a / rest_p
-    for t in range(k - 2, 0, -1):
-        rest_a = rest_a + a_sorted[t]
-        rest_p = rest_p + p_sorted[t]
-        levels[t] = rest_a / rest_p
+    levels = np.empty((k, n))
+    levels[0] = 1.0
+    np.divide(rest_a, _rest_sums(p_sorted, out=levels[1:]), out=levels[1:])
     # the sweep admits the leading run of sorted outcomes with q > level
     admitted = q_sorted > levels
     for t in range(1, k):
@@ -245,8 +323,8 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
         unspent = levels[admitted.sum(axis=0), np.arange(n)]
         fractions = np.where(mask, a - p * unspent, 0.0)
 
-    empty = ~admitted[0]
-    if np.any(empty):
+    if not admitted[0].all():
+        empty = ~admitted[0]
         if fallback_labels is None:
             raise MissingReferenceLabelError(
                 "empty candidate set and no fallback labels supplied"

@@ -449,8 +449,15 @@ def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
     return LossEvaluation(1.0 - ev.value, None if ev.grad_logits is None else -ev.grad_logits)
 
 
+def _label_weights(l: np.ndarray) -> np.ndarray:
+    """The (K,) class weights counted from class-major (K, N) label rows."""
+    return _class_weights(None, l.sum(axis=1), l.shape[0])
+
+
 def _table_weights(class_weights, l: np.ndarray) -> np.ndarray:
-    return _class_weights(class_weights, l.sum(axis=1), l.shape[0])[:, None]
+    """(K, 1) weights of the weighted kernels: ``class_weights``, or else those counted from ``l``."""
+    w = _label_weights(l) if class_weights is None else _class_weights(class_weights, None, l.shape[0])
+    return w[:, None]
 
 
 def _of_posteriors(loss, z: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import losses
 from .data import Dataset, batches
-from .kelly import _sweep, _transposed, clamp_probability_rows
+from .kelly import _sweep, _SweepOrder, _transposed, clamp_probability_rows
 from .network import LayerSpec, NetworkParams, backward, forward, init_he
 from .optimizer import adam_step, init_adam
 
@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.alpha_lr > 0.0:
             raise ValueError("alpha_lr must be > 0")
         if any(w < 1 for w in self.hidden_widths):
@@ -170,6 +172,9 @@ def batch_loss(
     ln_priors: np.ndarray | None = None,
     reference_labels: np.ndarray | None = None,
     grad: bool = True,
+    *,
+    class_weights=None,
+    order: _SweepOrder | None = None,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
 
@@ -180,25 +185,28 @@ def batch_loss(
     posteriors of one log-softmax to the mask-only sweep, and both arrays
     to the EFE kernel; rows the sweep leaves empty fall back to the
     reference label in gr* modes and to the argmax posterior in ng* modes.
-    ``grad=False`` gives the value alone.
+    ``order`` is the sweep's sort state for ``priors``, carried across
+    calls on the same rows.  The weighted losses take ``class_weights``,
+    else the config's, else they count ``labels``.  ``grad=False`` gives
+    the value alone; neither keyword changes a bit of the result.
     """
     z = _transposed(logits)
     entry = losses.LOSSES[config.loss]
     if entry.uses_candidates:
         ln_p, p = losses._log_softmax(z)
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
-        mask, _, _ = _sweep(priors, p, fallback, mask_only=True)
+        mask, _, _ = _sweep(priors, p, fallback, mask_only=True, order=order)
         ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
     else:
-        weights = None if config.class_weights is None else np.asarray(config.class_weights, dtype=float)
+        weights = config.class_weights if class_weights is None else class_weights
         ev = entry.kernel(z, labels, priors, None, weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)
 
 
-def _scored(config: TrainConfig, iteration: int, phase: str, *batch, grad: bool = True) -> losses.LossEvaluation:
+def _scored(config: TrainConfig, iteration: int, phase: str, *batch, **options) -> losses.LossEvaluation:
     """batch_loss, with non-finite logits reported as the iteration's NonFiniteError."""
     try:
-        return batch_loss(config, *batch, grad=grad)
+        return batch_loss(config, *batch, **options)
     except losses.NonFiniteLogitsError:
         raise _non_finite(iteration, phase) from None
 
@@ -231,13 +239,17 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     improved on its best value for ``patience`` iterations, or at
     ``max_iterations``; the returned parameters are a snapshot from the
     best-EMA iteration.  Candidate sets for the expected-free-energy loss
-    are recomputed from fresh posteriors every iteration.  A non-finite
-    logit or parameter raises NonFiniteError naming the iteration and
-    whether the training step or the validation pass produced it.
+    are recomputed from fresh posteriors every iteration; the validation
+    pass carries its sweep's sort order from one iteration to the next and
+    sorts again only the samples whose order changed, while the training
+    step sorts its batch afresh.  A non-finite logit or parameter raises
+    NonFiniteError naming the iteration and whether the training step or
+    the validation pass produced it.
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
-    posterior is clamped.  The loss rows are kept class-major (K, N).
+    posterior is clamped.  The loss rows are kept class-major (K, N).  The
+    validation set's class weights are counted once per run too.
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
@@ -251,6 +263,11 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     train_rows = _loss_rows(train_set, config)
     val_rows = _loss_rows(val_set, config)
+    val_options = {
+        "grad": False,
+        "class_weights": config.class_weights or losses._label_weights(val_rows[0]),
+        "order": _SweepOrder(val_rows[1]) if len(val_rows) > 1 else None,
+    }
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -272,7 +289,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             params = NetworkParams(specs, vector)
 
             val_logits, _ = forward(params, val_set.features, training=False)
-            val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False)
+            val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, **val_options)
             if ema is None:
                 ema = val_ev.value
             else:

@@ -316,10 +316,11 @@ def lovasz_suite(seed: int = 0, pairs: int = 500) -> list[PropertyResult]:
     ]
 
 
+# a suite called with trials=None runs its default count
 SUITES = {
-    "kelly": lambda seed, trials: kelly_suite(trials=trials or 1000, seed=seed),
-    "gradients": lambda seed, trials: gradient_suite(instances=trials or 100, seed=seed),
-    "lovasz": lambda seed, trials: lovasz_suite(seed=seed, pairs=trials or 500),
+    "kelly": lambda seed, trials: kelly_suite(trials=1000 if trials is None else trials, seed=seed),
+    "gradients": lambda seed, trials: gradient_suite(instances=100 if trials is None else trials, seed=seed),
+    "lovasz": lambda seed, trials: lovasz_suite(seed=seed, pairs=500 if trials is None else trials),
 }
 
 

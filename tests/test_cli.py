@@ -248,6 +248,8 @@ class TestTrain:
             (["--gamma", "nan"], {}, "gamma_mod"),
             ([], {"class_weights": [1, 0, 1]}, "class_weights"),
             ([], {"class_weights": [1, 2]}, "class_weights has 2 entries for 3 classes"),
+            (["--seed", "-1"], {}, "seed must be >= 0"),
+            ([], {"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_bad_numeric_input_is_one_line_usage_error(self, tmp_path, capsys, flags, doc, message):
@@ -331,6 +333,23 @@ class TestVerify:
             rng.integers(2**31)
             redrawn += features.tobytes() != rng.standard_normal((n, 3)).tobytes()
         assert redrawn == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "--seed must be >= 0"),
+            (["--suite", "kelly", "--trials", "-3"], "--trials must be >= 1"),
+            (["--suite", "kelly", "--trials", "0"], "--trials must be >= 1"),
+        ],
+    )
+    def test_bad_seed_or_trials_is_one_line_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *flags, "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

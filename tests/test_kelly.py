@@ -15,6 +15,8 @@ from kellyfe.kelly import (
     MissingReferenceLabelError,
     PROB_CLAMP,
     _max_units,
+    _sweep,
+    _SweepOrder,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
@@ -479,3 +481,99 @@ class TestBatchSweep:
         assert mask[1].tolist() == [True, False]
         with pytest.raises(MissingReferenceLabelError):
             candidate_labels_batch(priors, posteriors)
+
+
+def reference_sweep(a, p, fallback_labels):
+    """The class-major sweep with a fresh stable sort per call and its suffix
+    sums added in a loop from the last sorted row up: the bits the carried
+    sort order must reproduce.
+    """
+    k, n = a.shape
+    q = a / p
+    flat = np.argsort(-q, axis=0, kind="stable") * n + np.arange(n)
+    q_sorted, a_sorted, p_sorted = q.ravel()[flat], a.ravel()[flat], p.ravel()[flat]
+    levels = np.ones((k, n))
+    rest_a, rest_p = a_sorted[k - 1], p_sorted[k - 1]
+    levels[k - 1] = rest_a / rest_p
+    for t in range(k - 2, 0, -1):
+        rest_a = rest_a + a_sorted[t]
+        rest_p = rest_p + p_sorted[t]
+        levels[t] = rest_a / rest_p
+    admitted = q_sorted > levels
+    for t in range(1, k):
+        admitted[t] &= admitted[t - 1]
+    mask = np.zeros(k * n, dtype=bool)
+    mask[flat] = admitted
+    mask = mask.reshape(k, n)
+    unspent = levels[admitted.sum(axis=0), np.arange(n)]
+    fractions = np.where(mask, a - p * unspent, 0.0)
+    empty = ~admitted[0]
+    mask[np.asarray(fallback_labels)[empty], empty] = True
+    return flat, mask, fractions, unspent
+
+
+def _drifting_posteriors(rng, a, steps: int, spread: float):
+    """Class-major posteriors of logits that drift a little per step, with
+    columns edited into exact ratio ties, ties one ulp apart, posteriors
+    equal to the priors (all ratios 1: the fallback), posteriors
+    underflowed to 0 (ratio +inf) and a random set of classes whose ratios
+    all round to one value r or next to it, on a fresh choice of columns
+    each step.  The sweep stops only at a rest of equal ratios, so the last
+    kind leaves rests of several outcomes, whose sums depend on the order
+    of their additions.  ``a`` must hold a twin pair, rows 0 and 1, in its
+    even columns.
+    """
+    k, n = a.shape
+    z = spread * rng.standard_normal((k, n))
+    for _ in range(steps):
+        z = z + 0.05 * spread * rng.standard_normal((k, n))
+        e = np.exp(z - z.max(axis=0))
+        p = e / e.sum(axis=0)
+        kind = rng.integers(0, 8, n)
+        even = np.arange(n) % 2 == 0
+        tie = (kind == 0) & even
+        p[1, tie] = p[0, tie]
+        ulp = (kind == 1) & even
+        p[1, ulp] = np.nextafter(p[0, ulp], 1.0)
+        p[:, kind == 2] = a[:, kind == 2]
+        # zeros in all rows but the last: at least one posterior stays positive
+        zero = (kind == 3)[None, :] & (rng.random((k, n)) < 0.5)
+        zero[-1] = False
+        p[zero] = 0.0
+        near = (kind == 4)[None, :] & (rng.random((k, n)) < 0.5)
+        p[near] = (a / rng.uniform(0.5, 2.0, n))[near]
+        yield p
+
+
+class TestSweepOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 64),
+        n=st.integers(1, 300),
+        steps=st.integers(1, 6),
+        spread=st.sampled_from([0.5, 3.0, 800.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_carried_order_equals_fresh_sweep_bitwise(self, k, n, steps, spread, seed):
+        rng = np.random.default_rng(seed)
+        a = np.ascontiguousarray(clamp_probability_rows(rng.dirichlet(np.ones(k), n)).T)
+        a[1, ::2] = a[0, ::2]
+        fallback = rng.integers(0, k, n)
+        order = _SweepOrder(a)
+        for p in _drifting_posteriors(rng, a, steps, spread):
+            # a posterior of 0, or a denormal one, makes an infinite ratio or
+            # level, and a fraction off the mask may then be 0 * inf
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                flat, *expected = reference_sweep(a, p, fallback)
+                carried = _sweep(a, p, fallback, order=order)
+                fresh = _sweep(a, p, fallback)
+                mask, _, _ = _sweep(a, p, fallback, mask_only=True, order=order)
+            assert order.flat.tobytes() == flat.tobytes()
+            for got, again, want in zip(carried, fresh, expected):
+                assert got.tobytes() == again.tobytes() == want.tobytes()
+            assert mask.tobytes() == expected[0].tobytes()
+
+    def test_order_of_other_priors_rejected(self):
+        a = np.full((3, 4), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="other priors"):
+            _sweep(a, a, [0, 0, 0, 0], order=_SweepOrder(a.copy()))

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kellyfe import data, trainer
+from kellyfe import data, losses, trainer
+from kellyfe.kelly import _SweepOrder
 from kellyfe.network import LayerSpec, init_he
 
 
@@ -133,6 +134,57 @@ class TestTrain:
             trainer.train(cfg, train_set, other)
 
 
+class TestValidationState:
+    """The per-run state of the validation pass changes no bit of its loss."""
+
+    @pytest.mark.parametrize("mode", trainer.MODE_NAMES)
+    def test_carried_sweep_order_gives_the_same_loss(self, mode):
+        val_set = data.with_synthesized_priors(data.generate(4, 2, 300, [0.4, 0.3, 0.2, 0.1], 1.0, seed=3), 0.2)
+        config = trainer.TrainConfig(loss="efe", mode=mode)
+        rows = trainer._loss_rows(val_set, config)
+        order = _SweepOrder(rows[1])
+        rng = np.random.default_rng(7)
+        logits = rng.standard_normal((300, 4))
+        for _ in range(6):
+            logits = logits + 0.1 * rng.standard_normal((300, 4))
+            for grad in (False, True):
+                carried = trainer.batch_loss(config, logits, *rows, grad=grad, order=order)
+                fresh = trainer.batch_loss(config, logits, *rows, grad=grad)
+                assert carried.value.hex() == fresh.value.hex()
+                assert carried.expected_complexity.hex() == fresh.expected_complexity.hex()
+                if grad:
+                    assert carried.grad_logits.tobytes() == fresh.grad_logits.tobytes()
+
+    @pytest.mark.parametrize("loss", ["wce", "wfocal"])
+    def test_counted_weights_give_the_same_loss(self, loss):
+        val_set = data.generate(3, 2, 200, [0.6, 0.3, 0.1], 1.0, seed=4)
+        config = trainer.TrainConfig(loss=loss, mode="grnp")
+        rows = trainer._loss_rows(val_set, config)
+        logits = np.random.default_rng(8).standard_normal((200, 3))
+        counted = trainer.batch_loss(config, logits, *rows, class_weights=losses._label_weights(rows[0]))
+        fresh = trainer.batch_loss(config, logits, *rows)
+        assert counted.value.hex() == fresh.value.hex()
+        assert counted.grad_logits.tobytes() == fresh.grad_logits.tobytes()
+
+    def test_given_weights_are_not_recounted(self):
+        class Uncountable(np.ndarray):
+            def sum(self, *args, **kwargs):
+                raise AssertionError("labels counted")
+
+        labels = np.eye(3)[[0, 1, 2, 0]].T.copy().view(Uncountable)
+        weights = losses._table_weights(np.array([1.0, 2.0, 3.0]), labels)
+        assert weights.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_validation_weights_are_counted_once_per_run(self, monkeypatch):
+        calls = []
+        count = losses._label_weights
+        monkeypatch.setattr(losses, "_label_weights", lambda l: calls.append(l.shape[1]) or count(l))
+        train_set, val_set = _separable_sets(seed=2)
+        cfg = trainer.TrainConfig(loss="wfocal", mode="grnp", max_iterations=7, batch_size=50, seed=0)
+        trainer.train(cfg, train_set, val_set)
+        assert calls == [100] + [50] * 7
+
+
 class TestEvaluate:
     def _all_zero_params(self, n_features, n_classes):
         params = init_he([LayerSpec(n_features, n_classes, activation="linear")], seed=0)
@@ -235,6 +287,7 @@ class TestConfig:
             ("class_weights", (1.0, 0.0, 1.0), "class_weights"),
             ("class_weights", (1.0, float("nan"), 1.0), "class_weights"),
             ("class_weights", (1.0, float("inf")), "class_weights"),
+            ("seed", -1, "seed must be >= 0"),
         ],
     )
     def test_rejects_bad_numeric_fields(self, field, value, message):

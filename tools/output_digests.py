@@ -1,6 +1,7 @@
 """sha256 of the train outputs for the acceptance-config determinism table.
 
     python3 tools/output_digests.py [--src PATH] [--work DIR]
+    python3 tools/output_digests.py --src A --src B [--work DIR]
 
 Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 rows, class split 90/9/1, separation 3, prior noise 0.1; train rows
@@ -18,14 +19,17 @@ exit code and the sha256 of the stdout of three ``kellyfe verify`` runs,
 one per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
-claims byte-identical outputs prints the same tables as its parent: run
-the script on both trees and diff the output.  Uses only the standard
-library.
+claims byte-identical outputs prints the same tables as its parent.  Given
+two ``--src`` trees, the script makes both tables and prints only the rows
+that differ, the first tree's prefixed ``-`` and the second's ``+``; it
+exits 1 if any row differs and 0, printing nothing, if none does.  Uses
+only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -118,20 +122,35 @@ def digest_table(src: Path, work: Path) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the kellyfe package")
+    parser.add_argument(
+        "--src", type=Path, action="append",
+        help="directory holding the kellyfe package (default: this checkout's src); give two to compare them",
+    )
     parser.add_argument("--work", type=Path, help="directory for inputs and outputs (default: a temporary one)")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "kellyfe" / "__init__.py").is_file():
-        parser.error(f"{src} holds no kellyfe package")
-    if args.work is not None:
-        args.work.mkdir(parents=True, exist_ok=True)
-        rows = digest_table(src, args.work)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            rows = digest_table(src, Path(tmp))
-    print("\n".join(rows))
-    return 0
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+    if len(srcs) > 2:
+        parser.error("give one --src, or two")
+    for src in srcs:
+        if not (src / "kellyfe" / "__init__.py").is_file():
+            parser.error(f"{src} holds no kellyfe package")
+    with contextlib.ExitStack() as stack:
+        if args.work is None:
+            work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            work = args.work
+        tables = []
+        for i, src in enumerate(srcs):
+            tree_work = work / str(i) if len(srcs) == 2 else work
+            tree_work.mkdir(parents=True, exist_ok=True)
+            tables.append(digest_table(src, tree_work))
+    if len(tables) == 1:
+        print("\n".join(tables[0]))
+        return 0
+    differ = [(a, b) for a, b in zip(*tables) if a != b]
+    for a, b in differ:
+        print(f"-{a}\n+{b}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
