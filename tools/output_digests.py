@@ -29,7 +29,6 @@ only the standard library.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -134,11 +133,8 @@ def main(argv=None) -> int:
     for src in srcs:
         if not (src / "kellyfe" / "__init__.py").is_file():
             parser.error(f"{src} holds no kellyfe package")
-    with contextlib.ExitStack() as stack:
-        if args.work is None:
-            work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        else:
-            work = args.work
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
         tables = []
         for i, src in enumerate(srcs):
             tree_work = work / str(i) if len(srcs) == 2 else work
