@@ -70,6 +70,8 @@ def generate(n_classes, n_features, n_samples, frequencies, cluster_separation, 
         raise ValueError("need at least one sample per class")
     if n_features < 2:
         raise ValueError("cluster geometry needs at least 2 features")
+    if not np.isfinite(cluster_separation):
+        raise ValueError("cluster_separation must be finite")
     counts = class_counts(n_samples, f)
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, n_features))

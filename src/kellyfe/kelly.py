@@ -288,7 +288,10 @@ def _sweep(
     (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
-    ``mask_only`` the fractions and the unspent ratios come back as None.
+    ``mask_only`` the prior rest sums at the stop take the fractions'
+    place, both (N,), when every sample admitted an outcome and left a rest
+    of one or two (whose sums have the bits of class-order sums, as in
+    ``losses._efe``); otherwise both come back as None.
     ``order`` is a ``_SweepOrder`` of ``a`` carried from earlier calls; it
     is updated to the order of ``a / p``, which saves the sort of every
     sample whose order did not change.  Without one, every sample is
@@ -322,6 +325,10 @@ def _sweep(
         # most K - 1 outcomes are admitted and the level index is in range
         unspent = levels[admitted.sum(axis=0), np.arange(n)]
         fractions = np.where(mask, a - p * unspent, 0.0)
+    elif admitted[max(k - 3, 0)].all():
+        # every sample admitted an outcome and left a rest of one or two
+        at = (np.add.reduce(admitted, axis=0, dtype=np.intp) - 1) * n + np.arange(n)
+        fractions, unspent = rest_a.ravel()[at], levels[1:].ravel()[at]
 
     if not admitted[0].all():
         empty = ~admitted[0]

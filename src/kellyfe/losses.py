@@ -380,7 +380,8 @@ def efe_loss(logits, labels, priors, candidate_sets, *, grad: bool = True) -> Lo
 
 
 def _efe(
-    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool,
+    rest_a: np.ndarray | None = None, level: np.ndarray | None = None,
 ) -> LossEvaluation:
     """efe_loss on ``(ln p, p)`` of ``_log_softmax`` and clamped priors ``a`` (``ln_a = log a``).
 
@@ -391,23 +392,24 @@ def _efe(
     For a mask of the sweep the rest holds at least as much posterior as
     prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding;
     ``efe_loss`` rejects a hand-made mask whose rest posteriors all
-    underflow.  A row without a rest has no rest term.
+    underflow.  A row without a rest has no rest term.  ``rest_a`` and
+    ``level = rest_a / rest_p`` may come from the sweep (``kelly._sweep``).
     """
     k, n = p.shape
     scale = 1.0 / (k * n)
     uncertainty = -scale * _total(l * p, ln_p)
 
-    rest_a = class_sums(np.where(mask, 0.0, a))
-    rest_p = class_sums(np.where(mask, 0.0, p))
-    ratio = np.divide(rest_a, rest_p, out=np.ones(n), where=rest_a > 0.0)
+    if level is None:
+        rest_a = class_sums(np.where(mask, 0.0, a))
+        level = np.divide(rest_a, class_sums(np.where(mask, 0.0, p)), out=np.ones(n), where=rest_a > 0.0)
     cand_terms = class_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
-    complexity = scale * float((cand_terms + rest_a * np.log(ratio)).sum())
+    complexity = scale * float((cand_terms + rest_a * np.log(level)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
 
     grad_p = -scale * l * (ln_p + 1.0)
     grad_unc = p * (grad_p - class_sums(grad_p * p))
-    target = np.where(mask, a, p * ratio)
+    target = np.where(mask, a, p * level)
     grad_cmp = scale * (p * class_sums(a) - target)
     return LossEvaluation(
         value=uncertainty + complexity,

@@ -171,23 +171,27 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     return h, cache
 
 
-def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> np.ndarray:
+def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: NetworkParams | None = None) -> np.ndarray:
     """Backpropagate a logits gradient; returns the parameter gradient.
 
     ``cache`` comes from a ``training=True`` forward pass on ``params``.
-    The gradient is one vector in the layout of ``params.vector``.  The
-    leakage gradient collects pre-activation * upstream over the
-    non-positive-input positions: at an exact kink (z = +-0) the leakage
-    side is taken.
+    The gradient is one vector in the layout of ``params.vector``, written
+    over ``out.vector`` when ``out`` (a ``NetworkParams`` of the same specs)
+    is given.  The leakage gradient collects pre-activation * upstream over
+    the non-positive-input positions: at an exact kink (z = +-0) the
+    leakage side is taken.
     """
     if cache is None:
         raise StaleCacheError("backward needs the cache of a training=True forward pass")
     if cache.params is not params:
         raise StaleCacheError("cache does not belong to these parameters")
+    if out is None:
+        out = NetworkParams(params.specs, np.zeros_like(params.vector))
+    elif out.specs != params.specs:
+        raise ValueError("out does not have the layout of params")
     d = np.asarray(grad_logits, dtype=float)
-    grad = np.zeros_like(params.vector)
-    layers = zip(params.specs, params.layers, _layer_views(grad, params.specs), cache.layers)
-    for spec, lp, gl, lc in reversed(list(layers)):
+    layers = enumerate(zip(params.specs, params.layers, out.layers, cache.layers))
+    for i, (spec, lp, gl, lc) in reversed(list(layers)):
         if d.shape != (lc.inputs.shape[0], spec.output_width):
             raise ValueError("upstream gradient shape mismatch")
         if lc.mask is not None:
@@ -196,10 +200,13 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_logits) -> np.ndar
             negative = lc.pre_activation <= 0.0
             gl.prelu_leakage[...] = (lc.pre_activation * d)[negative].sum()
             d = d * np.where(negative, lp.prelu_leakage, 1.0)
+        else:
+            gl.prelu_leakage[...] = 0.0
         gl.weights[...] = d.T @ lc.inputs
         gl.biases[...] = d.sum(axis=0)
-        d = d @ lp.weights
-    return grad
+        if i:
+            d = d @ lp.weights
+    return out.vector
 
 
 def to_json(params: NetworkParams) -> str:

@@ -1,12 +1,13 @@
 """The Adam parameter update.
 
 It acts on the flat float64 parameter vector (network.NetworkParams.vector)
-and is purely functional: it returns an updated copy instead of mutating.
+in place: ``adam_step`` updates the moment estimates, the step counter and
+the parameters it is given, and allocates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +17,13 @@ DEFAULT_BETA_FM = 0.90
 DEFAULT_BETA_SM = 0.99
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """Exponential moment estimates plus the step counter.
+    """Exponential moment estimates plus the step counter, updated in place.
 
     ``step`` counts completed updates; bias correction uses the
-    post-increment index, so the first update divides by 1 - beta.
+    post-increment index, so the first update divides by 1 - beta.  Two
+    scratch arrays of the moments' size hold the update's intermediates.
     """
 
     first_moment: np.ndarray
@@ -30,6 +32,9 @@ class AdamState:
     alpha_lr: float = DEFAULT_ALPHA_LR
     beta_fm: float = DEFAULT_BETA_FM
     beta_sm: float = DEFAULT_BETA_SM
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def init_adam(
@@ -40,32 +45,32 @@ def init_adam(
 ) -> AdamState:
     if not 0.0 <= beta_fm < 1.0 or not 0.0 <= beta_sm < 1.0:
         raise ValueError("moment rates must lie in [0, 1)")
-    return AdamState(
-        first_moment=np.zeros(n_params),
-        second_moment=np.zeros(n_params),
-        step=0,
-        alpha_lr=alpha_lr,
-        beta_fm=beta_fm,
-        beta_sm=beta_sm,
-    )
+    return AdamState(np.zeros(n_params), np.zeros(n_params), 0, alpha_lr, beta_fm, beta_sm)
 
 
-def adam_step(state: AdamState, params, grads) -> tuple[AdamState, np.ndarray]:
-    """One Adam update with bias-corrected moments.
+def adam_step(state: AdamState, params: np.ndarray, grads) -> tuple[AdamState, np.ndarray]:
+    """One Adam update with bias-corrected moments, in place; returns ``(state, params)``.
 
     delta = m_hat / (sqrt(v_hat) + 1e-8), with the epsilon added after the
     square root.  The first step has |delta| <= 1 regardless of gradient
-    scale.
+    scale.  ``params`` must be a float64 array; it and ``state`` are
+    updated and returned, with the bits of ``m = beta_fm * m + (1 - beta_fm)
+    * g`` and so on: the same operations in the same order.
     """
-    p = np.asarray(params, dtype=float)
     g = np.asarray(grads, dtype=float)
-    if p.shape != g.shape:
-        raise ValueError("params and grads shapes differ")
+    if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+        raise TypeError("params must be a float64 array, which is updated in place")
+    if params.shape != g.shape or params.shape != state.first_moment.shape:
+        raise ValueError("params, grads and moment shapes differ")
     i = state.step + 1
-    m = state.beta_fm * state.first_moment + (1.0 - state.beta_fm) * g
-    v = state.beta_sm * state.second_moment + (1.0 - state.beta_sm) * g * g
-    m_hat = m / (1.0 - state.beta_fm**i)
-    v_hat = v / (1.0 - state.beta_sm**i)
-    delta = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    new_state = replace(state, first_moment=m, second_moment=v, step=i)
-    return new_state, p - state.alpha_lr * delta
+    m, v, (s1, s2) = state.first_moment, state.second_moment, state._scratch
+    m *= state.beta_fm
+    m += np.multiply(g, 1.0 - state.beta_fm, out=s1)
+    v *= state.beta_sm
+    v += np.multiply(np.multiply(g, 1.0 - state.beta_sm, out=s1), g, out=s1)
+    np.divide(m, 1.0 - state.beta_fm**i, out=s1)
+    np.sqrt(np.divide(v, 1.0 - state.beta_sm**i, out=s2), out=s2)
+    s2 += ADAM_EPS
+    params -= np.multiply(np.divide(s1, s2, out=s1), state.alpha_lr, out=s1)
+    state.step = i
+    return state, params

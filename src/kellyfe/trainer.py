@@ -14,7 +14,7 @@ and returns the parameters from the best-EMA iteration.
 
 from __future__ import annotations
 
-import copy
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -59,6 +59,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = [(name, [getattr(self, name)]) for name in ("seed", "batch_size", "max_iterations", "patience")]
+        for name, values in [*counts, ("hidden_widths", self.hidden_widths)]:
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} must be {'integers' if name == 'hidden_widths' else 'an integer'}")
         if self.loss not in LOSS_NAMES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.mode not in MODE_NAMES:
@@ -149,19 +153,30 @@ def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """batch_loss's arrays after the logits: the mode's label rows (one-hot in
     gr* modes, uniform otherwise) and, for a loss that uses candidate sets,
     its prior rows (uniform in *np modes) clamped once, their logarithms and
-    the (N,) reference labels.  Rows are class-major (K, N); a batch takes
-    ``rows[..., idx]`` of each."""
+    the (N,) reference labels.  Rows are class-major (K, N), and the float
+    rows are views of one stacked (R*K, N) array, their ``base``, so that
+    ``_batch_rows`` gathers a batch of them at once."""
     n, k = len(dataset), dataset.n_classes
+    uses_candidates = losses.LOSSES[config.loss].uses_candidates
+    block = np.empty((3 * k if uses_candidates else k, n))
+    labels = block[:k]
+    labels.fill(0.0 if supervised(config.mode) else 1.0 / k)
     if supervised(config.mode):
-        labels = np.zeros((k, n))
         labels[dataset.reference_labels, np.arange(n)] = 1.0
-    else:
-        labels = np.full((k, n), 1.0 / k)
-    if not losses.LOSSES[config.loss].uses_candidates:
+    if not uses_candidates:
         return (labels,)
     priors = dataset.priors if config.mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
-    priors = _transposed(clamp_probability_rows(priors))
-    return labels, priors, np.log(priors), dataset.reference_labels
+    block[k : 2 * k] = clamp_probability_rows(priors).T
+    np.log(block[k : 2 * k], out=block[2 * k :])
+    return labels, block[k : 2 * k], block[2 * k :], dataset.reference_labels
+
+
+def _batch_rows(rows: tuple[np.ndarray, ...], idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``_loss_rows`` of the samples ``idx``: one gather of the stacked float rows."""
+    k = rows[0].shape[0]
+    block = rows[0].base[:, idx]
+    floats = block.shape[0] // k
+    return (*(block[i * k : (i + 1) * k] for i in range(floats)), *(r[idx] for r in rows[floats:]))
 
 
 def batch_loss(
@@ -195,8 +210,8 @@ def batch_loss(
     if entry.uses_candidates:
         ln_p, p = losses._log_softmax(z)
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
-        mask, _, _ = _sweep(priors, p, fallback, mask_only=True, order=order)
-        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
+        mask, rest_a, level = _sweep(priors, p, fallback, mask_only=True, order=order)
+        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad, rest_a, level)
     else:
         weights = config.class_weights if class_weights is None else class_weights
         ev = entry.kernel(z, labels, priors, None, weights, config.gamma_mod, grad)
@@ -249,7 +264,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
     posterior is clamped.  The loss rows are kept class-major (K, N).  The
-    validation set's class weights are counted once per run too.
+    validation set's class weights are counted once per run too, and so are
+    the parameter and gradient views: Adam steps the parameters in place.
     """
     check_compatibility(config)
     if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
@@ -259,6 +275,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     specs = _network_specs(config, train_set.n_features, train_set.n_classes)
     params = init_he(specs, seed=_derived_seed(config.seed, 0))
+    grads = NetworkParams(specs, np.zeros_like(params.vector))
     state = init_adam(params.vector.size, config.alpha_lr, config.beta_fm, config.beta_sm)
 
     train_rows = _loss_rows(train_set, config)
@@ -272,7 +289,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     history: list[HistoryRecord] = []
     best_ema = np.inf
     best_iteration = 0
-    best_params = params
+    best_vector = params.vector.copy()
     ema = None
     iteration = 0
     epoch = 0
@@ -282,11 +299,10 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             iteration += 1
             dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
             logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
-            ev = _scored(config, iteration, "training step", logits, *(rows[..., idx] for rows in train_rows))
-            state, vector = adam_step(state, params.vector, backward(params, cache, ev.grad_logits))
-            if not np.isfinite(vector).all():
+            ev = _scored(config, iteration, "training step", logits, *_batch_rows(train_rows, idx))
+            adam_step(state, params.vector, backward(params, cache, ev.grad_logits, out=grads))
+            if not np.isfinite(params.vector).all():
                 raise _non_finite(iteration, "training step")
-            params = NetworkParams(specs, vector)
 
             val_logits, _ = forward(params, val_set.features, training=False)
             val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, **val_options)
@@ -307,12 +323,12 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             if ema < best_ema:
                 best_ema = ema
                 best_iteration = iteration
-                best_params = params
+                np.copyto(best_vector, params.vector)
             if iteration - best_iteration >= config.patience or iteration >= config.max_iterations:
                 stop = True
                 break
         epoch += 1
-    return best_params, history
+    return NetworkParams(specs, best_vector), history
 
 
 def evaluate(params: NetworkParams, test_set: Dataset) -> MetricsReport:
@@ -412,9 +428,9 @@ def config_from_dict(doc: dict) -> TrainConfig:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    doc = copy.deepcopy(doc)
+    doc = dict(doc)
     if "hidden_widths" in doc:
-        doc["hidden_widths"] = tuple(int(w) for w in doc["hidden_widths"])
+        doc["hidden_widths"] = tuple(doc["hidden_widths"])
     if doc.get("class_weights") is not None:
         doc["class_weights"] = tuple(float(w) for w in doc["class_weights"])
     return TrainConfig(**doc)

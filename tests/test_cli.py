@@ -52,6 +52,19 @@ class TestGenerate:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
+    def test_non_finite_separation_is_one_line_usage_error(self, tmp_path, capsys, separation):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "generate", "--classes", "2", "--frequencies", "0.5,0.5", "--samples", "10",
+                f"--separation={separation}", "--out", str(out), "--no-timestamp",
+            ])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "cluster_separation must be finite" in errors[0]
+        assert not out.exists()
+
     def test_label_flip_exact_count(self, tmp_path, capsys):
         out = _generate(tmp_path, "flipped.csv", samples=100, label_flip=0.2)
         ds = data.load_dataset(out)
@@ -263,6 +276,30 @@ class TestTrain:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"batch_size": 1.5}, "batch_size must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"patience": 2.5}, "patience must be an integer"),
+            ({"max_iterations": 3.5}, "max_iterations must be an integer"),
+            ({"hidden_widths": [2.7]}, "hidden_widths must be integers"),
+        ],
+    )
+    def test_non_integer_config_count_is_one_line_usage_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = self._train_args(tmp_path, "bad", loss="wfocal", mode="grnp") + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"invalid config: {message}" in errors[0]
         assert not (tmp_path / "bad").exists()
 
     def test_config_file_with_unknown_key_rejected(self, tmp_path):

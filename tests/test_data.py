@@ -46,6 +46,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(3, 2, 10, [0.5, 0.5], 1.0, seed=0)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ValueError, match="cluster_separation must be finite"):
+            generate(2, 2, 10, [0.5, 0.5], separation, seed=0)
+
     def test_separated_clusters_are_distinguishable(self):
         ds = generate(2, 2, 400, [0.5, 0.5], 6.0, seed=2)
         m0 = ds.features[ds.true_labels == 0].mean(axis=0)

@@ -26,6 +26,7 @@ from kellyfe.kelly import (
     log_growth,
     class_sums,
 )
+from kellyfe.losses import _efe
 from kellyfe.verify import PAIR_FLOOR, draw_probability_pair
 
 PRIOR3 = [0.6, 0.3, 0.1]
@@ -512,7 +513,7 @@ def reference_sweep(a, p, fallback_labels):
     return flat, mask, fractions, unspent
 
 
-def _drifting_posteriors(rng, a, steps: int, spread: float):
+def _drifting_posteriors(rng, a, steps: int, spread: float, edit_share: float = 1.0):
     """Class-major posteriors of logits that drift a little per step, with
     columns edited into exact ratio ties, ties one ulp apart, posteriors
     equal to the priors (all ratios 1: the fallback), posteriors
@@ -521,7 +522,8 @@ def _drifting_posteriors(rng, a, steps: int, spread: float):
     each step.  The sweep stops only at a rest of equal ratios, so the last
     kind leaves rests of several outcomes, whose sums depend on the order
     of their additions.  ``a`` must hold a twin pair, rows 0 and 1, in its
-    even columns.
+    even columns.  ``edit_share`` below 1 leaves the other columns of
+    each step unedited.
     """
     k, n = a.shape
     z = spread * rng.standard_normal((k, n))
@@ -530,6 +532,8 @@ def _drifting_posteriors(rng, a, steps: int, spread: float):
         e = np.exp(z - z.max(axis=0))
         p = e / e.sum(axis=0)
         kind = rng.integers(0, 8, n)
+        if edit_share < 1.0:
+            kind[rng.random(n) >= edit_share] = 7
         even = np.arange(n) % 2 == 0
         tie = (kind == 0) & even
         p[1, tie] = p[0, tie]
@@ -572,6 +576,50 @@ class TestSweepOrder:
             for got, again, want in zip(carried, fresh, expected):
                 assert got.tobytes() == again.tobytes() == want.tobytes()
             assert mask.tobytes() == expected[0].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(2, 64),
+        n=st.integers(1, 300),
+        steps=st.integers(1, 6),
+        spread=st.sampled_from([0.5, 3.0, 800.0]),
+        edit_share=st.sampled_from([0.0, 0.01, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_level_at_the_stop_has_the_bits_of_the_class_order_sums(self, k, n, steps, spread, edit_share, seed):
+        rng = np.random.default_rng(seed)
+        a = np.ascontiguousarray(clamp_probability_rows(rng.dirichlet(np.ones(k), n)).T)
+        a[1, ::2] = a[0, ::2]
+        ln_a = np.log(a)
+        fallback = rng.integers(0, k, n)
+        labels = np.zeros((k, n))
+        labels[rng.integers(0, k, n), np.arange(n)] = 1.0
+        order = _SweepOrder(a)
+        for p in _drifting_posteriors(rng, a, steps, spread, edit_share):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                mask, rest_a, level = _sweep(a, p, fallback, mask_only=True, order=order)
+                fresh = _sweep(a, p, fallback, mask_only=True)
+                class_rest_a = class_sums(np.where(mask, 0.0, a))
+                class_level = class_rest_a / class_sums(np.where(mask, 0.0, p))
+                ln_p = np.log(p)
+                given_rest = [None] if level is None else [None, (rest_a, level)]
+                evaluations = [
+                    _efe(ln_p, p, labels, a, ln_a, mask, grad, rest) for grad in (False, True) for rest in given_rest
+                ]
+            assert [None if x is None else x.tobytes() for x in fresh] == [
+                None if x is None else x.tobytes() for x in (mask, rest_a, level)
+            ]
+            if level is None:
+                assert rest_a is None
+                continue
+            admitted = mask.sum(axis=0)
+            assert np.all((admitted >= 1) & (admitted >= k - 2))
+            assert rest_a.tobytes() == class_rest_a.tobytes()
+            assert level.tobytes() == class_level.tobytes()
+            for without, with_rest in (evaluations[:2], evaluations[2:]):
+                for name in ("value", "uncertainty", "expected_complexity", "grad_logits"):
+                    got, want = (np.asarray(getattr(ev, name)).tobytes() for ev in (with_rest, without))
+                    assert got == want
 
     def test_order_of_other_priors_rejected(self):
         a = np.full((3, 4), 1.0 / 3.0)

@@ -273,6 +273,34 @@ class TestBackward:
         with pytest.raises(StaleCacheError):
             backward(other, cache, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("retention", [1.0, 0.7])
+    def test_out_is_filled_like_a_fresh_gradient(self, retention):
+        specs = (
+            LayerSpec(3, 5, dropout_retention=retention),
+            LayerSpec(5, 4, dropout_retention=retention),
+            LayerSpec(4, 3, activation="linear"),
+        )
+        params = init_he(specs, seed=12)
+        rng = np.random.default_rng(12)
+        out = NetworkParams(specs, np.full_like(params.vector, np.nan))
+        for step in range(3):
+            x = rng.standard_normal((7, 3))
+            logits, cache = forward(params, x, training=True, seed=step)
+            upstream = rng.standard_normal(logits.shape)
+            fresh = backward(params, cache, upstream)
+            # a NaN-filled, then a reused out: no entry may keep an old value
+            filled = backward(params, cache, upstream, out=out)
+            assert filled is out.vector
+            assert filled.tobytes() == fresh.tobytes()
+            params.vector[...] += 0.01 * fresh
+
+    def test_out_of_other_specs_rejected(self):
+        params = init_he([LayerSpec(2, 2)], seed=9)
+        _, cache = forward(params, np.zeros((1, 2)), training=True)
+        other = init_he([LayerSpec(2, 3)], seed=9)
+        with pytest.raises(ValueError, match="layout"):
+            backward(params, cache, np.zeros((1, 2)), out=other)
+
 
 class TestPersistence:
     def test_round_trip_is_exact(self, tmp_path):

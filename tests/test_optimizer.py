@@ -67,3 +67,28 @@ class TestAdamStep:
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             init_adam(1, beta_fm=1.0)
+
+    def test_in_place_update_equals_the_written_formula_bitwise(self):
+        rng = np.random.default_rng(11)
+        state = init_adam(40, alpha_lr=0.003, beta_fm=0.8, beta_sm=0.95)
+        params = rng.standard_normal(40)
+        m, v, theta = np.zeros(40), np.zeros(40), params.copy()
+        for i in range(1, 51):
+            g = rng.standard_normal(40) * 10.0 ** rng.integers(-6, 4)
+            m = 0.8 * m + (1.0 - 0.8) * g
+            v = 0.95 * v + (1.0 - 0.95) * g * g
+            m_hat = m / (1.0 - 0.8**i)
+            v_hat = v / (1.0 - 0.95**i)
+            theta = theta - 0.003 * (m_hat / (np.sqrt(v_hat) + 1e-8))
+            same_state, same_params = adam_step(state, params, g)
+            assert same_state is state and same_params is params
+            assert state.step == i
+            assert params.tobytes() == theta.tobytes()
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
+
+    def test_params_must_be_a_float_array(self):
+        with pytest.raises(TypeError, match="in place"):
+            adam_step(init_adam(2), [0.0, 1.0], np.zeros(2))
+        with pytest.raises(ValueError, match="shapes differ"):
+            adam_step(init_adam(2), np.zeros(3), np.zeros(3))

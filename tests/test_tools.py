@@ -1,0 +1,45 @@
+"""Argument checks of the comparison tools in tools/, which refuse before any training run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TOOLS = ("output_digests", "iteration_cost")
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _refusal(module, argv, capsys) -> str:
+    # a run would call these; a refusal must come before either
+    def no_run(*args, **kwargs):
+        raise AssertionError("the tool started a run")
+
+    for name in ("digest_table", "measure", "paired"):
+        if hasattr(module, name):
+            setattr(module, name, no_run)
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", TOOLS)
+def test_src_without_a_package_exits_2(name, tmp_path, capsys):
+    flags = ["--loss", "efe", "--mode", "grpr"] if name == "iteration_cost" else []
+    err = _refusal(_tool(name), [*flags, "--src", str(SRC), "--src", str(tmp_path)], capsys)
+    assert f"{tmp_path} holds no kellyfe package" in err
+
+
+@pytest.mark.parametrize("name", TOOLS)
+def test_third_src_exits_2(name, capsys):
+    flags = ["--loss", "efe", "--mode", "grpr"] if name == "iteration_cost" else []
+    err = _refusal(_tool(name), [*flags, *["--src", str(SRC)] * 3], capsys)
+    assert "give one --src, or two" in err

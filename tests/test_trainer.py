@@ -64,6 +64,21 @@ class TestTrain:
         assert len(history) == 17
         assert [h.iteration for h in history] == list(range(1, 18))
 
+    @pytest.mark.parametrize("loss, mode", [("efe", "grpr"), ("ce", "grnp")])
+    def test_best_snapshot_survives_later_steps(self, loss, mode):
+        # a large step size makes the validation EMA turn up, so the run
+        # stops on patience after its best iteration; the parameters are
+        # stepped in place, and the snapshot must not follow them
+        train_set = data.with_synthesized_priors(data.generate(3, 2, 200, [0.6, 0.3, 0.1], 1.0, seed=3), 0.3)
+        val_set = data.with_synthesized_priors(data.generate(3, 2, 100, [0.6, 0.3, 0.1], 1.0, seed=4), 0.3)
+        cfg = trainer.TrainConfig(loss=loss, mode=mode, patience=5, max_iterations=300, seed=2, alpha_lr=0.05)
+        params, history = trainer.train(cfg, train_set, val_set)
+        best = 1 + int(np.argmin([h.val_loss_ema for h in history]))
+        assert best < len(history) < 300
+        capped, _ = trainer.train(dataclasses.replace(cfg, max_iterations=best), train_set, val_set)
+        assert params.vector.tobytes() == capped.vector.tobytes()
+        assert [lp.weights.base is params.vector for lp in params.layers] == [True] * len(params.layers)
+
     def test_determinism_bitwise(self):
         train_set, val_set = _separable_sets(seed=9)
         cfg = trainer.TrainConfig(loss="efe", mode="grpr", max_iterations=60, seed=11)
@@ -293,6 +308,33 @@ class TestConfig:
     def test_rejects_bad_numeric_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             trainer.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", 2.0),
+            ("seed", True),
+            ("batch_size", 1.5),
+            ("max_iterations", 3.5),
+            ("patience", 2.5),
+            ("patience", False),
+            ("hidden_widths", (2.7,)),
+            ("hidden_widths", (8, True)),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must .*be .*integers?"):
+            trainer.TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = trainer.TrainConfig(seed=np.int64(3), hidden_widths=(np.int32(4),))
+        assert cfg.seed == 3 and cfg.hidden_widths == (4,)
+
+    def test_config_from_dict_keeps_width_types(self):
+        with pytest.raises(ValueError, match="hidden_widths must be integers"):
+            trainer.config_from_dict({"hidden_widths": [2.7]})
+        assert trainer.config_from_dict({"hidden_widths": [4, 2]}).hidden_widths == (4, 2)
 
     def test_accepts_edge_values(self):
         cfg = trainer.TrainConfig(hidden_widths=(), dropout_retention=1.0, alpha_lr=1e-9)
