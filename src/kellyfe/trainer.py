@@ -14,6 +14,7 @@ and returns the parameters from the best-EMA iteration.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -428,7 +429,7 @@ def config_from_dict(doc: dict) -> TrainConfig:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    doc = dict(doc)
+    doc = copy.deepcopy(doc)
     if "hidden_widths" in doc:
         doc["hidden_widths"] = tuple(doc["hidden_widths"])
     if doc.get("class_weights") is not None:
