@@ -4,9 +4,9 @@ The kelly module solves the multi-outcome optimal-betting problem in closed
 form and carries its own brute-force grid oracle; losses provides the
 expected-free-energy objective together with the cross-entropy family, the
 Dice surrogate, and the Lovasz-Softmax loss, all with analytic gradients in
-the logits; network/optimizer/data/trainer form a desk-scale training
-harness around them, and verify replays the math against independent
-oracles.
+the logits and all reached through the ``LOSSES`` table;
+network/optimizer/data/trainer form a desk-scale training harness around
+them, and verify replays the math against independent oracles.
 """
 
 from .kelly import (
@@ -19,19 +19,15 @@ from .kelly import (
     log_growth,
 )
 from .losses import (
+    LOSSES,
+    LossEntry,
     LossEvaluation,
-    cross_entropy,
-    dice_similarity,
-    efe_loss,
-    focal,
     jaccard_distance_set,
     lovasz_extension,
     lovasz_grad,
     lovasz_softmax,
     softmax,
     vfe_decompose,
-    weighted_cross_entropy,
-    weighted_focal,
 )
 from .network import LayerSpec, NetworkParams, backward, forward, init_he, load_params, save_params
 from .optimizer import AdamState, adam_step, init_adam
@@ -44,7 +40,9 @@ __all__ = [
     "AdamState",
     "Dataset",
     "KellySolution",
+    "LOSSES",
     "LayerSpec",
+    "LossEntry",
     "LossEvaluation",
     "MetricsReport",
     "NetworkParams",
@@ -57,11 +55,7 @@ __all__ = [
     "candidate_labels_batch",
     "clamp_probabilities",
     "corrupt_labels",
-    "cross_entropy",
-    "dice_similarity",
-    "efe_loss",
     "evaluate",
-    "focal",
     "forward",
     "generate",
     "init_adam",
@@ -80,6 +74,4 @@ __all__ = [
     "synthesize_priors",
     "train",
     "vfe_decompose",
-    "weighted_cross_entropy",
-    "weighted_focal",
 ]

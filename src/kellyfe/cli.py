@@ -54,8 +54,7 @@ def cmd_generate(args, parser) -> int:
             seed=args.seed,
         )
         dataset = data.with_synthesized_priors(dataset, args.prior_noise)
-        if args.label_flip > 0.0:
-            dataset = data.with_corrupt_labels(dataset, args.label_flip, seed=args.seed + 1)
+        dataset = data.with_corrupt_labels(dataset, args.label_flip, seed=args.seed + 1)
     except ValueError as exc:
         parser.error(str(exc))
     _print_timestamp(args)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kelly import PROB_CLAMP
+from .kelly import clamp_probability_rows
 
 
 @dataclass
@@ -99,15 +99,15 @@ def synthesize_priors(true_labels, n_classes: int, prior_noise: float) -> np.nda
     """Per-sample priors (1 - eps) * one_hot(true label) + eps * uniform.
 
     eps = 1 yields exactly uniform rows.  Rows are clamped to the open
-    simplex and renormalized.  The mixture is deterministic.
+    simplex and renormalized by ``kelly.clamp_probability_rows``.  The
+    mixture is deterministic.
     """
     if not 0.0 <= prior_noise <= 1.0:
         raise ValueError("prior_noise must lie in [0, 1]")
     labels = np.asarray(true_labels, dtype=int)
     rows = np.full((labels.size, n_classes), prior_noise / n_classes)
     rows[np.arange(labels.size), labels] += 1.0 - prior_noise
-    rows = np.clip(rows, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return rows / rows.sum(axis=1, keepdims=True)
+    return clamp_probability_rows(rows)
 
 
 def corrupt_labels(true_labels, flip_fraction: float, n_classes: int, seed: int) -> np.ndarray:

@@ -8,6 +8,15 @@ computes its value first and its gradient only when asked: with
 ``grad=False`` the evaluation carries the same value bit for bit and no
 gradient, which is how the trainer scores its validation set.
 
+LOSSES is the one way to reach a trainable loss.  It maps each loss name to
+its kernel plus whether it needs reference labels and whether it uses the
+candidate sets.  The kernels take class-major (K, N) arrays, one contiguous
+row per class, and the trainer calls them; ``LossEntry.evaluate`` is the
+same loss on (N, K) arrays, one row per sample, which the verify suites,
+the tests and the demos call; the command line reads the names.  Class
+sums (``kelly.class_sums``) and sums over samples (``_products``) are taken
+in numpy's order for the (N, K) layout, so both layouts give the same bits.
+
 The cross-entropy family and the expected-free-energy loss read ln p and p
 from one ``_log_softmax``, which holds the only finiteness check of the
 logits.  No posterior is clamped: ln p is the shifted logit less the log of
@@ -18,39 +27,27 @@ unit-weight, gamma_mod = 0 case.  It normalizes by 1/(K*N) and returns
 nonnegative values.  The expected-free-energy loss combines a
 label-weighted posterior-entropy term with the coarsened prior/posterior
 divergence over per-sample candidate outcome sets from the kelly module,
-which are held constant under differentiation.  ``efe_loss`` clamps its
-priors and calls the private kernel ``_efe``, which the trainer calls
-directly with its own once-clamped priors.
+which are held constant under differentiation.  Its table kernel clamps
+the priors (``kelly.clamp_probability_rows``) and calls ``_efe``, which the
+trainer calls directly with its own once-clamped priors.
 
-The Dice similarity and the Lovasz-Softmax loss are defined on posteriors,
-which may sit at exact 0/1 vertices; their gradients are chained through
-the softmax Jacobian and their table entries apply ``softmax`` to the
-logits.  The Dice similarity is returned as the quantity to *maximize*; the
-loss table minimizes 1 - value with the negated gradient.  The
+The Dice loss (1 - the soft Dice similarity) and the Lovasz-Softmax loss
+are defined on posteriors; their gradients are chained through the softmax
+Jacobian by ``_softmax_chain``, as is the EFE uncertainty gradient.  The
 Lovasz-Softmax loss is the convex closure of the per-class Jaccard distance
-over sorted mispredictions.
-
-The public functions take and return (N, K) arrays, one row per sample;
-the kernels (``_log_softmax``, ``_weighted_focal``, ``_efe``) take
-class-major (K, N) arrays, one contiguous row per class.  Class sums
-(``kelly.class_sums``) and whole-array totals (``_total``) are taken in
-numpy's order for the (N, K) layout, so both layouts give the same bits.
-
-LOSSES maps each trainable loss name to its kernel plus whether it needs
-reference labels and whether it uses the candidate sets; the trainer calls
-the kernels, the verify suites the (N, K) ``evaluate`` and the command line
-reads the names.  vfe_decompose is a single-distribution diagnostic for the
-free-energy identities.
+over sorted mispredictions; ``lovasz_softmax`` is its (N, K) form on
+posteriors, which may sit at exact 0/1 vertices.  vfe_decompose is a
+single-distribution diagnostic for the free-energy identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kelly import PROB_CLAMP, _transposed, class_sums, clamp_probabilities, clamp_probability_rows
+from .kelly import _transposed, class_sums, clamp_probabilities, clamp_probability_rows
 
 
 class LabelsNotOneHotError(ValueError):
@@ -102,11 +99,11 @@ def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | N
     return z - np.log(total), e / total if posteriors else None
 
 
-def _total(x: np.ndarray, y: np.ndarray) -> float:
-    """The sum of ``x * y`` over (K, N) arrays, in the order numpy sums the C-ordered (N, K) product."""
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` of (K, N) arrays in a C-ordered (N, K) array, whose sums have the bits of numpy's (N, K) sums."""
     product = np.empty(x.shape[::-1])
     np.multiply(x, y, out=product.T)
-    return float(product.sum())
+    return product
 
 
 def _transposed_grad(ev: LossEvaluation) -> LossEvaluation:
@@ -124,16 +121,9 @@ def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
     return x, l
 
 
-def _chain_softmax(posteriors: np.ndarray, grad_posteriors: np.ndarray) -> np.ndarray:
-    """Pull an (N, K) posterior-space gradient back through the softmax Jacobian."""
-    inner = (grad_posteriors * posteriors).sum(axis=1, keepdims=True)
-    return posteriors * (grad_posteriors - inner)
-
-
-def _onehot_required(labels: np.ndarray) -> None:
-    binary = np.all((labels == 0.0) | (labels == 1.0))
-    if not binary or not np.all(labels.sum(axis=1) == 1.0):
-        raise LabelsNotOneHotError("labels must be exactly one-hot rows")
+def _softmax_chain(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pull a class-major (K, N) gradient ``g`` in the posteriors ``p`` back through the softmax Jacobian."""
+    return p * (g - class_sums(g * p))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +137,9 @@ def _weighted_focal(
 
     Takes class-major (K, N) logits and labels and (K, 1) class weights,
     or None for unit weights, which enter as an exact 1.0; gamma_mod = 0
-    drops the modulation factor, so cross_entropy, focal at gamma_mod = 0
-    and unit-weight variants agree bit for bit.  The (K, N) gradient in
-    the logits is scale * (p * sum(u) - u) with u = w * l * ((1 - p)^g -
+    drops the modulation factor, so ce, focal at gamma_mod = 0 and the
+    unit-weight variants agree bit for bit.  The (K, N) gradient in the
+    logits is scale * (p * sum(u) - u) with u = w * l * ((1 - p)^g -
     g * (1 - p)^(g - 1) * p * ln p) for g = gamma_mod; the second term is
     taken as 0 where 1 - p == 0, its limit for every g > 0.
     """
@@ -163,13 +153,13 @@ def _weighted_focal(
     if gamma_mod == 0.0:
         # a product with unit weights is exact, so they skip it
         u = l if class_weights is None else w * l
-        value = -scale * _total(u, ln_p)
+        value = -scale * float(_products(u, ln_p).sum())
         if not grad:
             return LossEvaluation(value, None)
     else:
         one_minus = 1.0 - p
         mod = one_minus**gamma_mod
-        value = -scale * _total(w * mod * l, ln_p)
+        value = -scale * float(_products(w * mod * l, ln_p).sum())
         if not grad:
             return LossEvaluation(value, None)
         slope = np.power(one_minus, gamma_mod - 1.0, out=np.zeros_like(p), where=one_minus > 0.0)
@@ -177,83 +167,49 @@ def _weighted_focal(
     return LossEvaluation(value, scale * (p * class_sums(u) - u))
 
 
-def _focal_rows(logits, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool) -> LossEvaluation:
-    """``_weighted_focal`` on (N, K) rows, with (K,) or no class weights."""
-    w = None if class_weights is None else class_weights[:, None]
-    return _transposed_grad(_weighted_focal(_transposed(logits), _transposed(labels), w, gamma_mod, grad))
+def _weight_column(class_weights, l: np.ndarray) -> np.ndarray:
+    """The (K, 1) weights of the weighted losses for class-major (K, N) labels ``l``.
 
-
-def _class_weights(class_weights, class_counts, k: int) -> np.ndarray:
-    if class_weights is not None:
-        w = np.asarray(class_weights, dtype=float)
-        if w.shape != (k,):
-            raise ValueError("class_weights must have one entry per class")
-        if not np.all((w > 0.0) & (w < np.inf)):
-            raise ValueError("class_weights must be finite and positive")
-        return w
-    counts = np.asarray(class_counts, dtype=float)
-    if counts.shape != (k,):
-        raise ValueError("class_counts must have one entry per class")
-    return counts.sum() / (counts + 1e-8)
-
-
-def cross_entropy(logits, labels, *, grad: bool = True) -> LossEvaluation:
-    """Softmax cross entropy, normalized by 1/(K*N)."""
-    return _focal_rows(logits, labels, None, 0.0, grad)
-
-
-def weighted_cross_entropy(logits, labels, class_weights, class_counts, *, grad: bool = True) -> LossEvaluation:
-    """Cross entropy with per-class weights.
-
-    ``class_weights``, when given, is used as is; otherwise the weight of
-    class c is (sum of batch counts) / (count_c + 1e-8), which despite its
-    name exceeds 1 for any non-dominant class.
+    ``class_weights``, when given, is checked and used as is; otherwise
+    the weight of class c is (sum of counts) / (count_c + 1e-8), counted
+    from ``l``, which despite its name exceeds 1 for any non-dominant class.
     """
-    w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _focal_rows(logits, labels, w, 0.0, grad)
-
-
-def focal(logits, labels, gamma_mod: float, *, grad: bool = True) -> LossEvaluation:
-    """Cross entropy modulated by (1 - posterior)^gamma_mod.
-
-    gamma_mod = 0 reduces exactly to cross_entropy, value and gradient.
-    """
-    return _focal_rows(logits, labels, None, gamma_mod, grad)
-
-
-def weighted_focal(
-    logits, labels, class_weights, class_counts, gamma_mod: float, *, grad: bool = True
-) -> LossEvaluation:
-    """Focal loss with the same per-class weights as weighted_cross_entropy."""
-    w = _class_weights(class_weights, class_counts, np.shape(labels)[-1])
-    return _focal_rows(logits, labels, w, gamma_mod, grad)
+    if class_weights is None:
+        counts = l.sum(axis=1)
+        return (counts.sum() / (counts + 1e-8))[:, None]
+    w = np.asarray(class_weights, dtype=float)
+    if w.shape != (l.shape[0],):
+        raise ValueError("class_weights must have one entry per class")
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise ValueError("class_weights must be finite and positive")
+    return w[:, None]
 
 
 # ---------------------------------------------------------------------------
 # metric-based losses
 # ---------------------------------------------------------------------------
 
-def dice_similarity(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
-    """Soft Dice similarity (2/K) * sum_c intersection_c / mass_c.
+def _dice(logits, labels, grad: bool) -> LossEvaluation:
+    """1 - the soft Dice similarity (2/K) * sum_c intersection_c / mass_c, of class-major (K, N) logits.
 
     A class absent from both labels and posteriors counts as perfectly
-    matched (per-class Dice 1, i.e. bracket 1/2).  This is a similarity to
-    maximize; a minimizing trainer should target 1 - value with the negated
-    gradient.
+    matched (per-class Dice 1, i.e. bracket 1/2).  The per-class sums over
+    samples are taken in numpy's order for the (N, K) layout.
     """
-    p, l = _check_pair(posteriors, labels)
-    n, k = p.shape
-    num = (l * p).sum(axis=0)
-    den = (l * l + p * p).sum(axis=0)
+    z, l = _check_pair(logits, labels)
+    p = _log_softmax(z)[1]
+    k = p.shape[0]
+    num = _products(l, p).sum(axis=0)[:, None]
+    den = (_products(l, l) + _products(p, p)).sum(axis=0)[:, None]
     empty = den == 0.0
     safe_den = np.where(empty, 1.0, den)
     brackets = np.where(empty, 0.5, num / safe_den)
-    value = (2.0 / k) * float(brackets.sum())
+    value = 1.0 - (2.0 / k) * float(brackets.sum())
     if not grad:
         return LossEvaluation(value, None)
     grad_post = (2.0 / k) * (l * safe_den - 2.0 * p * num) / safe_den**2
-    grad_post[:, empty] = 0.0
-    return LossEvaluation(value, _chain_softmax(p, grad_post))
+    grad_post[empty[:, 0]] = 0.0
+    return LossEvaluation(value, -_softmax_chain(p, grad_post))
 
 
 def jaccard_distance_set(mispredictions, ground_truth, predictions) -> float:
@@ -302,102 +258,89 @@ def lovasz_extension(mispredictions, ground_truth) -> float:
 
 
 def lovasz_softmax(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
-    """Per-class Lovasz extension of the Jaccard distance, averaged by 1/(K*N).
+    """``_lovasz`` of (N, K) posteriors and labels, with the (N, K) gradient in the logits."""
+    return _transposed_grad(_lovasz(_transposed(posteriors), _transposed(labels), grad))
+
+
+def _lovasz(posteriors, labels, grad: bool) -> LossEvaluation:
+    """Per-class Lovasz extension of the Jaccard distance of class-major (K, N) posteriors, averaged by 1/(K*N).
 
     Supervised only: labels must be one-hot.  The misprediction for the
     labeled class is 1 - posterior and the posterior itself elsewhere.  The
     gradient in the mispredictions is the prefix-difference vector scattered
-    back through the per-class sort (the extension is piecewise linear).
+    back through the per-class sort (the extension is piecewise linear),
+    then chained through the softmax Jacobian.
     """
     p, l = _check_pair(posteriors, labels)
-    _onehot_required(l)
-    n, k = p.shape
+    if not np.all((l == 0.0) | (l == 1.0)) or not np.all(class_sums(l) == 1.0):
+        raise LabelsNotOneHotError("labels must be exactly one-hot rows")
+    k, n = p.shape
     m = np.where(l == 1.0, 1.0 - p, p)
     scale = 1.0 / (k * n)
     value = 0.0
     grad_m = np.zeros_like(p)
     for c in range(k):
-        order = np.argsort(-m[:, c], kind="stable")
-        g = lovasz_grad(l[order, c])
-        value += float(m[order, c] @ g)
-        grad_m[order, c] = g
+        order = np.argsort(-m[c], kind="stable")
+        g = lovasz_grad(l[c, order])
+        value += float(m[c, order] @ g)
+        grad_m[c, order] = g
     if not grad:
         return LossEvaluation(scale * value, None)
     sign = np.where(l == 1.0, -1.0, 1.0)
-    grad_post = scale * sign * grad_m
-    return LossEvaluation(scale * value, _chain_softmax(p, grad_post))
+    return LossEvaluation(scale * value, _softmax_chain(p, scale * sign * grad_m))
 
 
 # ---------------------------------------------------------------------------
 # expected-free-energy loss and decomposition diagnostics
 # ---------------------------------------------------------------------------
 
-def _candidate_mask(candidate_sets, n: int, k: int) -> np.ndarray:
-    if isinstance(candidate_sets, np.ndarray) and candidate_sets.dtype == bool:
-        if candidate_sets.shape != (n, k):
-            raise ValueError("candidate mask shape must match the logits")
-        return candidate_sets
-    sets: Sequence = list(candidate_sets)
-    if len(sets) != n:
-        raise ValueError(f"expected {n} candidate sets, got {len(sets)}")
-    mask = np.zeros((n, k), dtype=bool)
-    for j, cand in enumerate(sets):
-        idx = sorted(getattr(cand, "candidates", cand))
-        mask[j, idx] = True
-    return mask
+def _efe_of_logits(logits, labels, priors, mask, grad: bool) -> LossEvaluation:
+    """The EFE loss of class-major (K, N) logits, labels, raw priors and candidate mask.
 
-
-def efe_loss(logits, labels, priors, candidate_sets, *, grad: bool = True) -> LossEvaluation:
-    """Expected free energy: label-weighted uncertainty plus expected complexity.
-
-    uncertainty        = -1/(K*N) * sum l * p * ln p
-    expected_complexity = 1/(K*N) * sum_j [ sum_{c in cand_j} a (ln a - ln p)
-                                            + rest_a * ln(rest_a / rest_p) ]
-
-    ``candidate_sets`` is one candidate collection per sample (KellySolution
-    instances, index sets, or an (N, K) boolean mask).  The sets come from a
-    discrete pre-minimization and are treated as constants: the gradient
-    flows only through the logits.  Both terms are reported on the
-    returned evaluation.  The priors are clamped here; the posteriors are
-    the unclamped softmax of the logits.  A row whose rest (positive prior
+    The priors are clamped by ``clamp_probability_rows``; the posteriors
+    are the unclamped softmax of the logits.  ``mask`` must be a boolean
+    array shaped like the logits.  A sample whose rest (positive prior
     mass, once clamped) has only posteriors that underflowed to 0 would
     have an infinite rest term, and raises ValueError.
     """
     z, l = _check_pair(logits, labels)
-    n, k = z.shape
-    a = clamp_probability_rows(priors)
-    if a.shape != (n, k):
+    a = _transposed(clamp_probability_rows(_transposed(priors)))
+    if a.shape != z.shape:
         raise ValueError("priors shape must match the logits")
-    ln_p, p = _log_softmax(_transposed(z))
-    mask = _transposed(_candidate_mask(candidate_sets, n, k))
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != z.shape:
+        raise ValueError("the candidate mask must be a boolean array shaped like the logits")
+    ln_p, p = _log_softmax(z)
     stranded = np.flatnonzero(~mask.all(axis=0) & ~np.any(~mask & (p > 0.0), axis=0))
     if stranded.size:
         raise ValueError(
             f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
         )
-    a = _transposed(a)
-    return _transposed_grad(_efe(ln_p, p, _transposed(l), a, np.log(a), mask, grad))
+    return _efe(ln_p, p, l, a, np.log(a), mask, grad)
 
 
 def _efe(
     ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool,
     rest_a: np.ndarray | None = None, level: np.ndarray | None = None,
 ) -> LossEvaluation:
-    """efe_loss on ``(ln p, p)`` of ``_log_softmax`` and clamped priors ``a`` (``ln_a = log a``).
+    """Expected free energy: label-weighted uncertainty plus expected complexity.
 
-    Every array is class-major (K, N), the mask and the gradient included.
-    The uncertainty gradient is chained through the softmax Jacobian.  The
+    uncertainty        = -1/(K*N) * sum l * p * ln p
+    expected_complexity = 1/(K*N) * sum_j [ sum_{c in cand_j} a (ln a - ln p)
+                                            + rest_a * ln(rest_a / rest_p) ]
+
+    Takes ``(ln p, p)`` of ``_log_softmax``, clamped priors ``a`` (``ln_a
+    = log a``) and the candidate mask, all class-major (K, N) like the
+    gradient.  The mask is held constant under differentiation.  The
     complexity gradient in the logits is scale * (p * sum(a) - target),
     with target = a on the candidates and rest_a * p / rest_p off them.
     For a mask of the sweep the rest holds at least as much posterior as
-    prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding;
-    ``efe_loss`` rejects a hand-made mask whose rest posteriors all
-    underflow.  A row without a rest has no rest term.  ``rest_a`` and
-    ``level = rest_a / rest_p`` may come from the sweep (``kelly._sweep``).
+    prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding.  A
+    row without a rest has no rest term.  ``rest_a`` and ``level = rest_a
+    / rest_p`` may come from the sweep (``kelly._sweep``).
     """
     k, n = p.shape
     scale = 1.0 / (k * n)
-    uncertainty = -scale * _total(l * p, ln_p)
+    uncertainty = -scale * float(_products(l * p, ln_p).sum())
 
     if level is None:
         rest_a = class_sums(np.where(mask, 0.0, a))
@@ -407,8 +350,7 @@ def _efe(
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
 
-    grad_p = -scale * l * (ln_p + 1.0)
-    grad_unc = p * (grad_p - class_sums(grad_p * p))
+    grad_unc = _softmax_chain(p, -scale * l * (ln_p + 1.0))
     target = np.where(mask, a, p * level)
     grad_cmp = scale * (p * class_sums(a) - target)
     return LossEvaluation(
@@ -431,8 +373,8 @@ class LossEntry:
     takes class-major (K, N) arrays and returns the value to minimize and,
     unless ``grad`` is False, its (K, N) gradient; ``evaluate`` does the
     same on (N, K) arrays.  Each loss reads only the arguments it needs.
-    Priors are raw.  ``mask`` is the candidate mask of the sweep, given to
-    losses that set ``uses_candidates`` and None otherwise.  Without
+    Priors are raw.  ``mask`` is the boolean candidate mask of the sweep,
+    read by losses that set ``uses_candidates``.  Without
     ``class_weights`` the weighted losses count the (one-hot) labels.
     ``needs_reference`` losses are undefined without reference labels.
     """
@@ -441,38 +383,9 @@ class LossEntry:
     needs_reference: bool = True
     uses_candidates: bool = False
 
-    def evaluate(self, logits, labels, priors, mask, class_weights, gamma_mod, grad: bool = True) -> LossEvaluation:
+    def evaluate(self, logits, labels, priors=None, mask=None, class_weights=None, gamma_mod=2.0, grad=True):
         rows = (None if x is None else _transposed(x) for x in (logits, labels, priors, mask))
         return _transposed_grad(self.kernel(*rows, class_weights, gamma_mod, grad))
-
-
-def _dice_loss(posteriors, labels, grad: bool) -> LossEvaluation:
-    ev = dice_similarity(posteriors, labels, grad=grad)
-    return LossEvaluation(1.0 - ev.value, None if ev.grad_logits is None else -ev.grad_logits)
-
-
-def _label_weights(l: np.ndarray) -> np.ndarray:
-    """The (K,) class weights counted from class-major (K, N) label rows."""
-    return _class_weights(None, l.sum(axis=1), l.shape[0])
-
-
-def _table_weights(class_weights, l: np.ndarray) -> np.ndarray:
-    """(K, 1) weights of the weighted kernels: ``class_weights``, or else those counted from ``l``."""
-    w = _label_weights(l) if class_weights is None else _class_weights(class_weights, None, l.shape[0])
-    return w[:, None]
-
-
-def _of_posteriors(loss, z: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
-    """A kernel for an (N, K) loss of the posteriors, on (K, N) logits and labels."""
-    return _transposed_grad(loss(_transposed(_log_softmax(z)[1]), _transposed(l), grad=grad))
-
-
-def _efe_of_logits(z: np.ndarray, l: np.ndarray, a: np.ndarray, mask: np.ndarray, grad: bool) -> LossEvaluation:
-    """``_efe`` of (K, N) logits and raw priors, clamped as ``clamp_probability_rows`` clamps them."""
-    ln_p, p = _log_softmax(z)
-    a = np.clip(a, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    a = a / class_sums(a)
-    return _efe(ln_p, p, l, a, np.log(a), mask, grad)
 
 
 # The kernels look their functions up at call time, so a rebinding of a
@@ -485,14 +398,14 @@ LOSSES: dict[str, LossEntry] = {
     ),
     "ce": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, 0.0, grad)),
     "wce": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _table_weights(w, l), 0.0, grad)
+        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _weight_column(w, l), 0.0, grad)
     ),
     "focal": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, g, grad)),
     "wfocal": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _table_weights(w, l), g, grad)
+        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _weight_column(w, l), g, grad)
     ),
-    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _of_posteriors(_dice_loss, z, l, grad)),
-    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: _of_posteriors(lovasz_softmax, z, l, grad)),
+    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _dice(z, l, grad)),
+    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: _lovasz(_log_softmax(z)[1], l, grad)),
 }
 
 
@@ -508,14 +421,14 @@ def vfe_decompose(state_dist, approx_state_dist, approx_likelihood) -> VfeDecomp
 
     complexity - accuracy and cross_entropy - entropy are the same quantity
     by construction; both decompositions are returned so the identity can be
-    checked numerically.
+    checked numerically.  Every likelihood entry must lie in (0, 1].
     """
     p = clamp_probabilities(state_dist)
     q = clamp_probabilities(approx_state_dist)
     lh = np.asarray(approx_likelihood, dtype=float)
     if lh.shape != p.shape:
         raise ValueError("likelihood length must match the state distribution")
-    if np.any(lh <= 0.0) or np.any(lh > 1.0):
+    if not np.all((lh > 0.0) & (lh <= 1.0)):
         raise ValueError("likelihood entries must lie in (0, 1]")
     complexity = float(np.sum(p * (np.log(p) - np.log(q))))
     accuracy = float(np.sum(p * np.log(lh)))

@@ -76,14 +76,15 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.alpha_lr > 0.0:
-            raise ValueError("alpha_lr must be > 0")
+        if not 0.0 < self.alpha_lr < np.inf:
+            raise ValueError("alpha_lr must be finite and > 0")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden_widths must all be >= 1")
         if not 0.0 < self.dropout_retention <= 1.0:
             raise ValueError("dropout_retention must lie in (0, 1]")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in [0, 1)")
+        for name in ("beta_fm", "beta_sm", "ema_decay"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
         if not 0.0 <= self.gamma_mod < np.inf:
             raise ValueError("gamma_mod must be finite and >= 0")
         if self.class_weights is not None and not all(0.0 < w < np.inf for w in self.class_weights):
@@ -283,7 +284,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     val_rows = _loss_rows(val_set, config)
     val_options = {
         "grad": False,
-        "class_weights": config.class_weights or losses._label_weights(val_rows[0]),
+        "class_weights": config.class_weights or losses._weight_column(None, val_rows[0]).ravel(),
         "order": _SweepOrder(val_rows[1]) if len(val_rows) > 1 else None,
     }
 

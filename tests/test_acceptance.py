@@ -83,7 +83,8 @@ def test_criterion_03_identity_suite(kelly_results):
         priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
         labels = np.full((n, k), 1.0 / k)
         sols = [candidate_labels(priors[j], posteriors[j], reference_label=0) for j in range(n)]
-        ev = losses.efe_loss(logits, labels, priors, sols)
+        mask = np.array([[c in s.candidates for c in range(k)] for s in sols])
+        ev = losses.LOSSES["efe"].evaluate(logits, labels, priors, mask)
         total = sum(kelly_objective_value(s, priors[j], posteriors[j]) for j, s in enumerate(sols))
         worst_batch = max(worst_batch, abs(ev.expected_complexity - total / (k * n)))
         min_complexity = min(min_complexity, ev.expected_complexity)

@@ -65,6 +65,19 @@ class TestGenerate:
         assert len(errors) == 1 and "cluster_separation must be finite" in errors[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flip", ["-0.3", "nan", "1.0"])
+    def test_bad_label_flip_is_one_line_usage_error(self, tmp_path, capsys, flip):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "generate", "--classes", "2", "--frequencies", "0.5,0.5", "--samples", "10",
+                f"--label-flip={flip}", "--out", str(out), "--no-timestamp",
+            ])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "flip_fraction must lie in [0, 1)" in errors[0]
+        assert not out.exists()
+
     def test_label_flip_exact_count(self, tmp_path, capsys):
         out = _generate(tmp_path, "flipped.csv", samples=100, label_flip=0.2)
         ds = data.load_dataset(out)
@@ -293,6 +306,27 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         args = self._train_args(tmp_path, "bad", loss="wfocal", mode="grnp") + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"invalid config: {message}" in errors[0]
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"beta_fm": 1.5}, "beta_fm must lie in [0, 1)"),
+            ({"beta_sm": -0.1}, "beta_sm must lie in [0, 1)"),
+            ({"alpha_lr": float("inf")}, "alpha_lr must be finite and > 0"),
+        ],
+    )
+    def test_bad_adam_config_is_one_line_usage_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = self._train_args(tmp_path, "bad", loss="ce", mode="grnp") + ["--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2

@@ -26,7 +26,7 @@ from kellyfe.kelly import (
     log_growth,
     class_sums,
 )
-from kellyfe.losses import _efe
+from kellyfe.losses import _efe, vfe_decompose
 from kellyfe.verify import PAIR_FLOOR, draw_probability_pair
 
 PRIOR3 = [0.6, 0.3, 0.1]
@@ -625,3 +625,73 @@ class TestSweepOrder:
         a = np.full((3, 4), 1.0 / 3.0)
         with pytest.raises(ValueError, match="other priors"):
             _sweep(a, a, [0, 0, 0, 0], order=_SweepOrder(a.copy()))
+
+
+def _tied_pairs(rng, k: int, n: int):
+    """(N, K) prior and posterior rows of five kinds, one per row in turn:
+    random pairs, a pair of outcomes whose ratios tie exactly, a pair one
+    ulp apart, posteriors equal to the priors (nothing is admitted: the
+    fallback) and pairs whose ratios on a random set R of outcomes all
+    equal one value s (prior = s * posterior there) below those off it.
+    The last kind is returned as a row mask.
+    """
+    priors = rng.dirichlet(np.ones(k), n)
+    posteriors = rng.dirichlet(np.ones(k), n)
+    kind = np.arange(n) % 5
+    i, j = rng.integers(0, k, n), rng.integers(0, k, n)
+    rows = np.flatnonzero((kind == 1) | (kind == 2))
+    priors[rows, j[rows]] = priors[rows, i[rows]]
+    posteriors[rows, j[rows]] = posteriors[rows, i[rows]]
+    rows = np.flatnonzero((kind == 2) & (i != j))
+    posteriors[rows, j[rows]] = np.nextafter(posteriors[rows, i[rows]], 1.0)
+    priors[kind == 3] = posteriors[kind == 3]
+    level_rows = kind == 4
+    for row in np.flatnonzero(level_rows):
+        rest = rng.random(k) < 0.5
+        rest[rng.integers(0, k)] = True
+        s = rng.uniform(0.05, 0.45)
+        priors[row, rest] = s * posteriors[row, rest]
+        # the others share the prior mass left over at ratios of at least 1/2 > s
+        spread = posteriors[row, ~rest] * rng.uniform(1.0, 2.0, (~rest).sum())
+        priors[row, ~rest] = (1.0 - priors[row, rest].sum()) * spread / spread.sum()
+    return priors, posteriors, level_rows
+
+
+class TestSweepProperties:
+    """The public sweep's optimality conditions and the bound claim, for K from 2 to 64 with near-ties."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 64), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_kkt_conservation_cardinality_and_the_kl_bound(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        priors, posteriors, level_rows = _tied_pairs(rng, k, n)
+        fallback = rng.integers(0, k, n)
+        mask, fractions, unspent = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+        a, p = clamp_probability_rows(priors), clamp_probability_rows(posteriors)
+        q = a / p
+        for row in range(n):
+            cand, rest = mask[row], ~mask[row]
+            assert abs(fractions[row].sum() + unspent[row] - 1.0) <= 1e-12
+            assert 1 <= cand.sum() <= k - 1
+            if q[row].max() <= 1.0:
+                # nothing admitted: the fallback label with no stake
+                assert np.flatnonzero(cand).tolist() == [fallback[row]]
+                assert unspent[row] == 1.0 and not fractions[row].any()
+            else:
+                if level_rows[row]:
+                    # ratios equal to s up to rounding sit on both sides of
+                    # the level the sweep forms, which admits some of them:
+                    # strict separation holds here only up to rounding
+                    assert q[row, cand].min() >= unspent[row] * (1.0 - 1e-12)
+                else:
+                    assert q[row, cand].min() > unspent[row]
+                assert q[row, rest].max() <= unspent[row]
+                assert fractions[row, cand].min() >= -1e-15
+                assert np.all(fractions[row, rest] == 0.0)
+            solution = KellySolution(frozenset(np.flatnonzero(cand).tolist()), fractions[row], unspent[row], 0.0)
+            objective = kelly_objective_value(solution, priors[row], posteriors[row])
+            kl = vfe_decompose(priors[row], posteriors[row], np.ones(k)).complexity
+            assert objective <= kl + 1e-12
+            if q[row, rest].min() >= unspent[row] * (1.0 - 1e-12):
+                # every outcome off the candidates has ratio s: the bound is tight
+                assert abs(objective - kl) <= 1e-12

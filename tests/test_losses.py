@@ -70,58 +70,72 @@ class TestSoftmax:
         assert losses.softmax(z).tobytes() == expected.tobytes()
 
 
+def _loss(name, logits, labels, priors=None, mask=None, class_weights=None, gamma=2.0, grad=True):
+    """The table's (N, K) evaluation of one loss."""
+    return losses.LOSSES[name].evaluate(logits, labels, priors, mask, class_weights, gamma, grad)
+
+
+def _mask(candidate_sets, k):
+    """The (N, K) boolean mask of one collection of candidate indices per sample."""
+    mask = np.zeros((len(candidate_sets), k), dtype=bool)
+    for j, cand in enumerate(candidate_sets):
+        mask[j, sorted(getattr(cand, "candidates", cand))] = True
+    return mask
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
         labels = np.eye(3)
         posteriors = np.vstack([clamp_probabilities(row) for row in labels])
-        ev = losses.cross_entropy(np.log(posteriors), labels)
+        ev = _loss("ce", np.log(posteriors), labels)
         expected = -np.log(posteriors[0, 0]) / 3.0
         np.testing.assert_allclose(ev.value, expected, rtol=1e-6)
         assert 0.0 < ev.value < 1e-7
 
     def test_single_sample_value(self):
-        ev = losses.cross_entropy(np.log([[0.5, 0.5]]), [[1.0, 0.0]])
+        ev = _loss("ce", np.log([[0.5, 0.5]]), [[1.0, 0.0]])
         np.testing.assert_allclose(ev.value, -0.5 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.value, 0.3466, atol=5e-5)
 
     def test_uniform_labels_value(self):
         rng = np.random.default_rng(1)
         logits, posteriors, labels = _random_instance(rng, 4, 3, uniform_labels=True)
-        ev = losses.cross_entropy(logits, labels)
+        ev = _loss("ce", logits, labels)
         manual = -(labels * np.log(posteriors)).sum() / 12.0
         np.testing.assert_allclose(ev.value, manual, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            losses.cross_entropy([[0.5, 0.5]], [[1.0, 0.0, 0.0]])
+            _loss("ce", [[0.5, 0.5]], [[1.0, 0.0, 0.0]])
 
 
 class TestWeightedCrossEntropy:
     def test_imbalanced_counts_weighting(self):
-        # class weights (100/90, 10) for counts (90, 10)
-        posteriors = np.array([[0.5, 0.5], [0.5, 0.5]])
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ev = losses.weighted_cross_entropy(np.log(posteriors), labels, None, [90, 10])
+        # class weights (100/90, 10), counted from 90 and 10 labels
+        posteriors = np.full((100, 2), 0.5)
+        labels = np.eye(2)[[0] * 90 + [1] * 10]
+        ev = _loss("wce", np.log(posteriors), labels)
         w0, w1 = 100.0 / (90.0 + 1e-8), 100.0 / (10.0 + 1e-8)
         np.testing.assert_allclose(w0, 1.111, atol=5e-4)
         np.testing.assert_allclose(w1, 10.0, rtol=1e-8)
-        expected = -(w0 + w1) * np.log(0.5) / 4.0
+        expected = -(90.0 * w0 + 10.0 * w1) * np.log(0.5) / 200.0
         np.testing.assert_allclose(ev.value, expected, atol=1e-12)
 
     def test_equal_counts_scale_cross_entropy(self):
         rng = np.random.default_rng(2)
-        logits, _, labels = _random_instance(rng, 6, 3)
-        ev_w = losses.weighted_cross_entropy(logits, labels, None, [4, 4, 4])
-        ev = losses.cross_entropy(logits, labels)
-        w = 12.0 / (4.0 + 1e-8)
+        logits = rng.standard_normal((6, 3)) * 2.0
+        labels = np.eye(3)[[0, 1, 2, 2, 1, 0]]
+        ev_w = _loss("wce", logits, labels)
+        ev = _loss("ce", logits, labels)
+        w = 6.0 / (2.0 + 1e-8)
         np.testing.assert_allclose(ev_w.value, w * ev.value, rtol=1e-12)
         np.testing.assert_allclose(ev_w.grad_logits, w * ev.grad_logits, rtol=1e-10)
 
     def test_unit_weights_reduce_to_cross_entropy_bitwise(self):
         rng = np.random.default_rng(3)
         logits, _, labels = _random_instance(rng, 5, 4)
-        ev_w = losses.weighted_cross_entropy(logits, labels, np.ones(4), labels.sum(axis=0))
-        ev = losses.cross_entropy(logits, labels)
+        ev_w = _loss("wce", logits, labels, class_weights=np.ones(4))
+        ev = _loss("ce", logits, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
@@ -130,35 +144,35 @@ class TestFocal:
     def test_gamma_zero_is_cross_entropy_bitwise(self):
         rng = np.random.default_rng(4)
         logits, _, labels = _random_instance(rng, 7, 3)
-        ev_f = losses.focal(logits, labels, 0.0)
-        ev = losses.cross_entropy(logits, labels)
+        ev_f = _loss("focal", logits, labels, gamma=0.0)
+        ev = _loss("ce", logits, labels)
         assert ev_f.value == ev.value
         np.testing.assert_array_equal(ev_f.grad_logits, ev.grad_logits)
 
     def test_single_sample_gamma_two(self):
-        ev = losses.focal(np.log([[0.5, 0.5]]), [[1.0, 0.0]], 2.0)
+        ev = _loss("focal", np.log([[0.5, 0.5]]), [[1.0, 0.0]], gamma=2.0)
         np.testing.assert_allclose(ev.value, -0.5 * 0.25 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.value, 0.0866, atol=5e-5)
 
     def test_confident_prediction_decays_faster_than_ce(self):
         logits = np.log([[0.99, 0.01]])
         labels = np.array([[1.0, 0.0]])
-        focal_value = losses.focal(logits, labels, 2.0).value
-        ce_value = losses.cross_entropy(logits, labels).value
+        focal_value = _loss("focal", logits, labels, gamma=2.0).value
+        ce_value = _loss("ce", logits, labels).value
         assert focal_value < 1e-3 * ce_value
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            losses.focal([[0.5, 0.5]], [[1.0, 0.0]], -1.0)
+            _loss("focal", [[0.5, 0.5]], [[1.0, 0.0]], gamma=-1.0)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])
     def test_saturated_row_has_finite_gradient(self, gamma):
         # 1 - p == 0 on the labeled class, where (1 - p)^(gamma - 1) is infinite
         logits = np.array([[40.0, 0.0, 0.0]])
-        ev = losses.focal(logits, [[1.0, 0.0, 0.0]], gamma)
+        ev = _loss("focal", logits, [[1.0, 0.0, 0.0]], gamma=gamma)
         assert np.all(np.isfinite(ev.grad_logits))
         numeric = finite_difference_gradient(
-            lambda flat: losses.focal(flat.reshape(1, 3), [[1.0, 0.0, 0.0]], gamma).value, logits.ravel()
+            lambda flat: _loss("focal", flat.reshape(1, 3), [[1.0, 0.0, 0.0]], gamma=gamma).value, logits.ravel()
         )
         assert relative_gradient_error(ev.grad_logits.ravel(), numeric) <= 1e-5
 
@@ -167,49 +181,55 @@ class TestWeightedFocal:
     def test_unit_weights_equal_focal_bitwise(self):
         rng = np.random.default_rng(5)
         logits, _, labels = _random_instance(rng, 6, 3)
-        ev_w = losses.weighted_focal(logits, labels, np.ones(3), labels.sum(axis=0), 2.0)
-        ev = losses.focal(logits, labels, 2.0)
+        ev_w = _loss("wfocal", logits, labels, class_weights=np.ones(3), gamma=2.0)
+        ev = _loss("focal", logits, labels, gamma=2.0)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
     def test_count_weights_scale_the_focal_term(self):
-        logits = np.log([[0.5, 0.5]])
-        labels = np.array([[0.0, 1.0]])
-        ev_w = losses.weighted_focal(logits, labels, None, [90, 10], 2.0)
-        ev = losses.focal(logits, labels, 2.0)
-        np.testing.assert_allclose(ev_w.value, (100.0 / (10.0 + 1e-8)) * ev.value, rtol=1e-9)
+        # every sample has the same focal term, weighted 100/90 or 100/10 by its label's count
+        logits = np.log(np.full((100, 2), 0.5))
+        labels = np.eye(2)[[0] * 90 + [1] * 10]
+        ev_w = _loss("wfocal", logits, labels, gamma=2.0)
+        ev = _loss("focal", logits, labels, gamma=2.0)
+        mean_weight = (90.0 * 100.0 / (90.0 + 1e-8) + 10.0 * 100.0 / (10.0 + 1e-8)) / 100.0
+        np.testing.assert_allclose(ev_w.value, mean_weight * ev.value, rtol=1e-9)
 
     def test_gamma_zero_unit_weights_equal_cross_entropy(self):
         rng = np.random.default_rng(6)
         logits, _, labels = _random_instance(rng, 4, 2)
-        ev_w = losses.weighted_focal(logits, labels, np.ones(2), labels.sum(axis=0), 0.0)
-        ev = losses.cross_entropy(logits, labels)
+        ev_w = _loss("wfocal", logits, labels, class_weights=np.ones(2), gamma=0.0)
+        ev = _loss("ce", logits, labels)
         assert ev_w.value == ev.value
         np.testing.assert_array_equal(ev_w.grad_logits, ev.grad_logits)
 
 
 class TestDiceSimilarity:
+    """The dice loss is 1 - the soft Dice similarity of softmax(logits)."""
+
     def test_perfect_match_is_one(self):
+        # logits 1000 apart give exact one-hot posteriors
         labels = np.zeros((5, 3))
         labels[np.arange(5), [0, 1, 2, 0, 1]] = 1.0
-        ev = losses.dice_similarity(labels, labels)
-        np.testing.assert_allclose(ev.value, 1.0, atol=1e-12)
+        ev = _loss("dice", 1000.0 * labels, labels)
+        np.testing.assert_allclose(1.0 - ev.value, 1.0, atol=1e-12)
 
     def test_single_sample_value(self):
         # per class: 0.5 / (1 + 0.25) and 0 / 0.25
-        ev = losses.dice_similarity([[0.5, 0.5]], [[1.0, 0.0]])
-        np.testing.assert_allclose(ev.value, 0.4, atol=1e-12)
+        ev = _loss("dice", [[0.0, 0.0]], [[1.0, 0.0]])
+        np.testing.assert_allclose(1.0 - ev.value, 0.4, atol=1e-12)
 
     def test_absent_class_convention(self):
         labels = np.zeros((4, 3))
         labels[:, 0] = 1.0
-        ev = losses.dice_similarity(labels, labels)
-        np.testing.assert_allclose(ev.value, 1.0, atol=1e-12)
+        ev = _loss("dice", 1000.0 * labels, labels)
+        np.testing.assert_allclose(1.0 - ev.value, 1.0, atol=1e-12)
+        assert np.all(ev.grad_logits == 0.0)
 
 
 class TestEfeLoss:
     def test_matched_prior_posterior_fallback(self):
-        ev = losses.efe_loss(np.log([[0.5, 0.5]]), [[1.0, 0.0]], [[0.5, 0.5]], [{0}])
+        ev = _loss("efe", np.log([[0.5, 0.5]]), [[1.0, 0.0]], [[0.5, 0.5]], _mask([{0}], 2))
         assert ev.expected_complexity == 0.0
         np.testing.assert_allclose(ev.uncertainty, -0.5 * 0.5 * np.log(0.5), atol=1e-12)
         np.testing.assert_allclose(ev.uncertainty, 0.1733, atol=5e-5)
@@ -217,7 +237,7 @@ class TestEfeLoss:
 
     def test_complexity_equals_kelly_objective(self):
         sol = candidate_labels(PRIOR3, POST3)
-        ev = losses.efe_loss(np.log([POST3]), [[1.0, 0.0, 0.0]], [PRIOR3], [sol])
+        ev = _loss("efe", np.log([POST3]), [[1.0, 0.0, 0.0]], [PRIOR3], _mask([sol], 3))
         np.testing.assert_allclose(ev.expected_complexity, G3 / 3.0, atol=1e-12)
         np.testing.assert_allclose(ev.expected_complexity, 0.1661, atol=5e-5)
 
@@ -230,7 +250,7 @@ class TestEfeLoss:
             priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
             labels = np.full((n, k), 1.0 / k)
             sols = [candidate_labels(priors[j], posteriors[j], reference_label=0) for j in range(n)]
-            ev = losses.efe_loss(logits, labels, priors, sols)
+            ev = _loss("efe", logits, labels, priors, _mask(sols, k))
             total = sum(kelly_objective_value(s, priors[j], posteriors[j]) for j, s in enumerate(sols))
             np.testing.assert_allclose(ev.expected_complexity, total / (k * n), atol=1e-12)
             assert ev.expected_complexity >= 0.0
@@ -249,25 +269,30 @@ class TestEfeLoss:
             mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
 
             def value_at(flat):
-                return losses.efe_loss(flat.reshape(n, k), labels, priors, mask).value
+                return _loss("efe", flat.reshape(n, k), labels, priors, mask).value
 
-            ev = losses.efe_loss(logits, labels, priors, mask)
+            ev = _loss("efe", logits, labels, priors, mask)
             numeric = finite_difference_gradient(value_at, logits.ravel(), 1e-6)
             worst = max(worst, relative_gradient_error(ev.grad_logits.ravel(), numeric))
         assert worst <= 1e-5
 
     def test_candidate_count_mismatch(self):
-        with pytest.raises(ValueError):
-            losses.efe_loss([[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], [{0}, {1}])
+        with pytest.raises(ValueError, match="candidate mask"):
+            _loss("efe", [[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], _mask([{0}, {1}], 2))
+        # only a boolean mask is accepted, not index sets
+        with pytest.raises(ValueError, match="candidate mask"):
+            _loss("efe", [[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], [{0}])
+        with pytest.raises(ValueError, match="priors shape"):
+            _loss("efe", [[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]] * 2, _mask([{0}], 2))
 
     def test_rest_with_underflowed_posteriors_is_rejected(self):
         # the rest {1, 2} holds prior mass .8 and posteriors exp(-800) == 0
         with pytest.raises(ValueError, match="^row 0: the candidate set leaves prior mass on outcomes whose posteriors are all 0$"):
-            losses.efe_loss([[0, -800, -800]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], [{0}])
+            _loss("efe", [[0, -800, -800]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], _mask([{0}], 3))
         with pytest.raises(ValueError, match="^row 1: "):
-            losses.efe_loss([[0, 0, 0], [0, -800, -800]], [[1, 0, 0]] * 2, [[0.2, 0.5, 0.3]] * 2, [{0}, {0}])
+            _loss("efe", [[0, 0, 0], [0, -800, -800]], [[1, 0, 0]] * 2, [[0.2, 0.5, 0.3]] * 2, _mask([{0}, {0}], 3))
         # a rest with one positive posterior is finite
-        ev = losses.efe_loss([[0, -800, -30]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], [{0}])
+        ev = _loss("efe", [[0, -800, -30]], [[1, 0, 0]], [[0.2, 0.5, 0.3]], _mask([{0}], 3))
         assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad_logits))
 
 
@@ -299,6 +324,11 @@ class TestDecompositions:
             losses.vfe_decompose([0.5, 0.5], [0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError):
             losses.vfe_decompose([0.5, 0.5], [0.5, 0.5], [0.5, 1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_vfe_rejects_non_finite_likelihood(self, bad):
+        with pytest.raises(ValueError, match=r"likelihood entries must lie in \(0, 1\]"):
+            losses.vfe_decompose([0.5, 0.5], [0.5, 0.5], [bad, 0.5])
 
 
 class TestGradientStructure:
@@ -428,20 +458,93 @@ class TestValueOnly:
             assert full.grad_logits.flags.c_contiguous
 
 
-def _public_evaluation(name, logits, labels, priors, mask, gamma):
-    """The public (N, K) function behind a table entry: (value, gradient)."""
+def _reference_log_softmax(z):
+    """``(ln p, p)`` of (N, K) logits with numpy's row reductions."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
+def _reference_chain(p, grad_post):
+    """An (N, K) posterior-space gradient pulled back through the softmax Jacobian."""
+    return p * (grad_post - (grad_post * p).sum(axis=1, keepdims=True))
+
+
+def _reference_focal(logits, labels, gamma, weighted):
+    """The weighted-focal family on (N, K) rows, with weights counted from the labels."""
+    ln_p, p = _reference_log_softmax(logits)
+    n, k = logits.shape
+    scale = 1.0 / (k * n)
+    counts = labels.sum(axis=0)
+    w = counts.sum() / (counts + 1e-8) if weighted else 1.0
+    if gamma == 0.0:
+        u = w * labels if weighted else labels
+        return -scale * float((u * ln_p).sum()), scale * (p * u.sum(axis=1, keepdims=True) - u)
+    mod = (1.0 - p) ** gamma
+    value = -scale * float((w * mod * labels * ln_p).sum())
+    slope = np.power(1.0 - p, gamma - 1.0, out=np.zeros_like(p), where=1.0 - p > 0.0)
+    u = w * labels * (mod - gamma * slope * p * ln_p)
+    return value, scale * (p * u.sum(axis=1, keepdims=True) - u)
+
+
+def _reference_efe(logits, labels, priors, mask):
+    """The expected free energy on (N, K) rows, with clamped priors."""
+    ln_p, p = _reference_log_softmax(logits)
+    a = clamp_probability_rows(priors)
+    n, k = logits.shape
+    scale = 1.0 / (k * n)
+    uncertainty = -scale * float((labels * p * ln_p).sum())
+    rest_a = np.where(mask, 0.0, a).sum(axis=1)
+    level = np.divide(rest_a, np.where(mask, 0.0, p).sum(axis=1), out=np.ones(n), where=rest_a > 0.0)
+    cand_terms = np.where(mask, a * (np.log(a) - ln_p), 0.0).sum(axis=1)
+    complexity = scale * float((cand_terms + rest_a * np.log(level)).sum())
+    grad_unc = _reference_chain(p, -scale * labels * (ln_p + 1.0))
+    grad_cmp = scale * (p * a.sum(axis=1, keepdims=True) - np.where(mask, a, p * level[:, None]))
+    return uncertainty + complexity, grad_unc + grad_cmp
+
+
+def _reference_dice_similarity(posteriors, labels):
+    """Soft Dice similarity (2/K) * sum_c intersection_c / mass_c of (N, K) rows, and its gradient in the logits."""
+    p, l = posteriors, labels
+    n, k = p.shape
+    num = (l * p).sum(axis=0)
+    den = (l * l + p * p).sum(axis=0)
+    empty = den == 0.0
+    safe_den = np.where(empty, 1.0, den)
+    brackets = np.where(empty, 0.5, num / safe_den)
+    grad_post = (2.0 / k) * (l * safe_den - 2.0 * p * num) / safe_den**2
+    grad_post[:, empty] = 0.0
+    return (2.0 / k) * float(brackets.sum()), _reference_chain(p, grad_post)
+
+
+def _reference_lovasz_softmax(posteriors, labels):
+    """The per-class Lovasz extension of (N, K) rows, averaged by 1/(K*N), and its gradient in the logits."""
+    p, l = posteriors, labels
+    n, k = p.shape
+    m = np.where(l == 1.0, 1.0 - p, p)
+    scale = 1.0 / (k * n)
+    value = 0.0
+    grad_m = np.zeros_like(p)
+    for c in range(k):
+        order = np.argsort(-m[:, c], kind="stable")
+        g = losses.lovasz_grad(l[order, c])
+        value += float(m[order, c] @ g)
+        grad_m[order, c] = g
+    sign = np.where(l == 1.0, -1.0, 1.0)
+    return scale * value, _reference_chain(p, scale * sign * grad_m)
+
+
+def _reference_evaluation(name, logits, labels, priors, mask, gamma):
+    """A table entry written on (N, K) rows with numpy's reductions: (value, gradient)."""
+    if name == "efe":
+        return _reference_efe(logits, labels, priors, mask)
     if name == "dice":
-        ev = losses.dice_similarity(losses.softmax(logits), labels)
-        return 1.0 - ev.value, -ev.grad_logits
-    ev = {
-        "efe": lambda: losses.efe_loss(logits, labels, priors, mask),
-        "ce": lambda: losses.cross_entropy(logits, labels),
-        "wce": lambda: losses.weighted_cross_entropy(logits, labels, None, labels.sum(axis=0)),
-        "focal": lambda: losses.focal(logits, labels, gamma),
-        "wfocal": lambda: losses.weighted_focal(logits, labels, None, labels.sum(axis=0), gamma),
-        "lovasz": lambda: losses.lovasz_softmax(losses.softmax(logits), labels),
-    }[name]()
-    return ev.value, ev.grad_logits
+        similarity, grad = _reference_dice_similarity(_reference_log_softmax(logits)[1], labels)
+        return 1.0 - similarity, -grad
+    if name == "lovasz":
+        return _reference_lovasz_softmax(_reference_log_softmax(logits)[1], labels)
+    return _reference_focal(logits, labels, 0.0 if name in ("ce", "wce") else gamma, name.startswith("w"))
 
 
 class TestLayouts:
@@ -449,15 +552,26 @@ class TestLayouts:
     @pytest.mark.parametrize("k", [2, 3, 20])
     @pytest.mark.parametrize("name", list(losses.LOSSES))
     def test_kernel_equals_public_function_bitwise(self, name, k, n):
+        """The class-major kernel has the bits of the loss written on (N, K) rows (``_reference_evaluation``)."""
         rng = np.random.default_rng(k * 10000 + n)
         logits, posteriors, labels = _random_instance(rng, n, k)
         priors = rng.dirichlet(np.ones(k), n)
         mask = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))[0]
-        value, grad = _public_evaluation(name, logits, labels, priors, mask, 2.0)
+        value, grad = _reference_evaluation(name, logits, labels, priors, mask, 2.0)
         ev = losses.LOSSES[name].kernel(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
         assert ev.value.hex() == value.hex()
         assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
         assert _transposed(ev.grad_logits).tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 20])
+    def test_public_lovasz_softmax_equals_its_kernel_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        _, posteriors, labels = _random_instance(rng, 50, k)
+        posteriors[::4] = labels[::4]  # exact 0/1 vertices
+        value, grad = _reference_lovasz_softmax(posteriors, labels)
+        ev = losses.lovasz_softmax(posteriors, labels)
+        assert ev.value.hex() == value.hex()
+        assert ev.grad_logits.flags.c_contiguous and ev.grad_logits.tobytes() == grad.tobytes()
 
 
 class TestLossTable:

@@ -208,10 +208,10 @@ class TestBackward:
         def value_at(theta):
             p = NetworkParams(specs, theta)
             logits, _ = forward(p, x)
-            return losses.cross_entropy(logits, labels).value
+            return losses.LOSSES["ce"].evaluate(logits, labels).value
 
         logits, cache = forward(params, x, training=True)
-        ev = losses.cross_entropy(logits, labels)
+        ev = losses.LOSSES["ce"].evaluate(logits, labels)
         analytic = backward(params, cache, ev.grad_logits)
         numeric = finite_difference_gradient(value_at, params.vector, 1e-6)
         assert relative_gradient_error(analytic, numeric) <= 1e-5
@@ -227,10 +227,10 @@ class TestBackward:
         def value_at(theta):
             p = NetworkParams(specs, theta)
             logits, _ = forward(p, x, training=True, seed=99)
-            return losses.cross_entropy(logits, labels).value
+            return losses.LOSSES["ce"].evaluate(logits, labels).value
 
         logits, cache = forward(params, x, training=True, seed=99)
-        ev = losses.cross_entropy(logits, labels)
+        ev = losses.LOSSES["ce"].evaluate(logits, labels)
         analytic = backward(params, cache, ev.grad_logits)
         numeric = finite_difference_gradient(value_at, params.vector, 1e-6)
         assert relative_gradient_error(analytic, numeric) <= 1e-5

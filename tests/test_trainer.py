@@ -176,7 +176,7 @@ class TestValidationState:
         config = trainer.TrainConfig(loss=loss, mode="grnp")
         rows = trainer._loss_rows(val_set, config)
         logits = np.random.default_rng(8).standard_normal((200, 3))
-        counted = trainer.batch_loss(config, logits, *rows, class_weights=losses._label_weights(rows[0]))
+        counted = trainer.batch_loss(config, logits, *rows, class_weights=losses._weight_column(None, rows[0]).ravel())
         fresh = trainer.batch_loss(config, logits, *rows)
         assert counted.value.hex() == fresh.value.hex()
         assert counted.grad_logits.tobytes() == fresh.grad_logits.tobytes()
@@ -187,13 +187,19 @@ class TestValidationState:
                 raise AssertionError("labels counted")
 
         labels = np.eye(3)[[0, 1, 2, 0]].T.copy().view(Uncountable)
-        weights = losses._table_weights(np.array([1.0, 2.0, 3.0]), labels)
+        weights = losses._weight_column(np.array([1.0, 2.0, 3.0]), labels)
         assert weights.tolist() == [[1.0], [2.0], [3.0]]
 
     def test_validation_weights_are_counted_once_per_run(self, monkeypatch):
         calls = []
-        count = losses._label_weights
-        monkeypatch.setattr(losses, "_label_weights", lambda l: calls.append(l.shape[1]) or count(l))
+        weights = losses._weight_column
+
+        def counting(class_weights, l):
+            if class_weights is None:
+                calls.append(l.shape[1])
+            return weights(class_weights, l)
+
+        monkeypatch.setattr(losses, "_weight_column", counting)
         train_set, val_set = _separable_sets(seed=2)
         cfg = trainer.TrainConfig(loss="wfocal", mode="grnp", max_iterations=7, batch_size=50, seed=0)
         trainer.train(cfg, train_set, val_set)
@@ -308,6 +314,27 @@ class TestConfig:
     def test_rejects_bad_numeric_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             trainer.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta_fm", 1.0),
+            ("beta_fm", 1.5),
+            ("beta_fm", -0.1),
+            ("beta_fm", float("nan")),
+            ("beta_sm", 1.0),
+            ("beta_sm", -0.1),
+            ("beta_sm", float("nan")),
+        ],
+    )
+    def test_rejects_moment_rates_outside_the_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\)$"):
+            trainer.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_rejects_infinite_learning_rate(self, value):
+        with pytest.raises(ValueError, match="^alpha_lr must be finite and > 0$"):
+            trainer.TrainConfig(alpha_lr=value)
 
     @pytest.mark.parametrize(
         "field, value",
