@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -85,19 +85,8 @@ def _load_experiment_config(args, parser) -> tuple[trainer.TrainConfig, dict]:
         if not isinstance(doc, dict):
             parser.error("config document must be a JSON object")
     paths = {key: doc.pop(key) for key in _CONFIG_PATH_KEYS if key in doc}
-    overrides = {
-        field: value
-        for field, value in (
-            ("loss", args.loss),
-            ("mode", args.mode),
-            ("gamma_mod", args.gamma),
-            ("seed", args.seed),
-            ("batch_size", args.batch_size),
-            ("max_iterations", args.max_iterations),
-            ("patience", args.patience),
-        )
-        if value is not None
-    }
+    # each train flag that overrides a TrainConfig field has that field's name as its dest
+    overrides = {f.name: v for f in fields(trainer.TrainConfig) if (v := getattr(args, f.name, None)) is not None}
     try:
         config = replace(trainer.config_from_dict(doc), **overrides)
     except (TypeError, ValueError) as exc:
@@ -202,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--val", type=str)
     t.add_argument("--config", type=str, help="JSON file of TrainConfig fields plus train/val/out_dir")
     t.add_argument("--out-dir", type=str)
-    t.add_argument("--gamma", type=float, help="focal modulation factor")
+    t.add_argument("--gamma", type=float, dest="gamma_mod", metavar="GAMMA", help="focal modulation factor")
     t.add_argument("--seed", type=int)
     t.add_argument("--batch-size", type=int)
     t.add_argument("--max-iterations", type=int)

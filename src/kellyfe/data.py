@@ -49,8 +49,8 @@ def class_counts(n_samples: int, frequencies) -> np.ndarray:
 
 def _validate_frequencies(frequencies, n_classes: int) -> np.ndarray:
     f = np.asarray(frequencies, dtype=float)
-    if f.shape != (n_classes,) or np.any(f < 0.0) or abs(f.sum() - 1.0) > 1e-6:
-        raise ValueError("frequencies must be nonnegative, one per class, summing to 1")
+    if f.shape != (n_classes,) or not np.all(np.isfinite(f)) or np.any(f < 0.0) or abs(f.sum() - 1.0) > 1e-6:
+        raise ValueError("frequencies must be finite and nonnegative, one per class, summing to 1")
     return f / f.sum()
 
 
@@ -157,22 +157,20 @@ def with_corrupt_labels(dataset: Dataset, flip_fraction: float, seed: int) -> Da
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the dataset as CSV with 17 significant digits for reals."""
-    d = dataset.n_features
-    k = dataset.n_classes
-    header = (
-        [f"f{i}" for i in range(d)]
-        + ["label", "true_label"]
-        + [f"prior_{c}" for c in range(k)]
-    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_header(dataset.n_features, dataset.n_classes))
         for j in range(len(dataset)):
             row = [f"{x:.17g}" for x in dataset.features[j]]
             row.append(str(int(dataset.reference_labels[j])))
             row.append(str(int(dataset.true_labels[j])))
             row.extend(f"{x:.17g}" for x in dataset.priors[j])
             writer.writerow(row)
+
+
+def _header(d: int, k: int) -> list[str]:
+    """The CSV header of a dataset with d features and k classes."""
+    return [f"f{i}" for i in range(d)] + ["label", "true_label"] + [f"prior_{c}" for c in range(k)]
 
 
 class DatasetFormatError(ValueError):
@@ -185,17 +183,14 @@ def load_dataset(path) -> Dataset:
     Rejects, with a DatasetFormatError naming the file and the line, a
     header that is not save_dataset's, a file without rows, a row with the
     wrong number of fields, a field that does not parse, a non-finite
-    feature or prior, and a label outside 0..K-1.
+    feature or prior, a prior outside [0, 1] and a label outside 0..K-1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         d = sum(1 for name in header if name.startswith("f"))
         k = sum(1 for name in header if name.startswith("prior_"))
-        expected = [f"f{i}" for i in range(d)] + ["label", "true_label"] + [
-            f"prior_{c}" for c in range(k)
-        ]
-        if header != expected or k < 2 or d < 1:
+        if header != _header(d, k) or k < 2 or d < 1:
             raise DatasetFormatError(f"{path}:1: unexpected dataset header {header!r}")
         features, labels, true_labels, priors, lines = [], [], [], [], []
         for row in reader:
@@ -221,6 +216,7 @@ def load_dataset(path) -> Dataset:
         ((reference < 0) | (reference >= k), f"label outside 0..{k - 1}"),
         ((true < 0) | (true >= k), f"true_label outside 0..{k - 1}"),
         (~np.isfinite(priors).all(axis=1), "non-finite prior"),
+        (~((priors >= 0.0) & (priors <= 1.0)).all(axis=1), "prior outside [0, 1]"),
     ):
         if bad.any():
             raise DatasetFormatError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")

@@ -138,11 +138,8 @@ def log_growth(fractions, prior, posterior) -> float:
     Raises InfeasibleFractionsError when the allocation leaves the feasible
     set (negative entries, total >= 1, or a non-positive payout bracket).
     """
-    return _log_growth(fractions, clamp_probabilities(prior), clamp_probabilities(posterior))
-
-
-def _log_growth(fractions, a: np.ndarray, p: np.ndarray) -> float:
-    """log_growth on an already clamped prior and posterior."""
+    a = clamp_probabilities(prior)
+    p = clamp_probabilities(posterior)
     g = np.asarray(fractions, dtype=float)
     if g.shape != a.shape:
         raise ValueError("fractions and probabilities differ in length")
@@ -164,14 +161,13 @@ def candidate_labels(prior, posterior, reference_label: int | None = None) -> Ke
     the all-zero allocation kept; a missing reference in that situation
     raises MissingReferenceLabelError.
     """
-    a, p = _clamp_pair([prior], [posterior])
     fallback = None if reference_label is None else [reference_label]
-    mask, fractions, unspent = _sweep(a.T, p.T, fallback)
+    mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
     return KellySolution(
-        candidates=frozenset(int(c) for c in np.flatnonzero(mask[:, 0])),
-        fractions=fractions[:, 0],
+        candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
+        fractions=fractions[0],
         unspent=float(unspent[0]),
-        log_growth=_log_growth(fractions[:, 0], a[0], p[0]),
+        log_growth=log_growth(fractions[0], prior, posterior),
     )
 
 
@@ -190,17 +186,12 @@ def candidate_labels_batch(
     an all-zero allocation; if ``fallback_labels`` is None such rows raise
     MissingReferenceLabelError.
     """
-    a, p = _clamp_pair(priors, posteriors)
-    mask, fractions, unspent = _sweep(_transposed(a), _transposed(p), fallback_labels)
-    return _transposed(mask), _transposed(fractions), unspent
-
-
-def _clamp_pair(priors, posteriors) -> tuple[np.ndarray, np.ndarray]:
     a = clamp_probability_rows(priors)
     p = clamp_probability_rows(posteriors)
     if a.shape != p.shape:
         raise ValueError("priors and posteriors differ in shape")
-    return a, p
+    mask, fractions, unspent = _sweep(_transposed(a), _transposed(p), fallback_labels)
+    return _transposed(mask), _transposed(fractions), unspent
 
 
 class _SweepOrder:
@@ -209,20 +200,19 @@ class _SweepOrder:
     ``flat[t, j]`` is the raveled (K, N) index of the t-th largest ratio
     q = a / p of sample j, in the stable descending order (ties by
     ascending class); ``a_sorted`` holds the priors gathered in that order
-    and ``rest_a`` their suffix sums (``_rest_sums``).  A new state has no
-    order yet; its arrays are allocated once, with the state, and updated
-    in place.  The trainer keeps one for its validation rows: their priors
-    are fixed for the run and the order of their ratios barely moves
-    between iterations.
+    and ``rest_a`` their suffix sums (``_rest_sums``).  A new state starts
+    from the class order; its arrays are allocated once, with the state,
+    and updated in place.  The trainer keeps one for its validation rows:
+    their priors are fixed for the run and the order of their ratios barely
+    moves between iterations.
     """
 
     def __init__(self, priors: np.ndarray):
         k, n = priors.shape
         self.priors = priors
-        self.flat = np.empty((k, n), dtype=np.intp)
-        self.a_sorted = np.empty((k, n))
-        self.rest_a = np.empty((k - 1, n))
-        self.ordered = False
+        self.flat = np.arange(k * n).reshape(k, n)
+        self.a_sorted = priors.copy()
+        self.rest_a = _rest_sums(self.a_sorted)
 
     def follow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(p_sorted, q_sorted)``: the posteriors and ratios in the stable descending order of a / p.
@@ -233,10 +223,6 @@ class _SweepOrder:
         the state replaced.  A gathered ratio ``a_sorted / p_sorted`` has
         the bits of the gathered ``a / p``.
         """
-        if not self.ordered:
-            self.ordered = True
-            self.flat[...], self.a_sorted[...], self.rest_a[...], p_sorted, q_sorted = _sorted(self.priors, p)
-            return p_sorted, q_sorted
         p_sorted = p.ravel()[self.flat]
         q_sorted = self.a_sorted / p_sorted
         stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))

@@ -10,7 +10,7 @@ array, and the gradient comes back in the same layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ PRELU_INIT = 0.15
 
 
 class StaleCacheError(ValueError):
-    """backward() received no cache, or one produced by a different forward pass."""
+    """backward() received no cache, or one from another forward pass or from before a parameter change."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,14 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
+    """The layers of one training=True forward pass and the bytes of the parameter vector it ran on."""
+
     params: NetworkParams
     layers: list[_LayerCache] = field(default_factory=list)
+    vector: bytes = field(init=False)
+
+    def __post_init__(self):
+        self.vector = self.params.vector.tobytes()
 
 
 def init_he(specs, seed: int) -> NetworkParams:
@@ -174,7 +180,8 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
 def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: NetworkParams | None = None) -> np.ndarray:
     """Backpropagate a logits gradient; returns the parameter gradient.
 
-    ``cache`` comes from a ``training=True`` forward pass on ``params``.
+    ``cache`` comes from a ``training=True`` forward pass on ``params``,
+    made since their vector last changed.
     The gradient is one vector in the layout of ``params.vector``, written
     over ``out.vector`` when ``out`` (a ``NetworkParams`` of the same specs)
     is given.  The leakage gradient collects pre-activation * upstream over
@@ -185,6 +192,8 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: Netwo
         raise StaleCacheError("backward needs the cache of a training=True forward pass")
     if cache.params is not params:
         raise StaleCacheError("cache does not belong to these parameters")
+    if cache.vector != params.vector.tobytes():
+        raise StaleCacheError("cache predates a change to the parameters")
     if out is None:
         out = NetworkParams(params.specs, np.zeros_like(params.vector))
     elif out.specs != params.specs:
@@ -210,18 +219,11 @@ def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: Netwo
 
 
 def to_json(params: NetworkParams) -> str:
+    """Each layer's spec fields, then its parameters in their vector order."""
     doc = {
         "format_version": FORMAT_VERSION,
         "layers": [
-            {
-                "input_width": s.input_width,
-                "output_width": s.output_width,
-                "activation": s.activation,
-                "dropout_retention": s.dropout_retention,
-                "weights": lp.weights.tolist(),
-                "biases": lp.biases.tolist(),
-                "prelu_leakage": float(lp.prelu_leakage),
-            }
+            {**asdict(s), **{name: view.tolist() for name, view in vars(lp).items()}}
             for s, lp in zip(params.specs, params.layers)
         ],
     }
@@ -233,15 +235,7 @@ def from_json(text: str) -> NetworkParams:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    specs = tuple(
-        LayerSpec(
-            input_width=entry["input_width"],
-            output_width=entry["output_width"],
-            activation=entry["activation"],
-            dropout_retention=entry["dropout_retention"],
-        )
-        for entry in doc["layers"]
-    )
+    specs = tuple(LayerSpec(**{f.name: entry[f.name] for f in fields(LayerSpec)}) for entry in doc["layers"])
     params = NetworkParams(specs, np.zeros(_vector_size(specs)))
     for i, (entry, lp) in enumerate(zip(doc["layers"], params.layers)):
         for name, view in vars(lp).items():

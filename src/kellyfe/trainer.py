@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class TrainConfig:
         for name, values in [*counts, ("hidden_widths", self.hidden_widths)]:
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
                 raise ValueError(f"{name} must be {'integers' if name == 'hidden_widths' else 'an integer'}")
+        scalars = ("dropout_retention", "gamma_mod", "alpha_lr", "beta_fm", "beta_sm", "ema_decay")
+        reals = [(name, [getattr(self, name)]) for name in scalars]
+        for name, values in [*reals, ("class_weights", self.class_weights or ())]:
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} must be a number")
         if self.loss not in LOSS_NAMES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.mode not in MODE_NAMES:
@@ -115,24 +120,11 @@ class MetricsReport:
     macro_dice: float
     macro_jaccard: float
     macro_f1: float
-    confusion: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=int))
+    confusion: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision.tolist(),
-            "recall": self.recall.tolist(),
-            "dice": self.dice.tolist(),
-            "jaccard": self.jaccard.tolist(),
-            "f1": self.f1.tolist(),
-            "precision_defined": self.precision_defined.tolist(),
-            "recall_defined": self.recall_defined.tolist(),
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_dice": self.macro_dice,
-            "macro_jaccard": self.macro_jaccard,
-            "macro_f1": self.macro_f1,
-            "confusion": self.confusion.tolist(),
-        }
+        """The fields in their order, as metrics.json writes them."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def supervised(mode: str) -> bool:
@@ -381,14 +373,7 @@ def evaluate(params: NetworkParams, test_set: Dataset) -> MetricsReport:
     )
 
 
-HISTORY_COLUMNS = (
-    "iteration",
-    "train_loss",
-    "val_loss",
-    "val_loss_ema",
-    "uncertainty_term",
-    "expected_complexity_term",
-)
+HISTORY_COLUMNS = tuple(f.name for f in fields(HistoryRecord))
 
 
 def write_history(history: list[HistoryRecord], path) -> None:
@@ -405,22 +390,16 @@ def write_history(history: list[HistoryRecord], path) -> None:
 
 def read_history(path) -> list[HistoryRecord]:
     records = []
+    # an empty cell reads as None in an optional column; float('') raises in the others
+    columns = fields(HistoryRecord)[1:]
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if tuple(header.split(",")) != HISTORY_COLUMNS:
             raise ValueError(f"unexpected history header {header!r}")
         for line in fh:
-            cells = line.rstrip("\n").split(",")
-            records.append(
-                HistoryRecord(
-                    iteration=int(cells[0]),
-                    train_loss=float(cells[1]),
-                    val_loss=float(cells[2]),
-                    val_loss_ema=float(cells[3]),
-                    uncertainty_term=float(cells[4]) if cells[4] else None,
-                    expected_complexity_term=float(cells[5]) if cells[5] else None,
-                )
-            )
+            iteration, *cells = line.rstrip("\n").split(",")
+            terms = [float(c) if c or f.default is not None else None for f, c in zip(columns, cells, strict=True)]
+            records.append(HistoryRecord(int(iteration), *terms))
     return records
 
 
@@ -434,5 +413,5 @@ def config_from_dict(doc: dict) -> TrainConfig:
     if "hidden_widths" in doc:
         doc["hidden_widths"] = tuple(doc["hidden_widths"])
     if doc.get("class_weights") is not None:
-        doc["class_weights"] = tuple(float(w) for w in doc["class_weights"])
+        doc["class_weights"] = tuple(doc["class_weights"])
     return TrainConfig(**doc)

@@ -52,6 +52,19 @@ class TestGenerate:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("frequencies", ["nan,0.5,0.5", "0.5,nan,0.5"])
+    def test_nan_frequency_is_one_line_usage_error(self, tmp_path, capsys, frequencies):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "generate", "--classes", "3", "--frequencies", frequencies, "--samples", "10",
+                "--out", str(out), "--no-timestamp",
+            ])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "frequencies must be finite" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
     def test_non_finite_separation_is_one_line_usage_error(self, tmp_path, capsys, separation):
         out = tmp_path / "x.csv"
@@ -200,6 +213,7 @@ class TestTrain:
             ("ragged", "expected 7 fields, got 6"),
             ("nan_feature", "non-finite feature"),
             ("inf_prior", "non-finite prior"),
+            ("negative_prior", "prior outside [0, 1]"),
         ],
     )
     def test_malformed_dataset_is_one_line_usage_error(self, tmp_path, capsys, defect, message):
@@ -213,6 +227,8 @@ class TestTrain:
             cells.pop()
         elif defect == "nan_feature":
             cells[0] = "nan"
+        elif defect == "negative_prior":
+            cells[-1] = "-5"
         else:
             cells[-1] = "inf"
         lines[5] = ",".join(cells)
@@ -276,6 +292,10 @@ class TestTrain:
             ([], {"class_weights": [1, 2]}, "class_weights has 2 entries for 3 classes"),
             (["--seed", "-1"], {}, "seed must be >= 0"),
             ([], {"seed": -1}, "seed must be >= 0"),
+            ([], {"alpha_lr": True}, "invalid config: alpha_lr must be a number"),
+            ([], {"gamma_mod": "2"}, "invalid config: gamma_mod must be a number"),
+            ([], {"class_weights": ["2", True, 1]}, "invalid config: class_weights must be a number"),
+            ([], {"class_weights": [2, True, 1]}, "invalid config: class_weights must be a number"),
         ],
     )
     def test_bad_numeric_input_is_one_line_usage_error(self, tmp_path, capsys, flags, doc, message):

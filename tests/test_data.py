@@ -1,9 +1,12 @@
 """Synthetic data generation, priors, label corruption, batching, CSV I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
 from kellyfe.data import (
+    DatasetFormatError,
     batches,
     class_counts,
     corrupt_labels,
@@ -45,6 +48,9 @@ class TestGenerate:
             generate(2, 2, 10, [0.5, 0.6], 1.0, seed=0)
         with pytest.raises(ValueError):
             generate(3, 2, 10, [0.5, 0.5], 1.0, seed=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="frequencies must be finite"):
+                generate(3, 2, 10, [bad, 0.5, 0.5], 1.0, seed=0)
 
     @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
     def test_non_finite_separation_rejected(self, separation):
@@ -153,4 +159,16 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("prior", ["-5", "1.5", "-1e-300"])
+    def test_rejects_prior_outside_the_unit_interval(self, tmp_path, prior):
+        path = tmp_path / "data.csv"
+        save_dataset(generate(2, 2, 6, [0.5, 0.5], 1.0, seed=0), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")  # line 4; columns f0,f1,label,true_label,prior_0,prior_1
+        cells[4] = prior
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:4: prior outside \[0, 1\]$"):
             load_dataset(path)

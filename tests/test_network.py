@@ -22,6 +22,7 @@ from kellyfe.network import (
     save_params,
     to_json,
 )
+from kellyfe.optimizer import adam_step, init_adam
 from kellyfe.verify import finite_difference_gradient, relative_gradient_error
 
 
@@ -272,6 +273,12 @@ class TestBackward:
         _, cache = forward(params, np.zeros((1, 2)), training=True)
         with pytest.raises(StaleCacheError):
             backward(other, cache, np.zeros((1, 2)))
+        # an in-place Adam step keeps the parameter object but changes its vector
+        adam_step(init_adam(params.vector.size), params.vector, np.ones_like(params.vector))
+        with pytest.raises(StaleCacheError, match="^cache predates a change to the parameters$"):
+            backward(params, cache, np.zeros((1, 2)))
+        _, cache = forward(params, np.zeros((1, 2)), training=True)
+        backward(params, cache, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("retention", [1.0, 0.7])
     def test_out_is_filled_like_a_fresh_gradient(self, retention):
@@ -316,6 +323,22 @@ class TestPersistence:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
             assert la.prelu_leakage == lb.prelu_leakage
+
+    def test_layer_key_order(self):
+        params = init_he([LayerSpec(2, 3), LayerSpec(3, 2, activation="linear")], seed=0)
+        doc = json.loads(to_json(params))
+        assert list(doc) == ["format_version", "layers"]
+        for layer in doc["layers"]:
+            assert list(layer) == [
+                "input_width",
+                "output_width",
+                "activation",
+                "dropout_retention",
+                "weights",
+                "biases",
+                "prelu_leakage",
+            ]
+            assert type(layer["prelu_leakage"]) is float
 
     def test_rejects_unknown_version(self):
         params = init_he([LayerSpec(2, 2)], seed=0)

@@ -252,6 +252,22 @@ class TestEvaluate:
         report = trainer.evaluate(params, ds)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["confusion"][0][0] == report.confusion[0, 0]
+        assert list(doc) == [
+            "precision",
+            "recall",
+            "dice",
+            "jaccard",
+            "f1",
+            "precision_defined",
+            "recall_defined",
+            "macro_precision",
+            "macro_recall",
+            "macro_dice",
+            "macro_jaccard",
+            "macro_f1",
+            "confusion",
+        ]
+        assert type(doc["macro_f1"]) is float and type(doc["precision_defined"][0]) is bool
 
 
 class TestHistoryIO:
@@ -272,6 +288,15 @@ class TestHistoryIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,train_loss,val_loss,val_loss_ema,uncertainty_term,expected_complexity_term"
         assert all(line.endswith(",,") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "row", ["1,,0.25,0.125,,", "1,0.5,,0.125,,", "1,0.5,0.25,,,", "1,0.5,0.25,0.125", "1,0.5,0.25,0.125,,,"]
+    )
+    def test_empty_loss_cell_or_ragged_row_rejected(self, tmp_path, row):
+        path = tmp_path / "history.csv"
+        path.write_text(",".join(trainer.HISTORY_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(ValueError):
+            trainer.read_history(path)
 
 
 class TestConfig:
@@ -309,6 +334,15 @@ class TestConfig:
             ("class_weights", (1.0, float("nan"), 1.0), "class_weights"),
             ("class_weights", (1.0, float("inf")), "class_weights"),
             ("seed", -1, "seed must be >= 0"),
+            ("alpha_lr", True, "^alpha_lr must be a number$"),
+            ("alpha_lr", "0.1", "^alpha_lr must be a number$"),
+            ("gamma_mod", "2", "^gamma_mod must be a number$"),
+            ("dropout_retention", True, "^dropout_retention must be a number$"),
+            ("beta_fm", "0.9", "^beta_fm must be a number$"),
+            ("beta_sm", None, "^beta_sm must be a number$"),
+            ("ema_decay", False, "^ema_decay must be a number$"),
+            ("class_weights", ("2", 1.0, 1.0), "^class_weights must be a number$"),
+            ("class_weights", (1.0, True, 1.0), "^class_weights must be a number$"),
         ],
     )
     def test_rejects_bad_numeric_fields(self, field, value, message):
@@ -353,6 +387,10 @@ class TestConfig:
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must .*be .*integers?"):
             trainer.TrainConfig(**{field: value})
+
+    def test_accepts_integer_and_numpy_reals(self):
+        cfg = trainer.TrainConfig(alpha_lr=np.float64(0.01), gamma_mod=1, class_weights=(1, np.float32(2.0), 3.5))
+        assert cfg.gamma_mod == 1 and cfg.class_weights == (1, 2.0, 3.5)
 
     def test_accepts_numpy_integers(self):
         cfg = trainer.TrainConfig(seed=np.int64(3), hidden_widths=(np.int32(4),))
