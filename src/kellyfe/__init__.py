@@ -14,7 +14,6 @@ from .kelly import (
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
-    clamp_probabilities,
     kelly_objective_value,
     log_growth,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "brute_force_oracle",
     "candidate_labels",
     "candidate_labels_batch",
-    "clamp_probabilities",
     "corrupt_labels",
     "evaluate",
     "forward",

@@ -20,7 +20,6 @@ from . import data, network, trainer, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 EXIT_INCOMPATIBLE = 3
 
 
@@ -29,27 +28,13 @@ def _print_timestamp(args) -> None:
         print(f"# run {datetime.now(timezone.utc).isoformat()}")
 
 
-def _parse_frequencies(text: str, n_classes: int, parser: argparse.ArgumentParser):
-    try:
-        values = [float(x) for x in text.split(",")]
-    except ValueError:
-        parser.error(f"cannot parse frequencies {text!r}")
-    if len(values) != n_classes:
-        parser.error(f"expected {n_classes} frequencies, got {len(values)}")
-    total = sum(values)
-    if abs(total - 1.0) > 1e-6 or any(v < 0.0 for v in values):
-        parser.error("frequencies must be nonnegative and sum to 1 within 1e-6")
-    return [v / total for v in values]
-
-
 def cmd_generate(args, parser) -> int:
-    frequencies = _parse_frequencies(args.frequencies, args.classes, parser)
     try:
         dataset = data.generate(
             n_classes=args.classes,
             n_features=args.features,
             n_samples=args.samples,
-            frequencies=frequencies,
+            frequencies=[float(x) for x in args.frequencies.split(",")],
             cluster_separation=args.separation,
             seed=args.seed,
         )
@@ -78,7 +63,7 @@ def _load_experiment_config(args, parser) -> tuple[trainer.TrainConfig, dict]:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             parser.error(f"config {args.config} is not valid JSON: {exc}")
@@ -155,9 +140,9 @@ def cmd_verify(args, parser) -> int:
         parser.error("--seed must be >= 0")
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be >= 1")
-    suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    suites = verify.SUITES if args.suite == "all" else [args.suite]
     _print_timestamp(args)
-    results = verify.run_suites(suites, seed=args.seed, trials=args.trials)
+    results = [result for name in suites for result in verify.SUITES[name](args.seed, args.trials)]
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -199,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-timestamp", action="store_true")
 
     v = sub.add_parser("verify", help="run the brute-force and finite-difference suites")
-    v.add_argument("--suite", choices=("kelly", "gradients", "lovasz", "all"), default="all")
+    v.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=None)
     v.add_argument("--no-timestamp", action="store_true")
@@ -209,14 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args, parser)
-    if args.command == "train":
-        return cmd_train(args, parser)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_USAGE  # pragma: no cover
+    # built per call, so a cmd_* rebound on this module is the one that runs
+    commands = {"generate": cmd_generate, "train": cmd_train, "verify": cmd_verify}
+    return commands[args.command](args, parser)
 
 
 if __name__ == "__main__":

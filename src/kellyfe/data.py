@@ -183,28 +183,35 @@ def load_dataset(path) -> Dataset:
     Rejects, with a DatasetFormatError naming the file and the line, a
     header that is not save_dataset's, a file without rows, a row with the
     wrong number of fields, a field that does not parse, a non-finite
-    feature or prior, a prior outside [0, 1] and a label outside 0..K-1.
+    feature or prior, a prior outside [0, 1], a label outside 0..K-1 and a
+    line the csv module rejects; a file that is not UTF-8 is named without
+    a line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        d = sum(1 for name in header if name.startswith("f"))
-        k = sum(1 for name in header if name.startswith("prior_"))
-        if header != _header(d, k) or k < 2 or d < 1:
-            raise DatasetFormatError(f"{path}:1: unexpected dataset header {header!r}")
-        features, labels, true_labels, priors, lines = [], [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise DatasetFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            try:
-                features.append([float(x) for x in row[:d]])
-                labels.append(int(row[d]))
-                true_labels.append(int(row[d + 1]))
-                priors.append([float(x) for x in row[d + 2 :]])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{line}: {exc}") from None
-            lines.append(line)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            d = sum(1 for name in header if name.startswith("f"))
+            k = sum(1 for name in header if name.startswith("prior_"))
+            if header != _header(d, k) or k < 2 or d < 1:
+                raise DatasetFormatError(f"{path}:1: unexpected dataset header {header!r}")
+            features, labels, true_labels, priors, lines = [], [], [], [], []
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise DatasetFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    features.append([float(x) for x in row[:d]])
+                    labels.append(int(row[d]))
+                    true_labels.append(int(row[d + 1]))
+                    priors.append([float(x) for x in row[d + 2 :]])
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{path}:{line}: {exc}") from None
+                lines.append(line)
+    except UnicodeDecodeError:
+        raise DatasetFormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not lines:
         raise DatasetFormatError(f"{path}: no data rows")
     features = np.asarray(features, dtype=float)

@@ -95,9 +95,10 @@ def clamp_probability_rows(rows) -> np.ndarray:
     """Clamp an (N, K) matrix to [1e-8, 1 - 1e-8] and renormalize each row.
 
     Keeps vectors on the open simplex so ratios and logarithms stay finite
-    even when a softmax underflows.  Rows are summed by numpy (callers clamp
-    once per run or one row).  The public sweep and ``log_growth`` clamp
-    what they are given; the private sweep does not clamp.
+    even when a softmax underflows.  Rows are summed by numpy, each on its
+    own, so a prior and posterior clamped as the two rows of one call get
+    the bits of two one-row calls.  The public sweep and ``log_growth``
+    clamp what they are given; the private sweep does not clamp.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -108,22 +109,16 @@ def clamp_probability_rows(rows) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def clamp_probabilities(values) -> np.ndarray:
-    """clamp_probability_rows for a single 1-d probability vector."""
-    p = np.asarray(values, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-d with length >= 2")
-    return clamp_probability_rows(p[None, :])[0]
-
-
 @dataclass(frozen=True)
 class KellySolution:
     """Optimal bet for one prior/posterior pair.
 
-    ``candidates`` are the outcomes with strictly positive allocation
-    (plus the fallback label when the sweep admits nothing), ``fractions``
-    the per-outcome bet sizes, ``unspent`` the bankroll kept out of play,
-    and ``log_growth`` the achieved objective value in nats.
+    ``candidates`` are the outcomes the sweep admitted (or the fallback
+    label when it admits nothing), ``fractions`` the per-outcome bet
+    sizes, ``unspent`` the bankroll kept out of play, and ``log_growth``
+    the achieved objective value in nats.  An admitted outcome's stake is
+    positive, except that one whose ratio equals the unspent ratio up to
+    rounding may be admitted with a stake of 0 or down to about -1e-16.
     """
 
     candidates: frozenset[int]
@@ -138,8 +133,7 @@ def log_growth(fractions, prior, posterior) -> float:
     Raises InfeasibleFractionsError when the allocation leaves the feasible
     set (negative entries, total >= 1, or a non-positive payout bracket).
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    a, p = clamp_probability_rows([prior, posterior])
     g = np.asarray(fractions, dtype=float)
     if g.shape != a.shape:
         raise ValueError("fractions and probabilities differ in length")
@@ -181,7 +175,9 @@ def candidate_labels_batch(
     which is recomputed over the not-yet-admitted outcomes after every
     admission.  Admission requires q > s strictly; the sweep therefore never
     admits all K outcomes (the last one always has q equal to the remaining
-    s).  Returns (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
+    s).  An outcome whose q equals the unspent ratio up to rounding may
+    still be admitted, with a stake of 0 or down to about -1e-16.  Returns
+    (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
     Rows that admit nothing get their fallback label marked in the mask with
     an all-zero allocation; if ``fallback_labels`` is None such rows raise
     MissingReferenceLabelError.
@@ -336,8 +332,7 @@ def kelly_objective_value(solution: KellySolution, prior, posterior) -> float:
     divergence between the prior and posterior coarsened onto the
     candidate / non-candidate partition.
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    a, p = clamp_probability_rows([prior, posterior])
     mask = np.zeros(a.size, dtype=bool)
     mask[list(solution.candidates)] = True
     value = float(np.sum(a[mask] * (np.log(a[mask]) - np.log(p[mask]))))
@@ -379,8 +374,7 @@ def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, 
     Only the grid granularity is shared with the closed form; no ordering,
     admission, or unspent-ratio logic is reused.
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    a, p = clamp_probability_rows([prior, posterior])
     k = a.size
     if k > MAX_GRID_CLASSES:
         raise GridDimensionError(f"exhaustive grid supports at most {MAX_GRID_CLASSES} classes")

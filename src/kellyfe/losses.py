@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kelly import _transposed, class_sums, clamp_probabilities, clamp_probability_rows
+from .kelly import _transposed, class_sums, clamp_probability_rows
 
 
 class LabelsNotOneHotError(ValueError):
@@ -423,8 +423,7 @@ def vfe_decompose(state_dist, approx_state_dist, approx_likelihood) -> VfeDecomp
     by construction; both decompositions are returned so the identity can be
     checked numerically.  Every likelihood entry must lie in (0, 1].
     """
-    p = clamp_probabilities(state_dist)
-    q = clamp_probabilities(approx_state_dist)
+    p, q = clamp_probability_rows([state_dist, approx_state_dist])
     lh = np.asarray(approx_likelihood, dtype=float)
     if lh.shape != p.shape:
         raise ValueError("likelihood length must match the state distribution")

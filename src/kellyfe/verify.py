@@ -21,7 +21,7 @@ from .kelly import (
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
-    clamp_probabilities,
+    clamp_probability_rows,
     kelly_objective_value,
 )
 from .network import LayerSpec, NetworkParams, backward, forward, init_he
@@ -104,8 +104,7 @@ def kelly_suite(trials: int = 1000, seed: int = 0, grid_step: float = 0.005) -> 
         worst_ident = max(worst_ident, abs(objective - sol.log_growth))
         min_objective = min(min_objective, objective)
 
-        a = clamp_probabilities(prior)
-        p = clamp_probabilities(posterior)
+        a, p = clamp_probability_rows([prior, posterior])
         q = a / p
         cand = sorted(sol.candidates)
         rest = sorted(set(range(k)) - sol.candidates)
@@ -322,10 +321,3 @@ SUITES = {
     "gradients": lambda seed, trials: gradient_suite(instances=100 if trials is None else trials, seed=seed),
     "lovasz": lambda seed, trials: lovasz_suite(seed=seed, pairs=500 if trials is None else trials),
 }
-
-
-def run_suites(names, seed: int = 0, trials: int | None = None) -> list[PropertyResult]:
-    results = []
-    for name in names:
-        results.extend(SUITES[name](seed, trials))
-    return results

@@ -52,6 +52,41 @@ class TestGenerate:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "frequencies, samples, counts",
+        [
+            ("0.5,0.5", 41, "21,20"),  # a tie goes to the lower class
+            ("0.6,0.3,0.1", 60, "36,18,6"),  # float sum 0.9999999999999999
+            ("0.8,0.2", 33, "26,7"),
+        ],
+    )
+    def test_counts_for_ties_and_inexact_sums(self, tmp_path, capsys, frequencies, samples, counts):
+        code = cli.main([
+            "generate", "--classes", str(frequencies.count(",") + 1), "--frequencies", frequencies,
+            "--samples", str(samples), "--out", str(tmp_path / "x.csv"), "--no-timestamp",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == counts
+
+    @pytest.mark.parametrize(
+        "classes, frequencies, message",
+        [
+            ("3", "0.5,0.5", "one per class"),
+            ("2", "a,b", "could not convert string to float"),
+        ],
+    )
+    def test_bad_frequency_list_is_one_line_usage_error(self, tmp_path, capsys, classes, frequencies, message):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "generate", "--classes", classes, "--frequencies", frequencies, "--samples", "10",
+                "--out", str(out), "--no-timestamp",
+            ])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("frequencies", ["nan,0.5,0.5", "0.5,nan,0.5"])
     def test_nan_frequency_is_one_line_usage_error(self, tmp_path, capsys, frequencies):
         out = tmp_path / "x.csv"
@@ -214,6 +249,7 @@ class TestTrain:
             ("nan_feature", "non-finite feature"),
             ("inf_prior", "non-finite prior"),
             ("negative_prior", "prior outside [0, 1]"),
+            ("long_field", "field larger than field limit (131072)"),
         ],
     )
     def test_malformed_dataset_is_one_line_usage_error(self, tmp_path, capsys, defect, message):
@@ -229,6 +265,8 @@ class TestTrain:
             cells[0] = "nan"
         elif defect == "negative_prior":
             cells[-1] = "-5"
+        elif defect == "long_field":
+            cells[0] = "1" * 131073
         else:
             cells[-1] = "inf"
         lines[5] = ",".join(cells)
@@ -238,6 +276,21 @@ class TestTrain:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"{train_csv}:6: {message}" in errors[0]
+        assert not (tmp_path / "malformed").exists()
+
+    def test_non_utf8_dataset_is_one_line_usage_error(self, tmp_path, capsys):
+        args = self._train_args(tmp_path, "malformed")
+        train_csv = tmp_path / "train.csv"
+        lines = train_csv.read_bytes().splitlines()
+        lines[5] = b"\xff" + lines[5]
+        train_csv.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"{train_csv}: not UTF-8 text" in errors[0]
         assert not (tmp_path / "malformed").exists()
 
     def test_mismatched_class_counts_are_one_line_usage_error(self, tmp_path, capsys):
@@ -354,6 +407,19 @@ class TestTrain:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"invalid config: {message}" in errors[0]
+        assert not (tmp_path / "bad").exists()
+
+    def test_non_utf8_config_is_one_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"loss": "\xff"}')
+        args = self._train_args(tmp_path, "bad", loss="ce", mode="grnp") + ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"cannot read config {cfg}" in errors[0]
         assert not (tmp_path / "bad").exists()
 
     def test_config_file_with_unknown_key_rejected(self, tmp_path):

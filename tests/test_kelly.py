@@ -20,7 +20,6 @@ from kellyfe.kelly import (
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
-    clamp_probabilities,
     clamp_probability_rows,
     kelly_objective_value,
     log_growth,
@@ -38,8 +37,8 @@ def reference_candidate_labels(prior, posterior, reference_label=None) -> KellyS
     """The sweep as a plain loop, one admission at a time: the reference
     that the batched sweep in the library is checked against.
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    a = clamp_probability_rows([prior])[0]
+    p = clamp_probability_rows([posterior])[0]
     if a.shape != p.shape:
         raise ValueError("prior and posterior differ in length")
 
@@ -97,8 +96,8 @@ def reference_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, fl
     reference that ``brute_force_oracle``'s row-major DP must match bit for
     bit.  Returns (grid units, value).
     """
-    a = clamp_probabilities(prior)
-    p = clamp_probabilities(posterior)
+    a = clamp_probability_rows([prior])[0]
+    p = clamp_probability_rows([posterior])[0]
     k = a.size
     h = float(grid_step)
     m_max = _max_units(h)
@@ -132,20 +131,20 @@ def reference_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, fl
 
 class TestClampProbabilities:
     def test_preserves_interior_vectors(self):
-        p = clamp_probabilities([0.2, 0.3, 0.5])
+        p = clamp_probability_rows([[0.2, 0.3, 0.5]])[0]
         np.testing.assert_allclose(p, [0.2, 0.3, 0.5], atol=1e-12)
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_pulls_vertices_into_open_simplex(self):
-        p = clamp_probabilities([1.0, 0.0, 0.0])
+        p = clamp_probability_rows([[1.0, 0.0, 0.0]])[0]
         assert np.all(p > 0.0) and np.all(p < 1.0)
         assert abs(p.sum() - 1.0) < 1e-9
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            clamp_probabilities([0.5])
+            clamp_probability_rows([[0.5]])
         with pytest.raises(ValueError):
-            clamp_probabilities([np.nan, 0.5])
+            clamp_probability_rows([[np.nan, 0.5]])
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 20, 129])
     def test_bitwise_equal_to_numpy_row_sum_form(self, k):
@@ -280,7 +279,7 @@ class TestCandidateLabels:
             sol = candidate_labels(prior, posterior)
             assert abs(sol.fractions.sum() + sol.unspent - 1.0) <= 1e-9
             assert 1 <= len(sol.candidates) <= k - 1
-            a, p = clamp_probabilities(prior), clamp_probabilities(posterior)
+            a, p = clamp_probability_rows([prior])[0], clamp_probability_rows([posterior])[0]
             q = a / p
             cand = sorted(sol.candidates)
             rest = sorted(set(range(k)) - sol.candidates)
@@ -309,8 +308,8 @@ class TestCandidateLabels:
             # distinct vectors always admit something
             sol = candidate_labels(prior, posterior)
             assert len(sol.candidates) >= 1
-            a = clamp_probabilities(prior)
-            p = clamp_probabilities(posterior)
+            a = clamp_probability_rows([prior])[0]
+            p = clamp_probability_rows([posterior])[0]
             assert (a / p).max() > 1.0
 
 
@@ -467,7 +466,7 @@ class TestBatchSweep:
         rng = np.random.default_rng(np.random.SeedSequence([0, 5]))
         prior, posterior = draw_probability_pair(rng, 4)
         sol = candidate_labels(prior, posterior)
-        q = clamp_probabilities(prior) / clamp_probabilities(posterior)
+        q = clamp_probability_rows([prior])[0] / clamp_probability_rows([posterior])[0]
         cand = sorted(sol.candidates)
         rest = sorted(set(range(4)) - sol.candidates)
         assert q[rest].max() <= sol.unspent < q[cand].min()

@@ -13,7 +13,6 @@ from kellyfe.kelly import (
     _sweep,
     candidate_labels,
     candidate_labels_batch,
-    clamp_probabilities,
     clamp_probability_rows,
     kelly_objective_value,
 )
@@ -86,7 +85,7 @@ def _mask(candidate_sets, k):
 class TestCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
         labels = np.eye(3)
-        posteriors = np.vstack([clamp_probabilities(row) for row in labels])
+        posteriors = np.vstack([clamp_probability_rows([row])[0] for row in labels])
         ev = _loss("ce", np.log(posteriors), labels)
         expected = -np.log(posteriors[0, 0]) / 3.0
         np.testing.assert_allclose(ev.value, expected, rtol=1e-6)

@@ -1,4 +1,4 @@
-"""sha256 of the train outputs for the acceptance-config determinism table.
+"""sha256 of the generated inputs, train outputs and verify stdout for the determinism tables.
 
     python3 tools/output_digests.py [--src PATH] [--work DIR]
     python3 tools/output_digests.py --src A --src B [--work DIR]
@@ -7,14 +7,16 @@ Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 rows, class split 90/9/1, separation 3, prior noise 0.1; train rows
 from seed 1, clean and with 20% flipped reference labels, validation rows
 from seed 2) and a 20-class set of the same size (one class at 43%, the
-others at 3% each), runs ``kellyfe train --seed 5 --max-iterations 250``
+others at 3% each), prints one markdown row per input with the sha256 of
+its CSV and of the stdout of ``generate`` (with the output path replaced
+by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
 for each of the 26 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
 file that sets two hidden layers and dropout.  The two 20-class runs
 (efe and ce) put at least 8 entries in every row sum, which numpy adds in
 eight interleaved accumulators where a 3-entry row is added left to
-right.  A second table gives the
+right.  A third table gives the
 exit code and the sha256 of the stdout of three ``kellyfe verify`` runs,
 one per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
@@ -91,12 +93,22 @@ def kellyfe(src: Path, argv: list[str], allowed=(0,)) -> subprocess.CompletedPro
     return proc
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest_table(src: Path, work: Path) -> list[str]:
+    rows = ["| input | csv | stdout |", "|---|---|---|"]
     for name, flags in INPUTS.items():
-        kellyfe(src, ["generate", *GENERATE, *flags, "--out", str(work / f"{name}.csv")])
+        path = work / f"{name}.csv"
+        proc = kellyfe(src, ["generate", *GENERATE, *flags, "--out", str(path)])
+        # stdout names the output path, which differs between the two trees' work directories
+        stdout = proc.stdout.replace(str(path).encode(), name.encode())
+        rows.append(f"| {name} | {sha256(path.read_bytes())} | {sha256(stdout)} |")
     config = work / "config.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
-    rows = [
+    rows += [
+        "",
         "| data | loss | mode | " + " | ".join(OUTPUTS) + " |",
         "|---|---|---|" + "---|" * len(OUTPUTS),
     ]
@@ -108,14 +120,13 @@ def digest_table(src: Path, work: Path) -> list[str]:
                 "--train", str(work / f"{data}.csv"), "--val", str(work / f"{val}.csv"),
                 "--out-dir", str(out),
             ])
-            digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS]
+            digests = [sha256((out / name).read_bytes()) for name in OUTPUTS]
             rows.append(f"| {data} | {label} | {mode} | " + " | ".join(digests) + " |")
     rows += ["", "| verify | exit | stdout |", "|---|---|---|"]
     for flags in VERIFY:
         # a failed property exits 1 and is part of what must not change
         proc = kellyfe(src, ["verify", *flags, "--no-timestamp"], allowed=(0, 1))
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        rows.append(f"| {' '.join(flags)} | {proc.returncode} | {digest} |")
+        rows.append(f"| {' '.join(flags)} | {proc.returncode} | {sha256(proc.stdout)} |")
     return rows
 
 
