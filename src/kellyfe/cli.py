@@ -30,11 +30,14 @@ def _print_timestamp(args) -> None:
 
 def cmd_generate(args, parser) -> int:
     try:
+        values = [float(x) for x in args.frequencies.split(",")]
+        data._validate_frequencies(values, args.classes)  # first, so that "0,0" cannot divide by zero
+        total = sum(values)  # generate divides again; the counts at floors and ties depend on both divisions
         dataset = data.generate(
             n_classes=args.classes,
             n_features=args.features,
             n_samples=args.samples,
-            frequencies=[float(x) for x in args.frequencies.split(",")],
+            frequencies=[v / total for v in values],
             cluster_separation=args.separation,
             seed=args.seed,
         )

@@ -58,6 +58,7 @@ class TestGenerate:
             ("0.5,0.5", 41, "21,20"),  # a tie goes to the lower class
             ("0.6,0.3,0.1", 60, "36,18,6"),  # float sum 0.9999999999999999
             ("0.8,0.2", 33, "26,7"),
+            ("0.7,0.2,0.1", 92, "64,19,9"),  # normalized once instead of twice: 65,18,9
         ],
     )
     def test_counts_for_ties_and_inexact_sums(self, tmp_path, capsys, frequencies, samples, counts):
@@ -71,11 +72,17 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "classes, frequencies, message",
         [
-            ("3", "0.5,0.5", "one per class"),
-            ("2", "a,b", "could not convert string to float"),
+            pytest.param(c, f, m, id=f)
+            for c, f, m in [
+                ("3", "nan,0.5,0.5", "frequencies must be finite"),
+                ("3", "0.5,nan,0.5", "frequencies must be finite"),
+                ("3", "0.5,0.5", "one per class"),
+                ("2", "0,0", "summing to 1"),
+                ("2", "a,b", "could not convert string to float"),
+            ]
         ],
     )
-    def test_bad_frequency_list_is_one_line_usage_error(self, tmp_path, capsys, classes, frequencies, message):
+    def test_nan_frequency_is_one_line_usage_error(self, tmp_path, capsys, classes, frequencies, message):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
             cli.main([
@@ -85,19 +92,6 @@ class TestGenerate:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("frequencies", ["nan,0.5,0.5", "0.5,nan,0.5"])
-    def test_nan_frequency_is_one_line_usage_error(self, tmp_path, capsys, frequencies):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli.main([
-                "generate", "--classes", "3", "--frequencies", frequencies, "--samples", "10",
-                "--out", str(out), "--no-timestamp",
-            ])
-        assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "frequencies must be finite" in errors[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("separation", ["nan", "inf", "-inf"])
