@@ -73,6 +73,9 @@ def _load_experiment_config(args, parser) -> tuple[trainer.TrainConfig, dict]:
         if not isinstance(doc, dict):
             parser.error("config document must be a JSON object")
     paths = {key: doc.pop(key) for key in _CONFIG_PATH_KEYS if key in doc}
+    for key, value in paths.items():
+        if not isinstance(value, str):
+            parser.error(f"config key {key!r} must be a path string")
     # each train flag that overrides a TrainConfig field has that field's name as its dest
     overrides = {f.name: v for f in fields(trainer.TrainConfig) if (v := getattr(args, f.name, None)) is not None}
     try:

@@ -183,9 +183,9 @@ def load_dataset(path) -> Dataset:
     Rejects, with a DatasetFormatError naming the file and the line, a
     header that is not save_dataset's, a file without rows, a row with the
     wrong number of fields, a field that does not parse, a non-finite
-    feature or prior, a prior outside [0, 1], a label outside 0..K-1 and a
-    line the csv module rejects; a file that is not UTF-8 is named without
-    a line.
+    feature or prior, a prior outside [0, 1], a prior row whose sum is more
+    than 1e-6 from 1, a label outside 0..K-1 and a line the csv module
+    rejects; a file that is not UTF-8 is named without a line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -224,6 +224,7 @@ def load_dataset(path) -> Dataset:
         ((true < 0) | (true >= k), f"true_label outside 0..{k - 1}"),
         (~np.isfinite(priors).all(axis=1), "non-finite prior"),
         (~((priors >= 0.0) & (priors <= 1.0)).all(axis=1), "prior outside [0, 1]"),
+        (np.abs(priors.sum(axis=1) - 1.0) > 1e-6, "prior row does not sum to 1"),
     ):
         if bad.any():
             raise DatasetFormatError(f"{path}:{lines[int(np.argmax(bad))]}: {what}")

@@ -22,8 +22,8 @@ rather than trusted, and ``kelly_objective_value`` evaluates the
 coarsened-KL form of the optimum.
 
 Everything here is pure and operates on plain numpy arrays.  The public
-functions take (N, K) rows, one per sample; the private sweep and
-``class_sums`` work on class-major (K, N) arrays, one row per class.
+functions take (N, K) rows, one per sample; the private sweep works on
+class-major (K, N) arrays, one row per class.
 """
 
 from __future__ import annotations
@@ -47,43 +47,6 @@ class MissingReferenceLabelError(ValueError):
 
 class GridDimensionError(ValueError):
     """Exhaustive grid search requested for too many classes."""
-
-
-def class_sums(x) -> np.ndarray:
-    """Sums over the classes of a class-major (K, ...) array, bit for bit numpy's row sums.
-
-    Numpy sums each row of the C-ordered (N, K) layout pairwise: below 8
-    classes left to right from +0.0; from 8 to 128 in eight interleaved
-    accumulators combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
-    r7)), then the remainder left to right; above 128 as two halves split
-    at K // 2 rounded down to a multiple of 8.  The same additions on whole
-    class rows give the same bits without numpy's per-row overhead.
-    """
-    x = np.asarray(x, dtype=float)
-    return _pairwise_sum(x, 0, x.shape[0])
-
-
-def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Sums of the ``n`` rows of ``x`` from ``lo`` in numpy's pairwise order."""
-    if n < 8:
-        # an axis-0 reduce adds the rows in order onto the initial +0.0
-        return np.add.reduce(x[lo : lo + n], axis=0, initial=0.0)
-    if n <= 128:
-        end = lo + n - n % 8
-        acc = x[lo : lo + 8] + 0.0
-        for i in range(lo + 8, end, 8):
-            acc += x[i : i + 8]
-        acc = acc[0::2] + acc[1::2]
-        acc = acc[0::2] + acc[1::2]
-        total = acc[0] + acc[1]
-        for c in range(end, lo + n):
-            total += x[c]
-        return total
-    half = n // 2
-    half -= half % 8
-    total = _pairwise_sum(x, lo, half)
-    total += _pairwise_sum(x, lo + half, n - half)
-    return total
 
 
 def _transposed(x) -> np.ndarray:
@@ -270,16 +233,11 @@ def _sweep(
     (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
-    ``mask_only`` the prior rest sums at the stop take the fractions'
-    place, both (N,), when every sample admitted an outcome and left a rest
-    of one or two (whose sums have the bits of class-order sums, as in
-    ``losses._efe``); otherwise both come back as None.
+    ``mask_only`` the fractions and the unspent ratios come back as None.
     ``order`` is a ``_SweepOrder`` of ``a`` carried from earlier calls; it
     is updated to the order of ``a / p``, which saves the sort of every
     sample whose order did not change.  Without one, every sample is
-    sorted.  Either way the result has the same bits.  Suffix sums,
-    running conjunctions and gathers over whole class rows of the sorted
-    order give the same bits as per-sample ones, far cheaper.
+    sorted.  Either way the result has the same bits.
     """
     k, n = a.shape
     if order is None:
@@ -307,10 +265,6 @@ def _sweep(
         # most K - 1 outcomes are admitted and the level index is in range
         unspent = levels[admitted.sum(axis=0), np.arange(n)]
         fractions = np.where(mask, a - p * unspent, 0.0)
-    elif admitted[max(k - 3, 0)].all():
-        # every sample admitted an outcome and left a rest of one or two
-        at = (np.add.reduce(admitted, axis=0, dtype=np.intp) - 1) * n + np.arange(n)
-        fractions, unspent = rest_a.ravel()[at], levels[1:].ravel()[at]
 
     if not admitted[0].all():
         empty = ~admitted[0]

@@ -13,9 +13,7 @@ its kernel plus whether it needs reference labels and whether it uses the
 candidate sets.  The kernels take class-major (K, N) arrays, one contiguous
 row per class, and the trainer calls them; ``LossEntry.evaluate`` is the
 same loss on (N, K) arrays, one row per sample, which the verify suites,
-the tests and the demos call; the command line reads the names.  Class
-sums (``kelly.class_sums``) and sums over samples (``_products``) are taken
-in numpy's order for the (N, K) layout, so both layouts give the same bits.
+the tests and the demos call; the command line reads the names.
 
 The cross-entropy family and the expected-free-energy loss read ln p and p
 from one ``_log_softmax``, which holds the only finiteness check of the
@@ -47,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kelly import _transposed, class_sums, clamp_probability_rows
+from .kelly import _transposed, clamp_probability_rows
 
 
 class LabelsNotOneHotError(ValueError):
@@ -81,11 +79,9 @@ def softmax(logits) -> np.ndarray:
 def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """``(ln p, p)`` of class-major (K, N) logits, shifted by each sample's maximum.
 
-    The maximum over the class rows and ``kelly.class_sums`` give the bits
-    of numpy's row reductions in the (N, K) layout.  ``posteriors=False``
-    returns None for p.  Raises NonFiniteLogitsError unless every shifted
-    logit is finite, which rejects non-finite logits and samples whose
-    spread overflows.
+    ``posteriors=False`` returns None for p.  Raises NonFiniteLogitsError
+    unless every shifted logit is finite, which rejects non-finite logits
+    and samples whose spread overflows.
     """
     z = np.asarray(z, dtype=float)
     top = z.max(axis=0)
@@ -95,15 +91,8 @@ def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | N
     if z.size and not np.isfinite(z.min()):
         raise NonFiniteLogitsError("logits must be finite")
     e = np.exp(z)
-    total = class_sums(e)
+    total = e.sum(axis=0)
     return z - np.log(total), e / total if posteriors else None
-
-
-def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` of (K, N) arrays in a C-ordered (N, K) array, whose sums have the bits of numpy's (N, K) sums."""
-    product = np.empty(x.shape[::-1])
-    np.multiply(x, y, out=product.T)
-    return product
 
 
 def _transposed_grad(ev: LossEvaluation) -> LossEvaluation:
@@ -123,7 +112,7 @@ def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def _softmax_chain(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pull a class-major (K, N) gradient ``g`` in the posteriors ``p`` back through the softmax Jacobian."""
-    return p * (g - class_sums(g * p))
+    return p * (g - (g * p).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +142,18 @@ def _weighted_focal(
     if gamma_mod == 0.0:
         # a product with unit weights is exact, so they skip it
         u = l if class_weights is None else w * l
-        value = -scale * float(_products(u, ln_p).sum())
+        value = -scale * float(np.vdot(u, ln_p))
         if not grad:
             return LossEvaluation(value, None)
     else:
         one_minus = 1.0 - p
         mod = one_minus**gamma_mod
-        value = -scale * float(_products(w * mod * l, ln_p).sum())
+        value = -scale * float(np.vdot(w * mod * l, ln_p))
         if not grad:
             return LossEvaluation(value, None)
         slope = np.power(one_minus, gamma_mod - 1.0, out=np.zeros_like(p), where=one_minus > 0.0)
         u = w * l * (mod - gamma_mod * slope * p * ln_p)
-    return LossEvaluation(value, scale * (p * class_sums(u) - u))
+    return LossEvaluation(value, scale * (p * u.sum(axis=0) - u))
 
 
 def _weight_column(class_weights, l: np.ndarray) -> np.ndarray:
@@ -193,14 +182,13 @@ def _dice(logits, labels, grad: bool) -> LossEvaluation:
     """1 - the soft Dice similarity (2/K) * sum_c intersection_c / mass_c, of class-major (K, N) logits.
 
     A class absent from both labels and posteriors counts as perfectly
-    matched (per-class Dice 1, i.e. bracket 1/2).  The per-class sums over
-    samples are taken in numpy's order for the (N, K) layout.
+    matched (per-class Dice 1, i.e. bracket 1/2).
     """
     z, l = _check_pair(logits, labels)
     p = _log_softmax(z)[1]
     k = p.shape[0]
-    num = _products(l, p).sum(axis=0)[:, None]
-    den = (_products(l, l) + _products(p, p)).sum(axis=0)[:, None]
+    num = (l * p).sum(axis=1, keepdims=True)
+    den = (l * l + p * p).sum(axis=1, keepdims=True)
     empty = den == 0.0
     safe_den = np.where(empty, 1.0, den)
     brackets = np.where(empty, 0.5, num / safe_den)
@@ -272,7 +260,7 @@ def _lovasz(posteriors, labels, grad: bool) -> LossEvaluation:
     then chained through the softmax Jacobian.
     """
     p, l = _check_pair(posteriors, labels)
-    if not np.all((l == 0.0) | (l == 1.0)) or not np.all(class_sums(l) == 1.0):
+    if not np.all((l == 0.0) | (l == 1.0)) or not np.all(l.sum(axis=0) == 1.0):
         raise LabelsNotOneHotError("labels must be exactly one-hot rows")
     k, n = p.shape
     m = np.where(l == 1.0, 1.0 - p, p)
@@ -319,8 +307,7 @@ def _efe_of_logits(logits, labels, priors, mask, grad: bool) -> LossEvaluation:
 
 
 def _efe(
-    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool,
-    rest_a: np.ndarray | None = None, level: np.ndarray | None = None,
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
 ) -> LossEvaluation:
     """Expected free energy: label-weighted uncertainty plus expected complexity.
 
@@ -335,24 +322,22 @@ def _efe(
     with target = a on the candidates and rest_a * p / rest_p off them.
     For a mask of the sweep the rest holds at least as much posterior as
     prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding.  A
-    row without a rest has no rest term.  ``rest_a`` and ``level = rest_a
-    / rest_p`` may come from the sweep (``kelly._sweep``).
+    row without a rest has no rest term.
     """
     k, n = p.shape
     scale = 1.0 / (k * n)
-    uncertainty = -scale * float(_products(l * p, ln_p).sum())
+    uncertainty = -scale * float(np.vdot(l * p, ln_p))
 
-    if level is None:
-        rest_a = class_sums(np.where(mask, 0.0, a))
-        level = np.divide(rest_a, class_sums(np.where(mask, 0.0, p)), out=np.ones(n), where=rest_a > 0.0)
-    cand_terms = class_sums(np.where(mask, a * (ln_a - ln_p), 0.0))
+    rest_a = np.where(mask, 0.0, a).sum(axis=0)
+    level = np.divide(rest_a, np.where(mask, 0.0, p).sum(axis=0), out=np.ones(n), where=rest_a > 0.0)
+    cand_terms = np.where(mask, a * (ln_a - ln_p), 0.0).sum(axis=0)
     complexity = scale * float((cand_terms + rest_a * np.log(level)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
 
     grad_unc = _softmax_chain(p, -scale * l * (ln_p + 1.0))
     target = np.where(mask, a, p * level)
-    grad_cmp = scale * (p * class_sums(a) - target)
+    grad_cmp = scale * (p * a.sum(axis=0) - target)
     return LossEvaluation(
         value=uncertainty + complexity,
         grad_logits=grad_unc + grad_cmp,

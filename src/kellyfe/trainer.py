@@ -204,8 +204,8 @@ def batch_loss(
     if entry.uses_candidates:
         ln_p, p = losses._log_softmax(z)
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
-        mask, rest_a, level = _sweep(priors, p, fallback, mask_only=True, order=order)
-        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad, rest_a, level)
+        mask, _, _ = _sweep(priors, p, fallback, mask_only=True, order=order)
+        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
     else:
         weights = config.class_weights if class_weights is None else class_weights
         ev = entry.kernel(z, labels, priors, None, weights, config.gamma_mod, grad)
@@ -404,14 +404,15 @@ def read_history(path) -> list[HistoryRecord]:
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
-    """Build a TrainConfig from a plain dict, rejecting unknown keys."""
+    """Build a TrainConfig from a plain dict, rejecting unknown keys and a list field that is not a list."""
     known = {f.name for f in fields(TrainConfig)}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     doc = copy.deepcopy(doc)
-    if "hidden_widths" in doc:
-        doc["hidden_widths"] = tuple(doc["hidden_widths"])
-    if doc.get("class_weights") is not None:
-        doc["class_weights"] = tuple(doc["class_weights"])
+    for name in ("hidden_widths", "class_weights"):
+        if name in doc and not (name == "class_weights" and doc[name] is None):
+            if not isinstance(doc[name], (list, tuple)):
+                raise ValueError(f"{name} must be a list of numbers")
+            doc[name] = tuple(doc[name])
     return TrainConfig(**doc)

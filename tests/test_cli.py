@@ -343,6 +343,11 @@ class TestTrain:
             ([], {"gamma_mod": "2"}, "invalid config: gamma_mod must be a number"),
             ([], {"class_weights": ["2", True, 1]}, "invalid config: class_weights must be a number"),
             ([], {"class_weights": [2, True, 1]}, "invalid config: class_weights must be a number"),
+            ([], {"train": 5, "val": "val.csv", "out_dir": "o"}, "config key 'train' must be a path string"),
+            ([], {"val": ["a"]}, "config key 'val' must be a path string"),
+            ([], {"out_dir": 3}, "config key 'out_dir' must be a path string"),
+            ([], {"hidden_widths": 5}, "invalid config: hidden_widths must be a list of numbers"),
+            ([], {"class_weights": 5}, "invalid config: class_weights must be a list of numbers"),
         ],
     )
     def test_bad_numeric_input_is_one_line_usage_error(self, tmp_path, capsys, flags, doc, message):

@@ -161,14 +161,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_dataset(path)
 
-    @pytest.mark.parametrize("prior", ["-5", "1.5", "-1e-300"])
-    def test_rejects_prior_outside_the_unit_interval(self, tmp_path, prior):
+    @pytest.mark.parametrize(
+        "priors, message",
+        [
+            pytest.param(["-5"], "prior outside [0, 1]", id="-5"),
+            pytest.param(["1.5"], "prior outside [0, 1]", id="1.5"),
+            pytest.param(["-1e-300"], "prior outside [0, 1]", id="-1e-300"),
+            pytest.param(["0", "0"], "prior row does not sum to 1", id="all-zero-row"),
+            pytest.param(["1", "1"], "prior row does not sum to 1", id="all-one-row"),
+        ],
+    )
+    def test_rejects_prior_outside_the_unit_interval(self, tmp_path, priors, message):
         path = tmp_path / "data.csv"
         save_dataset(generate(2, 2, 6, [0.5, 0.5], 1.0, seed=0), path)
         lines = path.read_text().splitlines()
         cells = lines[3].split(",")  # line 4; columns f0,f1,label,true_label,prior_0,prior_1
-        cells[4] = prior
+        cells[4 : 4 + len(priors)] = priors
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:4: prior outside \[0, 1\]$"):
+        with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:4: {re.escape(message)}$"):
             load_dataset(path)

@@ -14,18 +14,20 @@ for each of the 26 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
 file that sets two hidden layers and dropout.  The two 20-class runs
-(efe and ce) put at least 8 entries in every row sum, which numpy adds in
-eight interleaved accumulators where a 3-entry row is added left to
-right.  A third table gives the
-exit code and the sha256 of the stdout of three ``kellyfe verify`` runs,
-one per suite.
+(efe and ce) take the sweep, the softmax and the losses to a class count
+where a candidate set and its rest can each hold many outcomes.  A third
+table gives the exit code and the sha256 of the stdout of three ``kellyfe
+verify`` runs, one per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
 two ``--src`` trees, the script makes both tables and prints only the rows
-that differ, the first tree's prefixed ``-`` and the second's ``+``; it
-exits 1 if any row differs and 0, printing nothing, if none does.  Uses
-only the standard library.
+that differ, the first tree's prefixed ``-`` and the second's ``+``.
+Under each differing train row it prints the largest relative difference
+(relative to the first tree) between the numbers of the two runs' first
+50 ``history.csv`` rows, the check that a declared numbers change keeps
+its runs within rounding of its parent's.  It exits 1 if any row differs
+and 0, printing nothing, if none does.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ VERIFY = [
 ]
 TRAIN = ["--seed", "5", "--max-iterations", "250", "--no-timestamp"]
 OUTPUTS = ("history.csv", "model.json", "metrics.json")
+HISTORY_ROWS = 50
 
 
 def kellyfe(src: Path, argv: list[str], allowed=(0,)) -> subprocess.CompletedProcess:
@@ -97,7 +100,21 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_table(src: Path, work: Path) -> list[str]:
+def history_difference(first: Path, second: Path) -> float:
+    """Largest difference, relative to ``first``, between the numbers of the first HISTORY_ROWS rows of two history.csv files."""
+    rows = [path.read_text(encoding="utf-8").splitlines()[1 : HISTORY_ROWS + 1] for path in (first, second)]
+    worst = 0.0
+    for row_a, row_b in zip(*rows):
+        for a, b in zip(row_a.split(","), row_b.split(",")):
+            if a != b:
+                a, b = float(a), float(b)
+                worst = max(worst, abs(a - b) / abs(a) if a else float("inf"))
+    return worst
+
+
+def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
+    """The table rows, and the history.csv of each train row by its index in them."""
+    histories = {}
     rows = ["| input | csv | stdout |", "|---|---|---|"]
     for name, flags in INPUTS.items():
         path = work / f"{name}.csv"
@@ -121,13 +138,14 @@ def digest_table(src: Path, work: Path) -> list[str]:
                 "--out-dir", str(out),
             ])
             digests = [sha256((out / name).read_bytes()) for name in OUTPUTS]
+            histories[len(rows)] = out / "history.csv"
             rows.append(f"| {data} | {label} | {mode} | " + " | ".join(digests) + " |")
     rows += ["", "| verify | exit | stdout |", "|---|---|---|"]
     for flags in VERIFY:
         # a failed property exits 1 and is part of what must not change
         proc = kellyfe(src, ["verify", *flags, "--no-timestamp"], allowed=(0, 1))
         rows.append(f"| {' '.join(flags)} | {proc.returncode} | {sha256(proc.stdout)} |")
-    return rows
+    return rows, histories
 
 
 def main(argv=None) -> int:
@@ -151,12 +169,16 @@ def main(argv=None) -> int:
             tree_work = work / str(i) if len(srcs) == 2 else work
             tree_work.mkdir(parents=True, exist_ok=True)
             tables.append(digest_table(src, tree_work))
-    if len(tables) == 1:
-        print("\n".join(tables[0]))
-        return 0
-    differ = [(a, b) for a, b in zip(*tables) if a != b]
-    for a, b in differ:
-        print(f"-{a}\n+{b}")
+        if len(tables) == 1:
+            print("\n".join(tables[0][0]))
+            return 0
+        (rows_a, histories_a), (rows_b, histories_b) = tables
+        differ = [i for i, (a, b) in enumerate(zip(rows_a, rows_b)) if a != b]
+        for i in differ:
+            print(f"-{rows_a[i]}\n+{rows_b[i]}")
+            if i in histories_a:
+                difference = history_difference(histories_a[i], histories_b[i])
+                print(f"  history.csv rows 1-{HISTORY_ROWS}: largest relative difference {difference:.2g}")
     return 1 if differ else 0
 
 
