@@ -3,26 +3,19 @@
 The expected-free-energy objective consumes per-sample priors (here
 synthesized from the true labels with 10% noise, imitating an external
 classifier).  Compare its minority-class behaviour with plain cross
-entropy, which sees only the reference labels.
+entropy, which sees only the reference labels.  These are the seed-0 runs
+of acceptance criterion 09 (kellyfe.experiments).
 """
 
 import numpy as np
 
-from kellyfe import TrainConfig, evaluate, generate, train
-from kellyfe.data import with_synthesized_priors
+from kellyfe import experiments
 
-FREQS = [0.90, 0.09, 0.01]
-
-train_set = with_synthesized_priors(generate(3, 2, 2000, FREQS, 3.0, seed=0), 0.1)
-val_set = with_synthesized_priors(generate(3, 2, 1000, FREQS, 3.0, seed=1), 0.1)
+train_set, _ = experiments.datasets(seed=0)
 print("train class counts:", np.bincount(train_set.true_labels))
 
 for loss, mode in (("efe", "grpr"), ("ce", "grnp")):
-    config = TrainConfig(
-        loss=loss, mode=mode, hidden_widths=(16,), max_iterations=1500, patience=100, seed=0
-    )
-    params, history = train(config, train_set, val_set)
-    report = evaluate(params, val_set)
+    report, history = experiments.run(loss, mode, seed=0)
     print(f"\n{loss}-{mode}: stopped after {history[-1].iteration} iterations")
     print("  per-class recall:   ", np.round(report.recall, 3))
     print("  per-class precision:", np.round(report.precision, 3))

@@ -2,31 +2,18 @@
 
 The candidate-label machinery never trusts the reference label alone: the
 loss couples posteriors to priors, so flipped labels barely move it.  A
-purely label-driven loss (weighted focal) has no such anchor.
+purely label-driven loss (weighted focal) has no such anchor.  These are
+the seed-0 runs of acceptance criterion 10 (kellyfe.experiments).
 """
 
-from kellyfe import TrainConfig, evaluate, generate, train
-from kellyfe.data import with_corrupt_labels, with_synthesized_priors
+from kellyfe import experiments
 
-FREQS = [0.90, 0.09, 0.01]
-
-clean = with_synthesized_priors(generate(3, 2, 2000, FREQS, 3.0, seed=0), 0.1)
-noisy = with_corrupt_labels(clean, 0.2, seed=100)
-val_set = with_synthesized_priors(generate(3, 2, 1000, FREQS, 3.0, seed=1), 0.1)
+noisy, _ = experiments.datasets(seed=0, flip=experiments.LABEL_FLIP)
 print("labels flipped:", int((noisy.reference_labels != noisy.true_labels).sum()), "of", len(noisy))
 
-
-def macro_f1(loss, mode, dataset):
-    config = TrainConfig(
-        loss=loss, mode=mode, hidden_widths=(16,), max_iterations=1500, patience=100, seed=0
-    )
-    params, _ = train(config, dataset, val_set)
-    return evaluate(params, val_set).macro_f1
-
-
 for loss, mode in (("efe", "grpr"), ("wfocal", "grnp")):
-    f1_clean = macro_f1(loss, mode, clean)
-    f1_noisy = macro_f1(loss, mode, noisy)
+    f1_clean = experiments.run(loss, mode, seed=0)[0].macro_f1
+    f1_noisy = experiments.run(loss, mode, seed=0, flip=experiments.LABEL_FLIP)[0].macro_f1
     print(f"{loss}-{mode}: clean {f1_clean:.3f} -> flipped {f1_noisy:.3f}  (degradation {f1_clean - f1_noisy:+.3f})")
 
 # Typical outcome: the prior-anchored objective loses almost nothing while

@@ -1,10 +1,10 @@
 """Command-line entry points: generate / train / verify.
 
-Exit codes: 0 success, 1 runtime or property failure, 2 invalid usage
-(including a dataset CSV that does not load), 3 semantically incompatible
-loss/mode combination.  Output files are timestamp-free so reruns with the
-same seed are byte-identical; the only timestamp is a single header line on
-stdout, suppressed by --no-timestamp.
+Exit codes: 0 success, 1 runtime or property failure (also an array too
+large to allocate), 2 invalid usage (including a dataset CSV that does not
+load), 3 semantically incompatible loss/mode combination.  Output files are
+timestamp-free so reruns with the same seed are byte-identical; the only
+timestamp is a single header line on stdout, suppressed by --no-timestamp.
 """
 
 from __future__ import annotations
@@ -202,7 +202,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # built per call, so a cmd_* rebound on this module is the one that runs
     commands = {"generate": cmd_generate, "train": cmd_train, "verify": cmd_verify}
-    return commands[args.command](args, parser)
+    try:
+        return commands[args.command](args, parser)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -233,7 +233,7 @@ def _sweep(
     (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
-    ``mask_only`` the fractions and the unspent ratios come back as None.
+    ``mask_only`` the mask alone comes back.
     ``order`` is a ``_SweepOrder`` of ``a`` carried from earlier calls; it
     is updated to the order of ``a / p``, which saves the sort of every
     sample whose order did not change.  Without one, every sample is
@@ -259,7 +259,6 @@ def _sweep(
     mask = np.zeros(k * n, dtype=bool)
     mask[flat] = admitted
     mask = mask.reshape(k, n)
-    fractions = unspent = None
     if not mask_only:
         # the lowest-q outcome always has q equal to the last level, so at
         # most K - 1 outcomes are admitted and the level index is in range
@@ -274,7 +273,7 @@ def _sweep(
             )
         fb = np.asarray(fallback_labels, dtype=int)
         mask[fb[empty], empty] = True
-    return mask, fractions, unspent
+    return mask if mask_only else (mask, fractions, unspent)
 
 
 def kelly_objective_value(solution: KellySolution, prior, posterior) -> float:

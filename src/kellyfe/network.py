@@ -109,7 +109,11 @@ def init_he(specs, seed: int) -> NetworkParams:
         if prev.output_width != nxt.input_width:
             raise ValueError("adjacent layer widths do not chain")
     rng = np.random.default_rng(seed)
-    params = NetworkParams(specs, np.zeros(_vector_size(specs)))
+    try:  # numpy refuses a size past its limit before allocating; one the host refuses is a MemoryError
+        vector = np.zeros(_vector_size(specs))
+    except ValueError as exc:
+        raise MemoryError(f"{_vector_size(specs)} parameters: {exc}") from None
+    params = NetworkParams(specs, vector)
     for s, lp in zip(specs, params.layers):
         lp.weights[...] = rng.normal(0.0, np.sqrt(2.0 / s.input_width), (s.output_width, s.input_width))
         lp.prelu_leakage[...] = PRELU_INIT

@@ -204,7 +204,7 @@ def batch_loss(
     if entry.uses_candidates:
         ln_p, p = losses._log_softmax(z)
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
-        mask, _, _ = _sweep(priors, p, fallback, mask_only=True, order=order)
+        mask = _sweep(priors, p, fallback, mask_only=True, order=order)
         ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
     else:
         weights = config.class_weights if class_weights is None else class_weights

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kellyfe import cli, data, losses, trainer, verify
+from kellyfe import cli, data, experiments, losses, trainer, verify
 from kellyfe.kelly import brute_force_oracle, candidate_labels, kelly_objective_value
 from kellyfe.optimizer import adam_step, init_adam
 
@@ -237,34 +237,29 @@ def test_criterion_08_adam_conformance():
     )
 
 
-def _experiment_sets(seed: int, flip: float = 0.0):
-    train_set = data.generate(3, 2, 2000, [0.90, 0.09, 0.01], 3.0, seed=seed)
-    train_set = data.with_synthesized_priors(train_set, 0.1)
-    if flip > 0.0:
-        train_set = data.with_corrupt_labels(train_set, flip, seed=seed + 7000)
-    val_set = data.generate(3, 2, 2000, [0.90, 0.09, 0.01], 3.0, seed=seed + 5000)
-    val_set = data.with_synthesized_priors(val_set, 0.1)
-    return train_set, val_set
+@pytest.fixture(scope="module")
+def experiment():
+    """experiments.run's validation metrics, each distinct run trained and timed once for criteria 09-10."""
+    reports = {}
+
+    def report(loss: str, mode: str, seed: int, flip: float = 0.0):
+        key = (loss, mode, seed, flip)
+        if key not in reports:
+            start = time.time()
+            reports[key], _ = experiments.run(*key)
+            elapsed = time.time() - start
+            assert elapsed < 120.0, f"{loss}-{mode} seed {seed} took {elapsed:.0f}s"
+        return reports[key]
+
+    return report
 
 
-def _experiment_run(loss: str, mode: str, seed: int, flip: float = 0.0):
-    train_set, val_set = _experiment_sets(seed, flip)
-    cfg = trainer.TrainConfig(
-        loss=loss, mode=mode, max_iterations=3000, patience=100, seed=seed, hidden_widths=(16,)
-    )
-    start = time.time()
-    params, _ = trainer.train(cfg, train_set, val_set)
-    elapsed = time.time() - start
-    assert elapsed < 120.0, f"{loss}-{mode} seed {seed} took {elapsed:.0f}s"
-    return trainer.evaluate(params, val_set)
-
-
-def test_criterion_09_imbalance_direction():
+def test_criterion_09_imbalance_direction(experiment):
     wins = 0
     details = []
     for seed in range(5):
-        efe_recall = _experiment_run("efe", "grpr", seed).recall[2]
-        ce_recall = _experiment_run("ce", "grnp", seed).recall[2]
+        efe_recall = experiment("efe", "grpr", seed).recall[2]
+        ce_recall = experiment("ce", "grnp", seed).recall[2]
         wins += efe_recall >= ce_recall
         details.append(f"s{seed}:{efe_recall:.2f}/{ce_recall:.2f}")
     _report(
@@ -275,14 +270,14 @@ def test_criterion_09_imbalance_direction():
     )
 
 
-def test_criterion_10_label_robustness():
+def test_criterion_10_label_robustness(experiment):
     wins = 0
     details = []
     for seed in range(5):
-        efe_clean = _experiment_run("efe", "grpr", seed).macro_f1
-        efe_noisy = _experiment_run("efe", "grpr", seed, flip=0.2).macro_f1
-        wf_clean = _experiment_run("wfocal", "grnp", seed).macro_f1
-        wf_noisy = _experiment_run("wfocal", "grnp", seed, flip=0.2).macro_f1
+        efe_clean = experiment("efe", "grpr", seed).macro_f1
+        efe_noisy = experiment("efe", "grpr", seed, flip=experiments.LABEL_FLIP).macro_f1
+        wf_clean = experiment("wfocal", "grnp", seed).macro_f1
+        wf_noisy = experiment("wfocal", "grnp", seed, flip=experiments.LABEL_FLIP).macro_f1
         efe_drop = efe_clean - efe_noisy
         wf_drop = wf_clean - wf_noisy
         wins += efe_drop <= wf_drop

@@ -1,11 +1,21 @@
 """Command-line surface: flags, exit codes, output files, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellyfe import cli, data, losses, trainer
+
+# numpy's words for an allocation the host refuses; the tests raise it instead of asking for the array
+REFUSED = "Unable to allocate 1.31 TiB for an array with shape (90000000000, 2) and data type float64"
+
+
+def _refuse(*args, **kwargs):
+    raise MemoryError(REFUSED)
 
 
 def _generate(tmp_path, name, samples=120, seed=0, label_flip=0.0, capsys=None):
@@ -148,6 +158,17 @@ class TestGenerate:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
+
+    def test_refused_allocation_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(data, "generate", _refuse)
+        out = tmp_path / "x.csv"
+        code = cli.main([
+            "generate", "--classes", "2", "--frequencies", "0.5,0.5", "--samples", "10",
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {REFUSED}"]
         assert not out.exists()
 
     def test_timestamp_header_togglable(self, tmp_path, capsys):
@@ -329,6 +350,21 @@ class TestTrain:
         assert lines[-1] == "error: the validation pass went non-finite at iteration 1"
         assert sum("error:" in line for line in lines) == 1
         assert not (tmp_path / "diverged").exists()
+
+    def test_refused_allocation_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "init_he", _refuse)
+        assert cli.main(self._train_args(tmp_path, "refused")) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {REFUSED}"]
+        assert not (tmp_path / "refused").exists()
+
+    def test_hidden_width_past_numpy_limit_exits_1_with_one_error_line(self, tmp_path, capsys):
+        # numpy refuses this parameter vector's size before it allocates anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden_widths": [2**62]}))
+        assert cli.main(self._train_args(tmp_path, "huge") + ["--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: out of memory: {6 * 2**62 + 5} parameters: ")
+        assert not (tmp_path / "huge").exists()
 
     @pytest.mark.parametrize(
         "flags, doc, message",
@@ -520,3 +556,63 @@ class TestVerify:
         monkeypatch.setitem(verify.SUITES, "kelly", lambda seed, trials: broken)
         assert cli.main(["verify", "--suite", "kelly", "--no-timestamp"]) == 1
         assert "FAIL forced-failure" in capsys.readouterr().out
+
+
+# a config document is valid fragments of TrainConfig fields overwritten by up to two _ANY values,
+# under field names or an unknown key; the hidden widths stay small, as a wide layer is an allocation
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+_FIELDS = {
+    "loss": st.sampled_from(trainer.LOSS_NAMES),
+    "mode": st.sampled_from(trainer.MODE_NAMES),  # some pairs are incompatible
+    "hidden_widths": st.lists(st.integers(1, 8), max_size=3),
+    "dropout_retention": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    "gamma_mod": st.floats(min_value=0.0, allow_infinity=False),
+    "class_weights": st.none() | st.lists(_POSITIVE, min_size=3, max_size=3),
+    "alpha_lr": _POSITIVE,
+    "beta_fm": _UNIT,
+    "beta_sm": _UNIT,
+    "batch_size": st.integers(1, 2**70),
+    "max_iterations": st.integers(1, 2**70),
+    "patience": st.integers(1, 2**70),
+    "ema_decay": _UNIT,
+    "seed": st.integers(0, 2**70),
+}
+_ANY = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),  # NaN, infinities and huge magnitudes included
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 8) | st.floats(), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_DOCUMENTS = st.builds(
+    lambda valid, bad: {**valid, **bad},
+    st.fixed_dictionaries({}, optional=_FIELDS),
+    st.dictionaries(st.sampled_from([*_FIELDS, "turbo"]), _ANY, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    return _generate(tmp_path_factory.mktemp("fuzz"), "tiny.csv", samples=40)
+
+
+def test_fuzz_fragments_cover_every_config_field():
+    assert set(_FIELDS) == {f.name for f in fields(trainer.TrainConfig)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_DOCUMENTS)
+def test_fuzzed_config_exits_with_a_documented_code(tiny_csv, doc):
+    config = tiny_csv.parent / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [
+        "train", "--train", str(tiny_csv), "--val", str(tiny_csv), "--out-dir", str(tiny_csv.parent / "out"),
+        "--config", str(config), "--max-iterations", "2", "--no-timestamp",
+    ]
+    try:
+        assert cli.main(argv) in (0, 1, 2, 3)
+    except SystemExit as exc:
+        assert exc.code == 2

@@ -510,7 +510,7 @@ class TestSweepOrder:
                 flat, *expected = reference_sweep(a, p, fallback)
                 carried = _sweep(a, p, fallback, order=order)
                 fresh = _sweep(a, p, fallback)
-                mask, _, _ = _sweep(a, p, fallback, mask_only=True, order=order)
+                mask = _sweep(a, p, fallback, mask_only=True, order=order)
             assert order.flat.tobytes() == flat.tobytes()
             for got, again, want in zip(carried, fresh, expected):
                 assert got.tobytes() == again.tobytes() == want.tobytes()

@@ -353,7 +353,7 @@ def _transposed(x):
 def _trainer_mask(logits, priors, labels):
     """The candidate mask the trainer sweeps: clamped priors, unclamped posteriors."""
     a, p = _transposed(clamp_probability_rows(priors)), _transposed(losses.softmax(logits))
-    mask, _, _ = _sweep(a, p, labels.argmax(axis=1), mask_only=True)
+    mask = _sweep(a, p, labels.argmax(axis=1), mask_only=True)
     return _transposed(mask)
 
 
@@ -446,7 +446,7 @@ class TestValueOnly:
                 _, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
                 assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
                 # the trainer sweeps its clamped priors against unclamped posteriors
-                mask, _, _ = _sweep(a, _transposed(posteriors), fallback, mask_only=True)
+                mask = _sweep(a, _transposed(posteriors), fallback, mask_only=True)
                 mask = _transposed(mask)
             table_full = entry.evaluate(logits, labels, priors, mask, None, 2.0)
             table_value = entry.evaluate(logits, labels, priors, mask, None, 2.0, grad=False)
