@@ -68,6 +68,8 @@ def generate(n_classes, n_features, n_samples, frequencies, cluster_separation, 
     f = _validate_frequencies(frequencies, n_classes)
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
+    if n_samples > 2**53:  # past it, n_samples * frequency misses whole samples or leaves numpy's integers
+        raise ValueError("need at most 2**53 samples")
     if n_features < 2:
         raise ValueError("cluster geometry needs at least 2 features")
     if not np.isfinite(cluster_separation):
@@ -202,8 +204,9 @@ def load_dataset(path) -> Dataset:
                     raise DatasetFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
                 try:
                     features.append([float(x) for x in row[:d]])
-                    labels.append(int(row[d]))
-                    true_labels.append(int(row[d + 1]))
+                    # clipped into [-1, K], a label past numpy's integers is still out of range below
+                    labels.append(min(max(int(row[d]), -1), k))
+                    true_labels.append(min(max(int(row[d + 1]), -1), k))
                     priors.append([float(x) for x in row[d + 2 :]])
                 except ValueError as exc:
                     raise DatasetFormatError(f"{path}:{line}: {exc}") from None

@@ -10,24 +10,24 @@ gradient, which is how the trainer scores its validation set.
 
 LOSSES is the one way to reach a trainable loss.  It maps each loss name to
 its kernel plus whether it needs reference labels and whether it uses the
-candidate sets.  The kernels take class-major (K, N) arrays, one contiguous
-row per class, and the trainer calls them; ``LossEntry.evaluate`` is the
-same loss on (N, K) arrays, one row per sample, which the verify suites,
-the tests and the demos call; the command line reads the names.
+candidate sets.  Every kernel reads the class-major (K, N) ``(ln p, p)`` of
+one ``_log_softmax`` call made by its caller, which holds the only
+finiteness check of the logits, with the labels, the clamped priors, their
+logarithms and the candidate mask in the same layout.  The trainer calls
+the kernels on its own rows; ``LossEntry.evaluate`` checks (N, K) inputs,
+one row per sample, clamps the priors (``kelly.clamp_probability_rows``)
+and calls the same kernel, for the verify suites, the tests and the demos;
+the command line reads the names.
 
-The cross-entropy family and the expected-free-energy loss read ln p and p
-from one ``_log_softmax``, which holds the only finiteness check of the
-logits.  No posterior is clamped: ln p is the shifted logit less the log of
-the row sum, finite and exact where p underflows to 0.  The cross-entropy
-family (plain, class-weighted, focal, weighted focal) is one weighted-focal
-kernel with its gradient formed in the logits: cross entropy is its
-unit-weight, gamma_mod = 0 case.  It normalizes by 1/(K*N) and returns
-nonnegative values.  The expected-free-energy loss combines a
-label-weighted posterior-entropy term with the coarsened prior/posterior
-divergence over per-sample candidate outcome sets from the kelly module,
-which are held constant under differentiation.  Its table kernel clamps
-the priors (``kelly.clamp_probability_rows``) and calls ``_efe``, which the
-trainer calls directly with its own once-clamped priors.
+No posterior is clamped: ln p is the shifted logit less the log of the row
+sum, finite and exact where p underflows to 0.  The cross-entropy family
+(plain, class-weighted, focal, weighted focal) is one weighted-focal kernel
+with its gradient formed in the logits: cross entropy is its unit-weight,
+gamma_mod = 0 case.  It normalizes by 1/(K*N) and returns nonnegative
+values.  The expected-free-energy loss combines a label-weighted
+posterior-entropy term with the coarsened prior/posterior divergence over
+per-sample candidate outcome sets from the kelly module, which are held
+constant under differentiation.
 
 The Dice loss (1 - the soft Dice similarity) and the Lovasz-Softmax loss
 are defined on posteriors; their gradients are chained through the softmax
@@ -76,12 +76,11 @@ def softmax(logits) -> np.ndarray:
     return _transposed(_log_softmax(_transposed(logits))[1])
 
 
-def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _log_softmax(z) -> tuple[np.ndarray, np.ndarray]:
     """``(ln p, p)`` of class-major (K, N) logits, shifted by each sample's maximum.
 
-    ``posteriors=False`` returns None for p.  Raises NonFiniteLogitsError
-    unless every shifted logit is finite, which rejects non-finite logits
-    and samples whose spread overflows.
+    Raises NonFiniteLogitsError unless every shifted logit is finite, which
+    rejects non-finite logits and samples whose spread overflows.
     """
     z = np.asarray(z, dtype=float)
     top = z.max(axis=0)
@@ -92,7 +91,7 @@ def _log_softmax(z, posteriors: bool = True) -> tuple[np.ndarray, np.ndarray | N
         raise NonFiniteLogitsError("logits must be finite")
     e = np.exp(z)
     total = e.sum(axis=0)
-    return z - np.log(total), e / total if posteriors else None
+    return z - np.log(total), e / total
 
 
 def _transposed_grad(ev: LossEvaluation) -> LossEvaluation:
@@ -120,22 +119,20 @@ def _softmax_chain(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _weighted_focal(
-    logits, labels, class_weights: np.ndarray | None, gamma_mod: float, grad: bool = True
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, class_weights: np.ndarray | None, gamma_mod: float, grad: bool
 ) -> LossEvaluation:
     """The whole family: -1/(K*N) * sum w * (1 - p)^gamma_mod * l * ln p.
 
-    Takes class-major (K, N) logits and labels and (K, 1) class weights,
-    or None for unit weights, which enter as an exact 1.0; gamma_mod = 0
-    drops the modulation factor, so ce, focal at gamma_mod = 0 and the
-    unit-weight variants agree bit for bit.  The (K, N) gradient in the
+    Takes class-major (K, N) ``(ln p, p)`` and labels and (K, 1) class
+    weights, or None for unit weights, which enter as an exact 1.0;
+    gamma_mod = 0 drops the modulation factor, so ce, focal at gamma_mod = 0
+    and the unit-weight variants agree bit for bit.  The (K, N) gradient in the
     logits is scale * (p * sum(u) - u) with u = w * l * ((1 - p)^g -
     g * (1 - p)^(g - 1) * p * ln p) for g = gamma_mod; the second term is
     taken as 0 where 1 - p == 0, its limit for every g > 0.
     """
     if not 0.0 <= gamma_mod < np.inf:
         raise ValueError("gamma_mod must be finite and >= 0")
-    z, l = _check_pair(logits, labels)
-    ln_p, p = _log_softmax(z, grad or gamma_mod != 0.0)
     k, n = ln_p.shape
     w = 1.0 if class_weights is None else class_weights
     scale = 1.0 / (k * n)
@@ -178,14 +175,12 @@ def _weight_column(class_weights, l: np.ndarray) -> np.ndarray:
 # metric-based losses
 # ---------------------------------------------------------------------------
 
-def _dice(logits, labels, grad: bool) -> LossEvaluation:
-    """1 - the soft Dice similarity (2/K) * sum_c intersection_c / mass_c, of class-major (K, N) logits.
+def _dice(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
+    """1 - the soft Dice similarity (2/K) * sum_c intersection_c / mass_c, of class-major (K, N) posteriors.
 
     A class absent from both labels and posteriors counts as perfectly
     matched (per-class Dice 1, i.e. bracket 1/2).
     """
-    z, l = _check_pair(logits, labels)
-    p = _log_softmax(z)[1]
     k = p.shape[0]
     num = (l * p).sum(axis=1, keepdims=True)
     den = (l * l + p * p).sum(axis=1, keepdims=True)
@@ -247,10 +242,10 @@ def lovasz_extension(mispredictions, ground_truth) -> float:
 
 def lovasz_softmax(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
     """``_lovasz`` of (N, K) posteriors and labels, with the (N, K) gradient in the logits."""
-    return _transposed_grad(_lovasz(_transposed(posteriors), _transposed(labels), grad))
+    return _transposed_grad(_lovasz(*_check_pair(_transposed(posteriors), _transposed(labels)), grad))
 
 
-def _lovasz(posteriors, labels, grad: bool) -> LossEvaluation:
+def _lovasz(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
     """Per-class Lovasz extension of the Jaccard distance of class-major (K, N) posteriors, averaged by 1/(K*N).
 
     Supervised only: labels must be one-hot.  The misprediction for the
@@ -259,7 +254,6 @@ def _lovasz(posteriors, labels, grad: bool) -> LossEvaluation:
     back through the per-class sort (the extension is piecewise linear),
     then chained through the softmax Jacobian.
     """
-    p, l = _check_pair(posteriors, labels)
     if not np.all((l == 0.0) | (l == 1.0)) or not np.all(l.sum(axis=0) == 1.0):
         raise LabelsNotOneHotError("labels must be exactly one-hot rows")
     k, n = p.shape
@@ -281,30 +275,6 @@ def _lovasz(posteriors, labels, grad: bool) -> LossEvaluation:
 # ---------------------------------------------------------------------------
 # expected-free-energy loss and decomposition diagnostics
 # ---------------------------------------------------------------------------
-
-def _efe_of_logits(logits, labels, priors, mask, grad: bool) -> LossEvaluation:
-    """The EFE loss of class-major (K, N) logits, labels, raw priors and candidate mask.
-
-    The priors are clamped by ``clamp_probability_rows``; the posteriors
-    are the unclamped softmax of the logits.  ``mask`` must be a boolean
-    array shaped like the logits.  A sample whose rest (positive prior
-    mass, once clamped) has only posteriors that underflowed to 0 would
-    have an infinite rest term, and raises ValueError.
-    """
-    z, l = _check_pair(logits, labels)
-    a = _transposed(clamp_probability_rows(_transposed(priors)))
-    if a.shape != z.shape:
-        raise ValueError("priors shape must match the logits")
-    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != z.shape:
-        raise ValueError("the candidate mask must be a boolean array shaped like the logits")
-    ln_p, p = _log_softmax(z)
-    stranded = np.flatnonzero(~mask.all(axis=0) & ~np.any(~mask & (p > 0.0), axis=0))
-    if stranded.size:
-        raise ValueError(
-            f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
-        )
-    return _efe(ln_p, p, l, a, np.log(a), mask, grad)
-
 
 def _efe(
     ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
@@ -354,14 +324,23 @@ def _efe(
 class LossEntry:
     """One trainable loss.
 
-    ``kernel(logits, labels, priors, mask, class_weights, gamma_mod, grad)``
-    takes class-major (K, N) arrays and returns the value to minimize and,
-    unless ``grad`` is False, its (K, N) gradient; ``evaluate`` does the
-    same on (N, K) arrays.  Each loss reads only the arguments it needs.
-    Priors are raw.  ``mask`` is the boolean candidate mask of the sweep,
-    read by losses that set ``uses_candidates``.  Without
+    ``kernel(ln_p, p, labels, priors, ln_priors, mask, class_weights,
+    gamma_mod, grad)`` takes the class-major (K, N) ``(ln p, p)`` of one
+    ``_log_softmax`` call made by its caller, the labels, the clamped priors
+    and their logarithms and the boolean candidate mask of the sweep, all
+    (K, N).  It returns the value to minimize and, unless ``grad`` is False,
+    its (K, N) gradient in the logits.  Each loss reads only the arguments
+    it needs: priors and mask only if it ``uses_candidates``.  Without
     ``class_weights`` the weighted losses count the (one-hot) labels.
     ``needs_reference`` losses are undefined without reference labels.
+
+    The trainer calls the kernel on its own rows.  ``evaluate`` is the same
+    loss on (N, K) arrays with raw priors.  It raises ValueError unless the
+    logits and labels are equal 2-d shapes and, for a loss that uses
+    candidates, the priors match them and the mask is a boolean array of
+    their shape; and for a sample whose rest (positive prior mass, once
+    clamped) holds only posteriors that underflowed to 0, whose rest term
+    would be infinite.
     """
 
     kernel: Callable[..., LossEvaluation]
@@ -369,28 +348,43 @@ class LossEntry:
     uses_candidates: bool = False
 
     def evaluate(self, logits, labels, priors=None, mask=None, class_weights=None, gamma_mod=2.0, grad=True):
-        rows = (None if x is None else _transposed(x) for x in (logits, labels, priors, mask))
-        return _transposed_grad(self.kernel(*rows, class_weights, gamma_mod, grad))
+        z, l = _check_pair(_transposed(logits), _transposed(labels))
+        a = ln_a = None
+        if self.uses_candidates:
+            a, mask = _transposed(clamp_probability_rows(priors)), _transposed(mask)
+            if a.shape != z.shape:
+                raise ValueError("priors shape must match the logits")
+            if mask.dtype != bool or mask.shape != z.shape:
+                raise ValueError("the candidate mask must be a boolean array shaped like the logits")
+            ln_a = np.log(a)
+        ln_p, p = _log_softmax(z)
+        if self.uses_candidates:
+            stranded = np.flatnonzero(~mask.all(axis=0) & ~np.any(~mask & (p > 0.0), axis=0))
+            if stranded.size:
+                raise ValueError(
+                    f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
+                )
+        return _transposed_grad(self.kernel(ln_p, p, l, a, ln_a, mask, class_weights, gamma_mod, grad))
 
 
 # The kernels look their functions up at call time, so a rebinding of a
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _efe_of_logits(z, l, a, mask, grad),
+        lambda ln_p, p, l, a, ln_a, m, w, g, grad: _efe(ln_p, p, l, a, ln_a, m, grad),
         needs_reference=False,
         uses_candidates=True,
     ),
-    "ce": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, 0.0, grad)),
+    "ce": LossEntry(lambda ln_p, p, l, a, ln_a, m, w, g, grad: _weighted_focal(ln_p, p, l, None, 0.0, grad)),
     "wce": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _weight_column(w, l), 0.0, grad)
+        lambda ln_p, p, l, a, ln_a, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), 0.0, grad)
     ),
-    "focal": LossEntry(lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, None, g, grad)),
+    "focal": LossEntry(lambda ln_p, p, l, a, ln_a, m, w, g, grad: _weighted_focal(ln_p, p, l, None, g, grad)),
     "wfocal": LossEntry(
-        lambda z, l, a, mask, w, g, grad=True: _weighted_focal(z, l, _weight_column(w, l), g, grad)
+        lambda ln_p, p, l, a, ln_a, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), g, grad)
     ),
-    "dice": LossEntry(lambda z, l, a, mask, w, g, grad=True: _dice(z, l, grad)),
-    "lovasz": LossEntry(lambda z, l, a, mask, w, g, grad=True: _lovasz(_log_softmax(z)[1], l, grad)),
+    "dice": LossEntry(lambda ln_p, p, l, a, ln_a, m, w, g, grad: _dice(p, l, grad)),
+    "lovasz": LossEntry(lambda ln_p, p, l, a, ln_a, m, w, g, grad: _lovasz(p, l, grad)),
 }
 
 

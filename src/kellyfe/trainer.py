@@ -188,27 +188,25 @@ def batch_loss(
     """The configured loss of one batch of (N, K) logits.
 
     The other arrays are the class-major (K, N) rows of ``_loss_rows``.
-    The loss's kernel reads the logits class-major (``forward``'s need no
-    copy) and the gradient comes back as a C-ordered (N, K) array for
-    ``backward``.  A loss that uses candidate sets hands the unclamped
-    posteriors of one log-softmax to the mask-only sweep, and both arrays
-    to the EFE kernel; rows the sweep leaves empty fall back to the
-    reference label in gr* modes and to the argmax posterior in ng* modes.
-    ``order`` is the sweep's sort state for ``priors``, carried across
-    calls on the same rows.  The weighted losses take ``class_weights``,
+    One log-softmax reads the logits class-major (``forward``'s need no
+    copy); a loss that uses candidate sets hands its unclamped posteriors
+    to the mask-only sweep, whose empty rows fall back to the reference
+    label in gr* modes and to the argmax posterior in ng* modes.  The
+    loss's table kernel then takes ``(ln p, p)`` and the rows, as for
+    every loss, and its gradient comes back as a C-ordered (N, K) array
+    for ``backward``.  ``order`` is the sweep's sort state for ``priors``,
+    carried across calls on the same rows.  The weighted losses take ``class_weights``,
     else the config's, else they count ``labels``.  ``grad=False`` gives
     the value alone; neither keyword changes a bit of the result.
     """
-    z = _transposed(logits)
     entry = losses.LOSSES[config.loss]
+    ln_p, p = losses._log_softmax(_transposed(logits))
+    mask = None
     if entry.uses_candidates:
-        ln_p, p = losses._log_softmax(z)
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
         mask = _sweep(priors, p, fallback, mask_only=True, order=order)
-        ev = losses._efe(ln_p, p, labels, priors, ln_priors, mask, grad)
-    else:
-        weights = config.class_weights if class_weights is None else class_weights
-        ev = entry.kernel(z, labels, priors, None, weights, config.gamma_mod, grad)
+    weights = config.class_weights if class_weights is None else class_weights
+    ev = entry.kernel(ln_p, p, labels, priors, ln_priors, mask, weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)
 
 

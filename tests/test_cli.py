@@ -149,6 +149,10 @@ class TestGenerate:
             (["--classes", "1", "--frequencies", "1"], "at least 2 classes"),
             (["--classes", "2", "--frequencies", "0.5,0.5", "--features", "1"], "at least 2 features"),
             (["--classes", "3", "--frequencies", "0.5,0.3,0.2", "--samples", "2"], "one sample per class"),
+            # counts past numpy's integers; none of them allocates
+            (["--classes", "2", "--frequencies", "0.5,0.5", "--samples", str(10**30)], "at most 2**53 samples"),
+            (["--classes", "2", "--frequencies", "0.5,0.5", "--samples", str(2**63)], "at most 2**53 samples"),
+            (["--classes", "2", "--frequencies", "1,0", "--samples", str(2**63 - 1)], "at most 2**53 samples"),
         ],
     )
     def test_unloadable_dataset_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -156,8 +160,10 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             cli.main(["generate", "--samples", "10", *flags, "--out", str(out), "--no-timestamp"])
         assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+        assert "Warning" not in err
         assert not out.exists()
 
     def test_refused_allocation_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
@@ -260,6 +266,8 @@ class TestTrain:
         "defect, message",
         [
             ("label", "label outside 0..2"),
+            ("huge_label", "label outside 0..2"),
+            ("huge_true_label", "true_label outside 0..2"),
             ("ragged", "expected 7 fields, got 6"),
             ("nan_feature", "non-finite feature"),
             ("inf_prior", "non-finite prior"),
@@ -274,6 +282,10 @@ class TestTrain:
         cells = lines[5].split(",")  # line 6; columns f0,f1,label,true_label,prior_0..2
         if defect == "label":
             cells[2] = "3"
+        elif defect == "huge_label":
+            cells[2] = "100000000000000000000"
+        elif defect == "huge_true_label":
+            cells[3] = "-100000000000000000000"
         elif defect == "ragged":
             cells.pop()
         elif defect == "nan_feature":

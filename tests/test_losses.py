@@ -558,7 +558,8 @@ class TestLayouts:
         priors = rng.dirichlet(np.ones(k), n)
         mask = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))[0]
         value, grad = _reference_evaluation(name, logits, labels, priors, mask, 2.0)
-        ev = losses.LOSSES[name].kernel(*map(_transposed, (logits, labels, priors, mask)), None, 2.0)
+        z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
+        ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, np.log(a), m, None, 2.0, True)
         np.testing.assert_allclose(ev.value, value, rtol=1e-12, atol=0.0)
         assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
         # entries that cancel to near 0 are compared at the scale of the whole gradient

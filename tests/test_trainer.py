@@ -206,6 +206,27 @@ class TestValidationState:
         assert calls == [100] + [50] * 7
 
 
+class TestLossTable:
+    @pytest.mark.parametrize("name", list(losses.LOSSES))
+    def test_batch_loss_calls_the_table_kernel_once(self, monkeypatch, name):
+        entry = losses.LOSSES[name]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return entry.kernel(*args)
+
+        monkeypatch.setitem(losses.LOSSES, name, dataclasses.replace(entry, kernel=counting))
+        val_set = data.with_synthesized_priors(data.generate(3, 2, 40, [0.5, 0.3, 0.2], 1.0, seed=9), 0.2)
+        config = trainer.TrainConfig(loss=name, mode="grpr")
+        rows = trainer._loss_rows(val_set, config)
+        logits = np.random.default_rng(9).standard_normal((40, 3))
+        for grad in (True, False):
+            calls.clear()
+            ev = trainer.batch_loss(config, logits, *rows, grad=grad)
+            assert calls == [grad] and (ev.grad_logits is not None) == grad
+
+
 class TestEvaluate:
     def _all_zero_params(self, n_features, n_classes):
         params = init_he([LayerSpec(n_features, n_classes, activation="linear")], seed=0)
