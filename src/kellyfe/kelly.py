@@ -96,7 +96,11 @@ def log_growth(fractions, prior, posterior) -> float:
     Raises InfeasibleFractionsError when the allocation leaves the feasible
     set (negative entries, total >= 1, or a non-positive payout bracket).
     """
-    a, p = clamp_probability_rows([prior, posterior])
+    return _log_growth(fractions, *clamp_probability_rows([prior, posterior]))
+
+
+def _log_growth(fractions, a: np.ndarray, p: np.ndarray) -> float:
+    """``log_growth`` of a clamped prior ``a`` and posterior ``p``."""
     g = np.asarray(fractions, dtype=float)
     if g.shape != a.shape:
         raise ValueError("fractions and probabilities differ in length")
@@ -112,19 +116,21 @@ def log_growth(fractions, prior, posterior) -> float:
 def candidate_labels(prior, posterior, reference_label: int | None = None) -> KellySolution:
     """Determine the candidate outcome set and its optimal allocation.
 
-    The one-row case of candidate_labels_batch, which describes the sweep.
-    When nothing is admitted (which happens exactly when prior equals
-    posterior entrywise) the ``reference_label`` is inserted instead, with
-    the all-zero allocation kept; a missing reference in that situation
-    raises MissingReferenceLabelError.
+    The one-row case of candidate_labels_batch, which describes the sweep,
+    on a pair clamped once for the sweep and the log-growth.  When nothing
+    is admitted (exactly when prior equals posterior entrywise) the
+    ``reference_label`` is inserted instead, with the all-zero allocation;
+    without one, MissingReferenceLabelError is raised.
     """
-    fallback = None if reference_label is None else [reference_label]
-    mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
+    if np.shape(prior) != np.shape(posterior):
+        raise ValueError("priors and posteriors differ in shape")
+    a, p = clamp_probability_rows([prior, posterior])
+    mask, fractions, unspent = _sweep(a[:, None], p[:, None], None if reference_label is None else [reference_label])
     return KellySolution(
-        candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
-        fractions=fractions[0],
+        candidates=frozenset(int(c) for c in np.flatnonzero(mask)),
+        fractions=fractions[:, 0],
         unspent=float(unspent[0]),
-        log_growth=log_growth(fractions[0], prior, posterior),
+        log_growth=_log_growth(fractions[:, 0], a, p),
     )
 
 

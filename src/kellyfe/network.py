@@ -1,10 +1,11 @@
 """Minimal fully connected classifier with hand-written forward/backward.
 
 Layers are affine maps followed by a PReLU (or identity) activation and
-optional inverted dropout.  Everything is float64 numpy.  The parameters
-are one flat vector with per-layer views into it, so the optimizer,
-gradient checking and exact JSON round-tripping all work on the same
-array, and the gradient comes back in the same layout.
+optional inverted dropout.  Everything is float64 numpy.  ``forward`` runs
+feature-major, on (width, N) arrays; ``backward`` reads its cache as
+(N, width) views.  The parameters are one flat vector with per-layer views
+into it, so the optimizer, gradient checking and exact JSON round-tripping
+all work on the same array, and the gradient comes back in the same layout.
 """
 
 from __future__ import annotations
@@ -133,12 +134,13 @@ def _prelu(z: np.ndarray, leakage, out=None) -> np.ndarray:
 def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
     """Run a batch through the network; returns (logits, cache).
 
-    Only a ``training=True`` pass builds the cache that ``backward`` needs.
-    An inference pass (``training=False``) returns ``(logits, None)`` and
-    computes each layer's activation in place in its pre-activation array.
-    The last layer adds its biases while it writes the logits class-major,
-    so the (N, K) logits are the transpose of a C-ordered (K, N) array,
-    which the loss kernels read without a copy.
+    The pass is feature-major: each layer computes ``weights @ h`` on the
+    transposed (N, d) features or the previous (width, N) activation into
+    a C-ordered (width, N) array, then adds its biases as a column.  The
+    (N, K) logits are the transpose of the last one, which the loss kernels
+    read without a copy.  Only a ``training=True`` pass builds the cache
+    that ``backward`` needs, of (N, width) transposed views.  An inference
+    pass returns ``(logits, None)`` and activates each layer in place.
 
     PReLU is ``max(z, a*z)`` for a leakage ``a <= 1`` and ``min(z, a*z)``
     above 1 (``_prelu``).  That has the bits of ``where(z > 0, z, a*z)`` for
@@ -148,37 +150,29 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
 
     During training, dropout keeps each activation with its layer's
     retention probability and rescales survivors by 1/retention, so
-    inference needs no weight rescaling.  Retention 1.0 draws no mask and
-    makes the training pass compute the inference logits; a network whose
-    layers all have retention 1.0 builds no random generator at all.
+    inference needs no weight rescaling; each mask is drawn (N, width).
+    Retention 1.0 draws no mask and makes the training pass compute the
+    inference logits; a network whose layers all have retention 1.0 builds
+    no random generator at all.
     """
-    h = np.asarray(batch_features, dtype=float)
-    if h.ndim != 2 or h.shape[1] != params.specs[0].input_width:
-        raise ValueError(
-            f"features with {h.shape} do not match input width {params.specs[0].input_width}"
-        )
+    h = np.asarray(batch_features, dtype=float).T
+    if h.ndim != 2 or h.shape[0] != params.specs[0].input_width:
+        raise ValueError(f"features with {h.T.shape} do not match input width {params.specs[0].input_width}")
     rng = None
     cache = ForwardCache(params=params) if training else None
     for spec, lp in zip(params.specs, params.layers):
-        z = h @ lp.weights.T
-        if lp is params.layers[-1]:
-            z = np.add(z.T, lp.biases[:, None], out=np.empty(z.shape[::-1])).T
-        else:
-            z += lp.biases
-        act = z
-        if spec.activation == "prelu":
-            act = _prelu(z, lp.prelu_leakage, out=None if training else z)
+        z = lp.weights @ h
+        z += lp.biases[:, None]
+        act = _prelu(z, lp.prelu_leakage, out=None if training else z) if spec.activation == "prelu" else z
         if training:
             mask = None
             if spec.dropout_retention < 1.0:
-                if rng is None:
-                    rng = np.random.default_rng(seed)
-                keep = rng.random(act.shape) < spec.dropout_retention
-                mask = keep / spec.dropout_retention
-                act = act * mask
-            cache.layers.append(_LayerCache(inputs=h, pre_activation=z, mask=mask))
+                rng = rng or np.random.default_rng(seed)
+                mask = (rng.random(act.shape[::-1]) < spec.dropout_retention) / spec.dropout_retention
+                act = act * mask.T
+            cache.layers.append(_LayerCache(inputs=h.T, pre_activation=z.T, mask=mask))
         h = act
-    return h, cache
+    return h.T, cache
 
 
 def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: NetworkParams | None = None) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line surface: flags, exit codes, output files, determinism."""
 
+import contextlib
+import io
 import json
 from dataclasses import fields
 
@@ -628,3 +630,94 @@ def test_fuzzed_config_exits_with_a_documented_code(tiny_csv, doc):
         assert cli.main(argv) in (0, 1, 2, 3)
     except SystemExit as exc:
         assert exc.code == 2
+
+
+# an argv is a command and flag fragments: a flag with a well-formed value, one past int64,
+# negative, NaN, infinite or empty, an unknown flag, or any of them twice.  Sizes stay at most
+# 64, or at least 2**62, which numpy refuses before it allocates; --max-iterations and --trials
+# stay at most 2, and each argv ends with one of them, so no example trains or verifies for long
+_HUGE = st.sampled_from([2**62, 2**63, 2**64, 10**30])
+_ODD = st.sampled_from(["nan", "inf", "-inf", "", "1e3", "0x10", " 3", "×"])
+
+
+def _int_flag(name, low, high):
+    return st.tuples(st.just(name), (st.integers(low, high) | _HUGE | st.integers(-(2**70), -1)).map(str) | _ODD)
+
+
+def _float_flag(name):
+    return st.tuples(st.just(name), st.floats().map(repr) | st.floats(-1.0, 2.0).map(str) | _ODD)
+
+
+def _frequencies(max_classes=4):
+    entries = st.floats(0.0, 1.0) | st.sampled_from([float("nan"), -0.5, 2.0])
+    ratios = st.lists(st.integers(0, 3), min_size=1, max_size=max_classes)
+    return (
+        st.lists(entries, max_size=max_classes).map(lambda v: ",".join(map(repr, v)))
+        | ratios.map(lambda v: ",".join(repr(x / sum(v)) if sum(v) else "0" for x in v))
+        | _ODD
+    )
+
+
+_UNKNOWN = st.tuples(st.sampled_from(["--turbo", "-x", "--seeds"]), st.sampled_from(["1", ""]))
+_ARGV_FRAGMENTS = {
+    "generate": [
+        _int_flag("--classes", 0, 64),
+        _int_flag("--features", 0, 64),
+        _int_flag("--samples", 0, 64),
+        st.tuples(st.just("--frequencies"), _frequencies()),
+        _float_flag("--separation"),
+        _float_flag("--prior-noise"),
+        _float_flag("--label-flip"),
+        _int_flag("--seed", 0, 5),
+        _UNKNOWN,
+    ],
+    "train": [
+        st.tuples(st.just("--loss"), st.sampled_from([*trainer.LOSS_NAMES, "ECE", ""])),
+        st.tuples(st.just("--mode"), st.sampled_from([*trainer.MODE_NAMES, "gr", ""])),
+        _float_flag("--gamma"),
+        _int_flag("--seed", 0, 5),
+        _int_flag("--batch-size", 0, 64),
+        _int_flag("--patience", 0, 3),
+        st.tuples(st.sampled_from(["--train", "--val", "--config"]), st.sampled_from(["", "missing.csv", "."])),
+        _UNKNOWN,
+    ],
+    "verify": [
+        st.tuples(st.just("--suite"), st.sampled_from(["kelly", "lovasz", "gradients", "all", "none", ""])),
+        _int_flag("--seed", 0, 5),
+        _UNKNOWN,
+    ],
+}
+_LAST = {"generate": None, "train": "--max-iterations", "verify": "--trials"}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FRAGMENTS)))
+    fragments = draw(st.lists(st.one_of(_ARGV_FRAGMENTS[command]), max_size=6))
+    if command == "generate":
+        # usually a matching class count and frequency list, so that some examples write a file
+        k = draw(st.sampled_from([2, 4]))
+        fragments = [("--classes", str(k)), ("--frequencies", ",".join([repr(1 / k)] * k)), ("--samples", "12"), *fragments]
+    else:
+        fragments.append((_LAST[command], draw(st.integers(-2, 2).map(str) | _ODD)))
+    return command, [part for fragment in fragments for part in fragment]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(tiny_csv, argv):
+    command, flags = argv
+    work = tiny_csv.parent
+    paths = {
+        "generate": ["--out", str(work / "generated.csv")],
+        "train": ["--train", str(tiny_csv), "--val", str(tiny_csv), "--out-dir", str(work / "argv-out")],
+        "verify": [],
+    }
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main([command, *paths[command], *flags, "--no-timestamp"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

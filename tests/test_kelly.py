@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from kellyfe import kelly
 from kellyfe.kelly import (
     GridDimensionError,
     InfeasibleFractionsError,
@@ -254,6 +255,71 @@ class TestCandidateLabels:
             a = clamp_probability_rows([prior])[0]
             p = clamp_probability_rows([posterior])[0]
             assert (a / p).max() > 1.0
+
+
+class TestOneClamp:
+    """candidate_labels clamps its pair once, for the sweep and the log-growth alike."""
+
+    @staticmethod
+    def batch_composition(prior, posterior, reference_label=None) -> KellySolution:
+        # the one-row batch sweep, then log_growth clamping the pair again
+        fallback = None if reference_label is None else [reference_label]
+        mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
+        return KellySolution(
+            candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
+            fractions=fractions[0],
+            unspent=float(unspent[0]),
+            log_growth=log_growth(fractions[0], prior, posterior),
+        )
+
+    def test_one_clamp_call(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(np.shape(rows))
+            return clamp_probability_rows(rows)
+
+        monkeypatch.setattr(kelly, "clamp_probability_rows", counting)
+        candidate_labels(PRIOR3, POST3)
+        candidate_labels([0.5, 0.5], [0.5, 0.5], reference_label=1)
+        assert calls == [(2, 3), (2, 2)]
+
+    def test_bits_of_the_batch_composition(self):
+        rng = np.random.default_rng(47)
+        pairs = [(*draw_probability_pair(rng, k), 0) for k in (2, 3, 4, 8, 20) for _ in range(40)]
+        for k in (3, 4):
+            pairs += [(a, p, k - 1) for a, p in zip(*_tied_floor_rows(rng, k, 40))]
+            uniform = np.full(k, 1.0 / k)
+            pairs.append((uniform, uniform, k - 1))
+        pairs.append(([0.3, 0.3, 0.4], [0.3, 0.3, 0.4], None))
+        for prior, posterior, label in pairs:
+            try:
+                expected = self.batch_composition(prior, posterior, label)
+            except MissingReferenceLabelError:
+                with pytest.raises(MissingReferenceLabelError):
+                    candidate_labels(prior, posterior, label)
+                continue
+            sol = candidate_labels(prior, posterior, label)
+            assert sol.candidates == expected.candidates
+            assert sol.fractions.tobytes() == expected.fractions.tobytes()
+            assert np.float64(sol.unspent).tobytes() == np.float64(expected.unspent).tobytes()
+            assert np.float64(sol.log_growth).tobytes() == np.float64(expected.log_growth).tobytes()
+
+    @pytest.mark.parametrize(
+        "prior, posterior, message",
+        [
+            ([0.5, 0.5], [0.2, 0.3, 0.5], "^priors and posteriors differ in shape$"),
+            ([0.5, 0.5, 0.0], [0.5, 0.5], "^priors and posteriors differ in shape$"),
+            ([1.0], [1.0], "^expected an \\(N, K\\) matrix with K >= 2$"),
+            ([[0.5, 0.5]], [[0.5, 0.5]], "^expected an \\(N, K\\) matrix with K >= 2$"),
+            ([np.nan, 1.0], [0.5, 0.5], "^probability rows have non-finite entries$"),
+            ([0.5, 0.5], [0.5, np.inf], "^probability rows have non-finite entries$"),
+        ],
+    )
+    def test_error_messages_kept(self, prior, posterior, message):
+        for solve in (candidate_labels, self.batch_composition):
+            with pytest.raises(ValueError, match=message):
+                solve(prior, posterior, 0)
 
 
 class TestKellyObjectiveValue:

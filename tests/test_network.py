@@ -118,20 +118,41 @@ class TestForward:
         assert peak - base <= 2.1 * hidden_bytes
 
     @pytest.mark.parametrize("training", [False, True])
-    @pytest.mark.parametrize("n", [1, 32, 2000])
+    @pytest.mark.parametrize("n", [1, 32, 300, 2000])
     def test_logits_are_class_major_with_the_bits_of_a_row_bias_add(self, n, training):
-        params = init_he([LayerSpec(2, 16), LayerSpec(16, 3, activation="linear")], seed=0)
-        params.vector[:] = np.random.default_rng(1).standard_normal(params.vector.size)
+        # the reference is the feature-major pass: W @ h on (width, N) arrays,
+        # each bias added along its row; at N = 300 and width 16 or K = 20 a
+        # sample-major x @ W.T rounds differently
         x = np.random.default_rng(n).standard_normal((n, 2))
-        first, last = params.layers
-        hidden = x @ first.weights.T
-        hidden += first.biases
-        hidden = np.where(hidden > 0, hidden, first.prelu_leakage * hidden)
-        expected = hidden @ last.weights.T
-        expected += last.biases
-        logits, _ = forward(params, x, training=training)
-        assert logits.T.flags.c_contiguous
-        assert logits.tobytes() == expected.tobytes()
+        for widths in ([2, 16, 3], [2, 8, 8, 3], [2, 16, 20]):
+            params = init_he(_specs(widths), seed=0)
+            params.vector[:] = np.random.default_rng(1).standard_normal(params.vector.size)
+            h = x.T
+            for spec, lp in zip(params.specs, params.layers):
+                z = lp.weights @ h
+                z += lp.biases[:, None]
+                h = where_prelu(z, lp.prelu_leakage) if spec.activation == "prelu" else z
+            logits, _ = forward(params, x, training=training)
+            assert logits.T.flags.c_contiguous
+            assert logits.tobytes() == h.T.tobytes()
+
+    def test_dropout_masks_are_drawn_sample_major_layer_by_layer(self):
+        retention = 0.7
+        params = init_he(_specs([3, 8, 5, 2], retention), seed=3)
+        x = np.random.default_rng(3).standard_normal((40, 3))
+        _, cache = forward(params, x, training=True, seed=11)
+        rng = np.random.default_rng(11)
+        for spec, lc in zip(params.specs[:-1], cache.layers):
+            expected = (rng.random((40, spec.output_width)) < retention) / retention
+            assert lc.mask.shape == expected.shape
+            assert lc.mask.tobytes() == expected.tobytes()
+        assert cache.layers[-1].mask is None
+
+
+def _specs(widths, retention=1.0):
+    """PReLU hidden layers of the given widths, then a linear output layer."""
+    hidden = [LayerSpec(a, b, dropout_retention=retention) for a, b in zip(widths[:-2], widths[1:-1])]
+    return [*hidden, LayerSpec(widths[-2], widths[-1], activation="linear")]
 
 
 LEAKAGES = (-2.0, -0.5, -0.0, 0.0, 0.15, 1.0, np.nextafter(1.0, 2.0), 1.5, 3.0)
@@ -260,6 +281,24 @@ class TestBackward:
         assert grad[0] == scaled
         assert grad[1] == scaled
         assert grad[2] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 32, 300, 2000])
+    @pytest.mark.parametrize("retention", [1.0, 0.7])
+    def test_transposed_views_give_the_bits_of_c_ordered_copies(self, n, retention):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3))
+        for widths in ([3, 16, 3], [3, 8, 8, 3], [3, 16, 20]):
+            params = init_he(_specs(widths, retention), seed=4)
+            params.vector[:] = 0.5 * rng.standard_normal(params.vector.size)
+            logits, cache = forward(params, x, training=True, seed=5)
+            copies = ForwardCache(params, [
+                _LayerCache(*(None if a is None else np.ascontiguousarray(a) for a in vars(lc).values()))
+                for lc in cache.layers
+            ])
+            assert n == 1 or not any(lc.pre_activation.flags.c_contiguous for lc in cache.layers)
+            # C-ordered, as batch_loss hands it over
+            upstream = rng.standard_normal(logits.shape)
+            assert backward(params, cache, upstream).tobytes() == backward(params, copies, upstream).tobytes()
 
     def test_inference_cache_rejected(self):
         params = init_he([LayerSpec(2, 2)], seed=9)

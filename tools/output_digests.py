@@ -10,14 +10,18 @@ from seed 2) and a 20-class set of the same size (one class at 43%, the
 others at 3% each), prints one markdown row per input with the sha256 of
 its CSV and of the stdout of ``generate`` (with the output path replaced
 by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 26 configurations below and prints one markdown row per
+for each of the 28 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
 file that sets two hidden layers and dropout.  The two 20-class runs
 (efe and ce) take the sweep, the softmax and the losses to a class count
-where a candidate set and its rest can each hold many outcomes.  A third
-table gives the exit code and the sha256 of the stdout of three ``kellyfe
-verify`` runs, one per suite.
+where a candidate set and its rest can each hold many outcomes.  Two more
+(efe and ce on the clean rows) validate on ``val300``, 300 rows of the
+validation recipe (seed 2): at that batch size a BLAS matrix product may
+take another kernel than at 2000, so a change of layout can move their
+bits where the 2000-row runs keep them.  A third table gives the exit
+code and the sha256 of the stdout of three ``kellyfe verify`` runs, one
+per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
@@ -51,6 +55,7 @@ INPUTS = {
     "val": [*K3, "--seed", "2"],
     "k20": [*K20, "--seed", "1"],
     "k20-val": [*K20, "--seed", "2"],
+    "val300": [*K3, "--seed", "2", "--samples", "300"],
 }
 # (loss label, extra train flags, mode)
 K3_RUNS = [
@@ -67,12 +72,15 @@ K3_RUNS = [
     ("focal --gamma 0", ["--loss", "focal", "--gamma", "0"], "grnp"),
     ("efe, --config hidden [8, 8] dropout 0.8", ["--config", "{config}"], "grpr"),
 ]
-K20_RUNS = [
+EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
 ]
 # (train input, validation input, runs)
-TABLE = [("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", K20_RUNS)]
+TABLE = [
+    ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", EFE_CE_RUNS),
+    ("clean", "val300", EFE_CE_RUNS),
+]
 CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
     ["--suite", "gradients", "--trials", "30", "--seed", "0"],
@@ -131,7 +139,7 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
     ]
     for data, val, runs in TABLE:
         for i, (label, loss_flags, mode) in enumerate(runs):
-            out = work / f"{data}-{i}"
+            out = work / f"{data}-{val}-{i}"
             kellyfe(src, [
                 "train", *(f.format(config=config) for f in loss_flags), "--mode", mode, *TRAIN,
                 "--train", str(work / f"{data}.csv"), "--val", str(work / f"{val}.csv"),
@@ -139,7 +147,8 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
             ])
             digests = [sha256((out / name).read_bytes()) for name in OUTPUTS]
             histories[len(rows)] = out / "history.csv"
-            rows.append(f"| {data} | {label} | {mode} | " + " | ".join(digests) + " |")
+            shown = data if val.endswith("val") else f"{data}/{val}"
+            rows.append(f"| {shown} | {label} | {mode} | " + " | ".join(digests) + " |")
     rows += ["", "| verify | exit | stdout |", "|---|---|---|"]
     for flags in VERIFY:
         # a failed property exits 1 and is part of what must not change
