@@ -16,6 +16,8 @@ from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import data, network, trainer, verify
 
 EXIT_OK = 0
@@ -30,14 +32,11 @@ def _print_timestamp(args) -> None:
 
 def cmd_generate(args, parser) -> int:
     try:
-        values = [float(x) for x in args.frequencies.split(",")]
-        data._validate_frequencies(values, args.classes)  # first, so that "0,0" cannot divide by zero
-        total = sum(values)  # generate divides again; the counts at floors and ties depend on both divisions
         dataset = data.generate(
             n_classes=args.classes,
             n_features=args.features,
             n_samples=args.samples,
-            frequencies=[v / total for v in values],
+            frequencies=[float(x) for x in args.frequencies.split(",")],
             cluster_separation=args.separation,
             seed=args.seed,
         )
@@ -51,8 +50,7 @@ def cmd_generate(args, parser) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    counts = [int(round(f * args.samples)) for f in dataset.class_frequencies]
-    print(",".join(str(c) for c in counts))
+    print(",".join(str(c) for c in np.bincount(dataset.true_labels, minlength=dataset.n_classes)))
     print(f"wrote {args.samples} samples to {args.out}")
     return EXIT_OK
 
@@ -98,23 +96,14 @@ def cmd_train(args, parser) -> int:
             parser.error(f"{label} dataset {path} does not exist")
 
     try:
-        trainer.check_compatibility(config)
+        train_set = data.load_dataset(train_path)
+        val_set = data.load_dataset(val_path)
+        trainer.check_compatibility(config, train_set, val_set)
     except trainer.IncompatibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-
-    try:
-        train_set = data.load_dataset(train_path)
-        val_set = data.load_dataset(val_path)
-    except data.DatasetFormatError as exc:
+    except ValueError as exc:  # a data.DatasetFormatError, or a set or class_weights that does not fit
         parser.error(str(exc))
-    if (train_set.n_features, train_set.n_classes) != (val_set.n_features, val_set.n_classes):
-        parser.error(
-            f"{train_path} has {train_set.n_features} features and {train_set.n_classes} classes, "
-            f"{val_path} has {val_set.n_features} and {val_set.n_classes}"
-        )
-    if config.class_weights is not None and len(config.class_weights) != train_set.n_classes:
-        parser.error(f"class_weights has {len(config.class_weights)} entries for {train_set.n_classes} classes")
     _print_timestamp(args)
     try:
         params, history = trainer.train(config, train_set, val_set)
@@ -147,8 +136,10 @@ def cmd_verify(args, parser) -> int:
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be >= 1")
     suites = verify.SUITES if args.suite == "all" else [args.suite]
+    sizes = {} if args.trials is None else {"trials": args.trials}
     _print_timestamp(args)
-    results = [result for name in suites for result in verify.SUITES[name](args.seed, args.trials)]
+    # each suite is called by its name on verify, so a suite rebound on that module is the one that runs
+    results = [r for name in suites for r in getattr(verify, verify.SUITES[name].__name__)(seed=args.seed, **sizes)]
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

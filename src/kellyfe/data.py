@@ -22,7 +22,6 @@ class Dataset:
     true_labels: np.ndarray  # (M,)
     reference_labels: np.ndarray  # (M,) possibly corrupted
     priors: np.ndarray  # (M, K) rows on the open simplex
-    class_frequencies: np.ndarray  # (K,) realized frequencies, sum 1
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -93,7 +92,6 @@ def generate(n_classes, n_features, n_samples, frequencies, cluster_separation, 
         true_labels=labels,
         reference_labels=labels.copy(),
         priors=np.full((n_samples, n_classes), 1.0 / n_classes),
-        class_frequencies=counts / n_samples,
     )
 
 
@@ -236,5 +234,4 @@ def load_dataset(path) -> Dataset:
         true_labels=true,
         reference_labels=reference,
         priors=priors,
-        class_frequencies=np.bincount(true, minlength=k) / len(true),
     )

@@ -2,7 +2,7 @@
 
 It acts on the flat float64 parameter vector (network.NetworkParams.vector)
 in place: ``adam_step`` updates the moment estimates, the step counter and
-the parameters it is given, and allocates nothing.
+the parameters it is given.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ class AdamState:
     """Exponential moment estimates plus the step counter, updated in place.
 
     ``step`` counts completed updates; bias correction uses the
-    post-increment index, so the first update divides by 1 - beta.  Two
-    scratch arrays of the moments' size hold the update's intermediates.
+    post-increment index, so the first update divides by 1 - beta.
     """
 
     first_moment: np.ndarray
@@ -32,9 +31,6 @@ class AdamState:
     alpha_lr: float = DEFAULT_ALPHA_LR
     beta_fm: float = DEFAULT_BETA_FM
     beta_sm: float = DEFAULT_BETA_SM
-
-    def __post_init__(self):
-        self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def init_adam(
@@ -63,14 +59,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads) -> tuple[AdamState, n
     if params.shape != g.shape or params.shape != state.first_moment.shape:
         raise ValueError("params, grads and moment shapes differ")
     i = state.step + 1
-    m, v, (s1, s2) = state.first_moment, state.second_moment, state._scratch
+    m, v = state.first_moment, state.second_moment
     m *= state.beta_fm
-    m += np.multiply(g, 1.0 - state.beta_fm, out=s1)
+    m += (1.0 - state.beta_fm) * g
     v *= state.beta_sm
-    v += np.multiply(np.multiply(g, 1.0 - state.beta_sm, out=s1), g, out=s1)
-    np.divide(m, 1.0 - state.beta_fm**i, out=s1)
-    np.sqrt(np.divide(v, 1.0 - state.beta_sm**i, out=s2), out=s2)
-    s2 += ADAM_EPS
-    params -= np.multiply(np.divide(s1, s2, out=s1), state.alpha_lr, out=s1)
+    v += (1.0 - state.beta_sm) * g * g
+    params -= m / (1.0 - state.beta_fm**i) / (np.sqrt(v / (1.0 - state.beta_sm**i)) + ADAM_EPS) * state.alpha_lr
     state.step = i
     return state, params

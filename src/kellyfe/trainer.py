@@ -131,12 +131,20 @@ def supervised(mode: str) -> bool:
     return mode in ("grpr", "grnp")
 
 
-def check_compatibility(config: TrainConfig) -> None:
-    """Losses that need reference labels need a gr* mode."""
+def check_compatibility(config: TrainConfig, train_set: Dataset, val_set: Dataset) -> None:
+    """A loss that needs reference labels needs a gr* mode (IncompatibleConfigError); the
+    sets agree in features and classes, and ``class_weights`` has one entry per class (ValueError)."""
     if losses.LOSSES[config.loss].needs_reference and not supervised(config.mode):
         raise IncompatibleConfigError(
             f"loss {config.loss!r} needs reference labels; mode {config.mode!r} has none"
         )
+    if (train_set.n_features, train_set.n_classes) != (val_set.n_features, val_set.n_classes):
+        raise ValueError(
+            f"the training set has {train_set.n_features} features and {train_set.n_classes} classes, "
+            f"the validation set has {val_set.n_features} and {val_set.n_classes}"
+        )
+    if config.class_weights is not None and len(config.class_weights) != train_set.n_classes:
+        raise ValueError(f"class_weights has {len(config.class_weights)} entries for {train_set.n_classes} classes")
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -259,11 +267,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     validation set's class weights are counted once per run too, and so are
     the parameter and gradient views: Adam steps the parameters in place.
     """
-    check_compatibility(config)
-    if train_set.n_classes != val_set.n_classes or train_set.n_features != val_set.n_features:
-        raise ValueError("train and validation sets have mismatched shapes")
-    if config.class_weights is not None and len(config.class_weights) != train_set.n_classes:
-        raise ValueError(f"class_weights has {len(config.class_weights)} entries for {train_set.n_classes} classes")
+    check_compatibility(config, train_set, val_set)
 
     specs = _network_specs(config, train_set.n_features, train_set.n_classes)
     params = init_he(specs, seed=_derived_seed(config.seed, 0))

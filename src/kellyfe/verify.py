@@ -184,7 +184,7 @@ def _gradient_instance(rng: np.random.Generator, k: int, n: int, h: float):
     return specs, params, features, labels, priors
 
 
-def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: float = 1e-5) -> list[PropertyResult]:
+def gradient_suite(trials: int = 100, seed: int = 0, h: float = 1e-6, tol: float = 1e-5) -> list[PropertyResult]:
     """Central finite differences vs every analytic loss gradient.
 
     Each instance composes the loss with a two-layer network and perturbs
@@ -198,7 +198,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
     rowsum_tol = 1e-7
     worst = {prop: 0.0 for prop, _, _ in GRADIENT_LOSSES}
     worst_rowsum = 0.0
-    for i in range(instances):
+    for i in range(trials):
         k = (2, 3, 4)[i % 3]
         n = (1, 2, 8)[(i // 3) % 3]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77, i]))
@@ -226,7 +226,7 @@ def gradient_suite(instances: int = 100, seed: int = 0, h: float = 1e-6, tol: fl
     results = [
         PropertyResult(
             f"gradient-{prop}", worst[prop] <= tol, worst[prop], tol,
-            f"{instances} instances, h={h:g}",
+            f"{trials} instances, h={h:g}",
         )
         for prop in worst
     ]
@@ -244,7 +244,7 @@ def _bit_vectors(n: int):
     return [np.array(bits, dtype=float) for bits in itertools.product((0.0, 1.0), repeat=n)]
 
 
-def lovasz_suite(seed: int = 0, pairs: int = 500) -> list[PropertyResult]:
+def lovasz_suite(trials: int = 500, seed: int = 0) -> list[PropertyResult]:
     """Vertex agreement, prefix consistency, submodularity, and convexity."""
     tol = 1e-12
 
@@ -286,7 +286,7 @@ def lovasz_suite(seed: int = 0, pairs: int = 500) -> list[PropertyResult]:
 
     worst_convex = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    for i in range(pairs):
+    for i in range(trials):
         n = 1 + i % 8
         gt = (rng.random(n) < 0.5).astype(float)
         m1 = rng.random(n)
@@ -310,14 +310,9 @@ def lovasz_suite(seed: int = 0, pairs: int = 500) -> list[PropertyResult]:
         ),
         PropertyResult(
             "lovasz-extension-convexity", worst_convex <= tol, worst_convex, tol,
-            f"{pairs} random midpoint pairs, N<=8",
+            f"{trials} random midpoint pairs, N<=8",
         ),
     ]
 
 
-# a suite called with trials=None runs its default count
-SUITES = {
-    "kelly": lambda seed, trials: kelly_suite(trials=1000 if trials is None else trials, seed=seed),
-    "gradients": lambda seed, trials: gradient_suite(instances=100 if trials is None else trials, seed=seed),
-    "lovasz": lambda seed, trials: lovasz_suite(seed=seed, pairs=500 if trials is None else trials),
-}
+SUITES = {"kelly": kelly_suite, "gradients": gradient_suite, "lovasz": lovasz_suite}

@@ -38,7 +38,7 @@ def kelly_results():
 @pytest.fixture(scope="module")
 def gradient_results():
     start = time.time()
-    results = verify.gradient_suite(instances=100, seed=0, h=1e-6, tol=1e-5)
+    results = verify.gradient_suite(trials=100, seed=0, h=1e-6, tol=1e-5)
     return results, time.time() - start
 
 
@@ -199,7 +199,7 @@ def test_criterion_06_reduction_identities(tmp_path):
 
 
 def test_criterion_07_lovasz_suite():
-    results = verify.lovasz_suite(seed=0, pairs=500)
+    results = verify.lovasz_suite(trials=500, seed=0)
     worst = max(r.worst_error for r in results)
     _report(
         7,

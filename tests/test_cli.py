@@ -70,7 +70,7 @@ class TestGenerate:
             ("0.5,0.5", 41, "21,20"),  # a tie goes to the lower class
             ("0.6,0.3,0.1", 60, "36,18,6"),  # float sum 0.9999999999999999
             ("0.8,0.2", 33, "26,7"),
-            ("0.7,0.2,0.1", 92, "64,19,9"),  # normalized once instead of twice: 65,18,9
+            ("0.7,0.2,0.1", 92, "65,18,9"),  # 64.4 and 18.4 tie after one division by the float sum 0.9999999999999999
         ],
     )
     def test_counts_for_ties_and_inexact_sums(self, tmp_path, capsys, frequencies, samples, counts):
@@ -80,6 +80,30 @@ class TestGenerate:
         ])
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == counts
+
+    @pytest.mark.parametrize(
+        "frequencies, samples",
+        [
+            ("0.7,0.2,0.1", 92),
+            ("0.6,0.3,0.1", 60),
+            ("0.9,0.09,0.01", 1000),
+            ("0.21,0.25,0.19,0.21,0.14", 350),
+            ("0.22,0.19,0.2,0.16,0.12,0.11", 250),
+        ],
+    )
+    def test_csv_is_data_generate_with_priors(self, tmp_path, capsys, frequencies, samples):
+        k = frequencies.count(",") + 1
+        out = tmp_path / "cli.csv"
+        assert cli.main([
+            "generate", "--classes", str(k), "--frequencies", frequencies, "--samples", str(samples),
+            "--seed", "3", "--out", str(out), "--no-timestamp",
+        ]) == 0
+        values = [float(x) for x in frequencies.split(",")]
+        dataset = data.with_synthesized_priors(data.generate(k, 2, samples, values, 3.0, seed=3), 0.1)
+        data.save_dataset(dataset, tmp_path / "direct.csv")
+        assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        counts = np.bincount(dataset.true_labels, minlength=k)
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(map(str, counts))
 
     @pytest.mark.parametrize(
         "classes, frequencies, message",
@@ -336,6 +360,31 @@ class TestTrain:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "3 classes" in errors[0] and "and 2" in errors[0]
 
+    @pytest.mark.parametrize("defect", ["classes", "class_weights"])
+    def test_train_input_rule_has_the_trainer_message(self, tmp_path, capsys, defect):
+        args = self._train_args(tmp_path, "rule")
+        config = trainer.TrainConfig(max_iterations=40, seed=5)
+        if defect == "classes":
+            assert cli.main([
+                "generate", "--classes", "2", "--frequencies", "0.5,0.5", "--samples", "40",
+                "--out", str(tmp_path / "val2.csv"), "--no-timestamp",
+            ]) == 0
+            args[args.index("--val") + 1] = str(tmp_path / "val2.csv")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"class_weights": [1.0, 2.0]}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+            config = trainer.TrainConfig(max_iterations=40, seed=5, class_weights=(1.0, 2.0))
+        train_set = data.load_dataset(args[args.index("--train") + 1])
+        val_set = data.load_dataset(args[args.index("--val") + 1])
+        with pytest.raises(ValueError) as raised:
+            trainer.train(config, train_set, val_set)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {raised.value}")
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         args = [
             "train", "--loss", "ce", "--mode", "grnp",
@@ -567,7 +616,7 @@ class TestVerify:
         from kellyfe.verify import PropertyResult
 
         broken = [PropertyResult("forced-failure", False, 1.0, 0.0)]
-        monkeypatch.setitem(verify.SUITES, "kelly", lambda seed, trials: broken)
+        monkeypatch.setattr(verify, "kelly_suite", lambda seed: broken)
         assert cli.main(["verify", "--suite", "kelly", "--no-timestamp"]) == 1
         assert "FAIL forced-failure" in capsys.readouterr().out
 
@@ -717,6 +766,79 @@ def test_fuzzed_argv_exits_with_a_documented_code(tiny_csv, argv):
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         try:
             code = cli.main([command, *paths[command], *flags, "--no-timestamp"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+
+
+# a dataset CSV is save_dataset's header and rows for D features and K classes, then up to three
+# defects: a wrong, reordered or duplicated header name, a short or long row, a NaN, infinite,
+# empty or huge cell, a negative prior, a prior row that does not sum to 1, a BOM or a byte that
+# is not UTF-8.  The validation set may have another K or D, which the trainer's input rule rejects
+_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "9" * 400, "9" * 5000, "-" + "9" * 30, "1e300", "1e999", "0x10", "×"])
+
+
+@st.composite
+def _dataset_csv(draw, d, k):
+    header = [f"f{i}" for i in range(d)] + ["label", "true_label"] + [f"prior_{c}" for c in range(k)]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        rows.append(
+            [repr(draw(st.floats(-4.0, 4.0))) for _ in range(d)]
+            + [str(draw(st.integers(0, k - 1))) for _ in range(2)]
+            + [repr(w / sum(weights)) for w in weights]
+        )
+    defects = draw(st.lists(st.sampled_from(["prior", "sum", "header", "short", "long", "cell"]), max_size=3))
+    for defect in sorted(defects, key=lambda name: name not in ("prior", "sum")):  # while the priors are numbers
+        row = draw(st.sampled_from(rows))
+        if defect == "header":
+            i, j = draw(st.integers(0, len(header) - 1)), draw(st.integers(0, len(header) - 1))
+            header[i], header[j] = draw(st.sampled_from([(header[j], header[i]), (header[j], header[j]), ("x", header[j])]))
+        elif defect == "short":
+            row.pop()
+        elif defect == "long":
+            row.append(draw(_CELLS))
+        elif defect == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+        elif defect == "prior":
+            row[-1], row[-2] = "-0.5", repr(float(row[-2]) + 0.5)
+        else:
+            row[-1] = repr(float(row[-1]) + draw(st.sampled_from([1e-5, 0.5, -0.5])))
+    blob = "\n".join(",".join(line) for line in [header, *rows]).encode() + b"\n"
+    encoding = draw(st.sampled_from(["utf-8"] * 4 + ["bom", "latin-1"]))
+    if encoding == "bom":
+        blob = b"\xef\xbb\xbf" + blob
+    elif encoding == "latin-1":
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + b"\xe9" + blob[at:]
+    return blob
+
+
+@st.composite
+def _dataset_pairs(draw):
+    d, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    val_d, val_k = draw(st.sampled_from([(d, k), (d, k), (d + 1, k), (d, k + 1)]))
+    loss, mode = draw(st.sampled_from(trainer.LOSS_NAMES)), draw(st.sampled_from(trainer.MODE_NAMES))
+    return draw(_dataset_csv(d, k)), draw(_dataset_csv(val_d, val_k)), loss, mode
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_dataset_pairs())
+def test_fuzzed_datasets_exit_with_a_documented_code(tiny_csv, case):
+    train_blob, val_blob, loss, mode = case
+    work = tiny_csv.parent
+    (work / "fuzz-train.csv").write_bytes(train_blob)
+    (work / "fuzz-val.csv").write_bytes(val_blob)
+    argv = [
+        "train", "--train", str(work / "fuzz-train.csv"), "--val", str(work / "fuzz-val.csv"),
+        "--out-dir", str(work / "csv-out"), "--loss", loss, "--mode", mode, "--max-iterations", "1", "--no-timestamp",
+    ]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)

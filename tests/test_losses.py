@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellyfe import cli, losses, trainer, verify
+from kellyfe import cli, data, losses, trainer, verify
 from kellyfe.kelly import (
     _sweep,
     candidate_labels,
@@ -589,16 +589,17 @@ class TestLossTable:
             assert trainer.TrainConfig(loss=name).loss == name
         with pytest.raises(ValueError):
             trainer.TrainConfig(loss="not-a-loss")
-        properties = {r.name for r in verify.gradient_suite(instances=1)} - {"gradient-zero-row-sums"}
+        properties = {r.name for r in verify.gradient_suite(trials=1)} - {"gradient-zero-row-sums"}
         assert {re.sub(r"^gradient-|-g[0-9.]+$", "", prop) for prop in properties} == names
         assert {"gradient-focal-g0", "gradient-focal-g2"} <= properties
 
+        sets = (data.generate(3, 2, 12, [0.5, 0.25, 0.25], 3.0, seed=0),) * 2
         for name, entry in losses.LOSSES.items():
             for mode in ("ngpr", "ngnp"):
                 config = trainer.TrainConfig(loss=name, mode=mode)
                 if entry.needs_reference:
                     with pytest.raises(trainer.IncompatibleConfigError):
-                        trainer.check_compatibility(config)
+                        trainer.check_compatibility(config, *sets)
                 else:
-                    trainer.check_compatibility(config)
+                    trainer.check_compatibility(config, *sets)
         assert not losses.LOSSES["efe"].needs_reference

@@ -143,7 +143,7 @@ class TestSubmodularityAndConvexity:
                 for m1, m2 in itertools.product(vectors, repeat=2):
                     violation = _jd(m1 | m2, gt) + _jd(m1 & m2, gt) - _jd(m1, gt) - _jd(m2, gt)
                     worst = max(worst, violation)
-        suite = {r.name: r for r in lovasz_suite(pairs=1)}["jaccard-submodularity"]
+        suite = {r.name: r for r in lovasz_suite(trials=1)}["jaccard-submodularity"]
         assert suite.worst_error.hex() == worst.hex()
         assert suite.passed
 
