@@ -15,6 +15,8 @@ import numpy as np
 
 from .kelly import clamp_probability_rows
 
+_BLOCK_ROWS = 1024  # rows formatted per block by save_dataset
+
 
 @dataclass
 class Dataset:
@@ -156,16 +158,15 @@ def with_corrupt_labels(dataset: Dataset, flip_fraction: float, seed: int) -> Da
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV with 17 significant digits for reals."""
+    """Write the dataset as CSV with 17 significant digits for reals, streamed in blocks of _BLOCK_ROWS rows."""
+    d, k = dataset.n_features, dataset.n_classes
+    row = ",".join(["%.17g"] * d + ["%d", "%d"] + ["%.17g"] * k) + "\r\n"  # csv.writer's line ending
+    columns = (dataset.features, dataset.reference_labels, dataset.true_labels, dataset.priors)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(dataset.n_features, dataset.n_classes))
-        for j in range(len(dataset)):
-            row = [f"{x:.17g}" for x in dataset.features[j]]
-            row.append(str(int(dataset.reference_labels[j])))
-            row.append(str(int(dataset.true_labels[j])))
-            row.extend(f"{x:.17g}" for x in dataset.priors[j])
-            writer.writerow(row)
+        csv.writer(fh).writerow(_header(d, k))
+        for start in range(0, len(dataset), _BLOCK_ROWS):
+            block = (column[start : start + _BLOCK_ROWS].tolist() for column in columns)
+            fh.writelines(row % (*features, label, true_label, *priors) for features, label, true_label, priors in zip(*block))
 
 
 def _header(d: int, k: int) -> list[str]:
@@ -181,11 +182,12 @@ def load_dataset(path) -> Dataset:
     """Read a CSV written by save_dataset.
 
     Rejects, with a DatasetFormatError naming the file and the line, a
-    header that is not save_dataset's, a file without rows, a row with the
-    wrong number of fields, a field that does not parse, a non-finite
-    feature or prior, a prior outside [0, 1], a prior row whose sum is more
-    than 1e-6 from 1, a label outside 0..K-1 and a line the csv module
-    rejects; a file that is not UTF-8 is named without a line.
+    leading byte-order mark, a header that is not save_dataset's, a file
+    without rows, a row with the wrong number of fields, a field that does
+    not parse, a non-finite feature or prior, a prior outside [0, 1], a
+    prior row whose sum is more than 1e-6 from 1, a label outside 0..K-1
+    and a line the csv module rejects; a file that is not UTF-8 is named
+    without a line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -193,6 +195,8 @@ def load_dataset(path) -> Dataset:
             header = next(reader, [])
             d = sum(1 for name in header if name.startswith("f"))
             k = sum(1 for name in header if name.startswith("prior_"))
+            if header and header[0].startswith("\ufeff"):
+                raise DatasetFormatError(f"{path}:1: starts with a byte-order mark (U+FEFF); save it as UTF-8 without one")
             if header != _header(d, k) or k < 2 or d < 1:
                 raise DatasetFormatError(f"{path}:1: unexpected dataset header {header!r}")
             features, labels, true_labels, priors, lines = [], [], [], [], []

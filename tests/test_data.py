@@ -1,11 +1,16 @@
 """Synthetic data generation, priors, label corruption, batching, CSV I/O."""
 
+import csv
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellyfe.data import (
+    Dataset,
     DatasetFormatError,
     batches,
     class_counts,
@@ -180,3 +185,70 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:4: {re.escape(message)}$"):
             load_dataset(path)
+
+    def test_byte_order_mark_is_named(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        save_dataset(generate(2, 2, 6, [0.5, 0.5], 1.0, seed=0), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        message = "starts with a byte-order mark (U+FEFF); save it as UTF-8 without one"
+        with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:1: {re.escape(message)}$"):
+            load_dataset(path)
+
+
+def reference_save_dataset(dataset: Dataset, path) -> None:
+    """save_dataset cell by cell: one f-string per real, csv.writer for every row."""
+    d, k = dataset.n_features, dataset.n_classes
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(d)] + ["label", "true_label"] + [f"prior_{c}" for c in range(k)])
+        for j in range(len(dataset)):
+            row = [f"{x:.17g}" for x in dataset.features[j]]
+            row.append(str(int(dataset.reference_labels[j])))
+            row.append(str(int(dataset.true_labels[j])))
+            row.extend(f"{x:.17g}" for x in dataset.priors[j])
+            writer.writerow(row)
+
+
+# reals whose text is easy to get wrong: signed zeros, subnormals, the ends of the float range and
+# values with an integer value; a prior edge value goes into a one-hot row, which stays on the simplex
+_EDGE_FEATURES = [-0.0, 0.0, 5e-324, -5e-324, -1e-308, 1e308, -1e308, 1.7976931348623157e308, 2.0, -3.0, 2.0**53, 0.1, math.pi]
+_EDGE_PRIORS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300]
+
+
+@st.composite
+def _datasets(draw, rows):
+    d, k, n = draw(st.integers(1, 4)), draw(st.integers(2, 20)), draw(rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 6, size=(n, 1))
+    for value in draw(st.lists(st.sampled_from(_EDGE_FEATURES) | st.floats(allow_nan=False, allow_infinity=False), max_size=12)):
+        features[rng.integers(n), rng.integers(d)] = value
+    priors = rng.dirichlet(np.ones(k), size=n)
+    for value in draw(st.lists(st.sampled_from(_EDGE_PRIORS), max_size=6)):
+        row, hot = rng.integers(n), rng.integers(k)
+        priors[row] = 0.0
+        priors[row, hot] = 1.0
+        priors[row, (hot + 1) % k] = value
+    labels = rng.integers(0, k, size=(2, n))
+    labels[:, 0] = k - 1
+    return Dataset(features=features, true_labels=labels[0], reference_labels=labels[1], priors=priors)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+# one row, one below and one above save_dataset's 1024-row block, and a drawn count up to 3000
+@pytest.mark.parametrize("rows", [st.just(1), st.just(1023), st.just(1025), st.integers(1, 3000)], ids=["1", "1023", "1025", "drawn"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=st.data())
+def test_save_dataset_writes_the_reference_bytes(csv_dir, rows, case):
+    dataset = case.draw(_datasets(rows))
+    save_dataset(dataset, csv_dir / "blocks.csv")
+    reference_save_dataset(dataset, csv_dir / "cells.csv")
+    assert (csv_dir / "blocks.csv").read_bytes() == (csv_dir / "cells.csv").read_bytes()
+    loaded = load_dataset(csv_dir / "blocks.csv")
+    assert loaded.features.tobytes() == dataset.features.tobytes()
+    assert loaded.priors.tobytes() == dataset.priors.tobytes()
+    np.testing.assert_array_equal(loaded.reference_labels, dataset.reference_labels)
+    np.testing.assert_array_equal(loaded.true_labels, dataset.true_labels)

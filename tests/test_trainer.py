@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellyfe import data, losses, trainer
 from kellyfe.kelly import _SweepOrder
@@ -318,6 +320,54 @@ class TestHistoryIO:
         path.write_text(",".join(trainer.HISTORY_COLUMNS) + "\n" + row + "\n")
         with pytest.raises(ValueError):
             trainer.read_history(path)
+
+
+def reference_write_history(history, path) -> None:
+    """write_history cell by cell: repr(float(value)) per real, an empty cell for None."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(trainer.HISTORY_COLUMNS) + "\n")
+        for rec in history:
+            cells = [str(rec.iteration)]
+            for name in trainer.HISTORY_COLUMNS[1:]:
+                value = getattr(rec, name)
+                cells.append("" if value is None else repr(float(value)))
+            fh.write(",".join(cells) + "\n")
+
+
+# signed zeros, subnormals, the ends of the float range and values with an integer value
+_HISTORY_EDGES = [-0.0, 5e-324, -1e-308, 1e308, -1e308, 2.0, 0.1]
+
+
+@st.composite
+def _histories(draw):
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-20, 21, size=(n, 5))).tolist()
+    for value in draw(st.lists(st.sampled_from(_HISTORY_EDGES) | st.floats(allow_nan=False, allow_infinity=False), max_size=8)):
+        if n:
+            values[rng.integers(n)][rng.integers(5)] = value
+    history = []
+    for i, row in enumerate(values):
+        # numpy 2's repr of np.float64(0.5) is "np.float64(0.5)", not "0.5"
+        row = [np.float64(x) for x in row] if rng.random() < 0.5 else row
+        # both EFE terms, neither (the other losses) or one of them
+        efe = [(True, True), (False, False), (True, False), (False, True)][rng.integers(4)]
+        history.append(trainer.HistoryRecord(i + 1, *row[:3], *(x if kept else None for x, kept in zip(row[3:], efe))))
+    return history
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("history")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(history=_histories())
+def test_write_history_writes_the_reference_bytes(csv_dir, history):
+    trainer.write_history(history, csv_dir / "history.csv")
+    reference_write_history(history, csv_dir / "reference.csv")
+    assert (csv_dir / "history.csv").read_bytes() == (csv_dir / "reference.csv").read_bytes()
+    assert trainer.read_history(csv_dir / "history.csv") == history
 
 
 class TestConfig:

@@ -7,10 +7,13 @@ Writes the acceptance-config inputs with ``kellyfe generate`` (3 classes,
 2000 rows, class split 90/9/1, separation 3, prior noise 0.1; train rows
 from seed 1, clean and with 20% flipped reference labels, validation rows
 from seed 2), a 20-class set of the same size (one class at 43%, the
-others at 3% each) and ``tie92`` (92 rows split 0.7/0.2/0.1, seed 1,
+others at 3% each), ``tie92`` (92 rows split 0.7/0.2/0.1, seed 1,
 whose class counts rest on a largest-remainder tie that the rounding of
-the frequencies' division by their sum decides).  It prints one markdown
-row per input with the sha256 of its CSV and of the stdout of
+the frequencies' division by their sum decides) and ``wide`` (7 classes,
+5 features, 4097 rows, seed 3: more features than the other inputs, and
+one row past every power-of-two block of rows up to 4096, so a CSV
+writer that works in blocks is checked past a block's edge).  It prints
+one markdown row per input with the sha256 of its CSV and of the stdout of
 ``generate`` (with the output path replaced by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
 for each of the 28 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
@@ -59,6 +62,10 @@ INPUTS = {
     "k20-val": [*K20, "--seed", "2"],
     "val300": [*K3, "--seed", "2", "--samples", "300"],
     "tie92": ["--classes", "3", "--frequencies", "0.7,0.2,0.1", "--seed", "1", "--samples", "92"],
+    "wide": [
+        "--classes", "7", "--features", "5", "--frequencies", "0.4,0.2,0.1,0.1,0.1,0.05,0.05", "--seed", "3",
+        "--samples", "4097",
+    ],
 }
 # (loss label, extra train flags, mode)
 K3_RUNS = [
