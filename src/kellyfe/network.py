@@ -37,6 +37,10 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 < self.dropout_retention <= 1.0:
             raise ValueError("dropout_retention must lie in (0, 1]")
+        # numpy scalars (a TrainConfig takes them) are stored as the Python numbers that to_json can write
+        for name in ("input_width", "output_width", "dropout_retention"):
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ and returns the parameters from the best-EMA iteration.
 from __future__ import annotations
 
 import copy
+import itertools
 import numbers
 from dataclasses import dataclass, fields
 
@@ -155,30 +156,17 @@ def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """batch_loss's arrays after the logits: the mode's label rows (one-hot in
     gr* modes, uniform otherwise) and, for a loss that uses candidate sets,
     its prior rows (uniform in *np modes) clamped once, their logarithms and
-    the (N,) reference labels.  Rows are class-major (K, N), and the float
-    rows are views of one stacked (R*K, N) array, their ``base``, so that
-    ``_batch_rows`` gathers a batch of them at once."""
+    the (N,) reference labels.  Rows are class-major (K, N), C-ordered, with
+    the samples on the last axis, so ``r[..., idx]`` of each is a batch's."""
     n, k = len(dataset), dataset.n_classes
-    uses_candidates = losses.LOSSES[config.loss].uses_candidates
-    block = np.empty((3 * k if uses_candidates else k, n))
-    labels = block[:k]
-    labels.fill(0.0 if supervised(config.mode) else 1.0 / k)
+    labels = np.full((k, n), 0.0 if supervised(config.mode) else 1.0 / k)
     if supervised(config.mode):
         labels[dataset.reference_labels, np.arange(n)] = 1.0
-    if not uses_candidates:
+    if not losses.LOSSES[config.loss].uses_candidates:
         return (labels,)
     priors = dataset.priors if config.mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
-    block[k : 2 * k] = clamp_probability_rows(priors).T
-    np.log(block[k : 2 * k], out=block[2 * k :])
-    return labels, block[k : 2 * k], block[2 * k :], dataset.reference_labels
-
-
-def _batch_rows(rows: tuple[np.ndarray, ...], idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``_loss_rows`` of the samples ``idx``: one gather of the stacked float rows."""
-    k = rows[0].shape[0]
-    block = rows[0].base[:, idx]
-    floats = block.shape[0] // k
-    return (*(block[i * k : (i + 1) * k] for i in range(floats)), *(r[idx] for r in rows[floats:]))
+    priors = _transposed(clamp_probability_rows(priors))
+    return labels, priors, np.log(priors), dataset.reference_labels
 
 
 def batch_loss(
@@ -263,7 +251,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
-    posterior is clamped.  The loss rows are kept class-major (K, N).  The
+    posterior is clamped.  The loss rows are kept class-major (K, N), and a
+    batch's rows are gathered by its indices from the training set's.  The
     validation set's class weights are counted once per run too, and so are
     the parameter and gradient views: Adam steps the parameters in place.
     """
@@ -287,43 +276,37 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     best_iteration = 0
     best_vector = params.vector.copy()
     ema = None
-    iteration = 0
-    epoch = 0
-    stop = False
-    while not stop:
-        for idx in batches(train_set, config.batch_size, _derived_seed(config.seed, 1, epoch)):
-            iteration += 1
-            dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
-            logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
-            ev = _scored(config, iteration, "training step", logits, *_batch_rows(train_rows, idx))
-            adam_step(state, params.vector, backward(params, cache, ev.grad_logits, out=grads))
-            if not np.isfinite(params.vector).all():
-                raise _non_finite(iteration, "training step")
+    epochs = (batches(train_set, config.batch_size, _derived_seed(config.seed, 1, epoch)) for epoch in itertools.count())
+    for iteration, idx in enumerate(itertools.chain.from_iterable(epochs), start=1):
+        dropout_seed = _derived_seed(config.seed, 2, iteration) if config.dropout_retention < 1.0 else 0
+        logits, cache = forward(params, train_set.features[idx], training=True, seed=dropout_seed)
+        ev = _scored(config, iteration, "training step", logits, *(r[..., idx] for r in train_rows))
+        adam_step(state, params.vector, backward(params, cache, ev.grad_logits, out=grads))
+        if not np.isfinite(params.vector).all():
+            raise _non_finite(iteration, "training step")
 
-            val_logits, _ = forward(params, val_set.features, training=False)
-            val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, **val_options)
-            if ema is None:
-                ema = val_ev.value
-            else:
-                ema = config.ema_decay * ema + (1.0 - config.ema_decay) * val_ev.value
-            history.append(
-                HistoryRecord(
-                    iteration=iteration,
-                    train_loss=ev.value,
-                    val_loss=val_ev.value,
-                    val_loss_ema=ema,
-                    uncertainty_term=ev.uncertainty,
-                    expected_complexity_term=ev.expected_complexity,
-                )
+        val_logits, _ = forward(params, val_set.features, training=False)
+        val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, **val_options)
+        if ema is None:
+            ema = val_ev.value
+        else:
+            ema = config.ema_decay * ema + (1.0 - config.ema_decay) * val_ev.value
+        history.append(
+            HistoryRecord(
+                iteration=iteration,
+                train_loss=ev.value,
+                val_loss=val_ev.value,
+                val_loss_ema=ema,
+                uncertainty_term=ev.uncertainty,
+                expected_complexity_term=ev.expected_complexity,
             )
-            if ema < best_ema:
-                best_ema = ema
-                best_iteration = iteration
-                np.copyto(best_vector, params.vector)
-            if iteration - best_iteration >= config.patience or iteration >= config.max_iterations:
-                stop = True
-                break
-        epoch += 1
+        )
+        if ema < best_ema:
+            best_ema = ema
+            best_iteration = iteration
+            np.copyto(best_vector, params.vector)
+        if iteration - best_iteration >= config.patience or iteration >= config.max_iterations:
+            break
     return NetworkParams(specs, best_vector), history
 
 

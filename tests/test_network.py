@@ -1,5 +1,6 @@
 """Forward/backward correctness, dropout behaviour, and exact persistence."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -362,6 +363,15 @@ class TestPersistence:
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
             assert la.prelu_leakage == lb.prelu_leakage
+
+    def test_numpy_scalar_specs_round_trip(self, tmp_path):
+        specs = [LayerSpec(np.int64(2), 3, dropout_retention=np.float32(0.8)), LayerSpec(3, np.int32(2), activation="linear")]
+        assert [type(v) for v in dataclasses.astuple(specs[0])] == [int, int, str, float]
+        params = init_he(specs, seed=13)
+        save_params(params, tmp_path / "model.json")
+        loaded = load_params(tmp_path / "model.json")
+        assert loaded.specs == params.specs
+        assert loaded.vector.tobytes() == params.vector.tobytes()
 
     def test_layer_key_order(self):
         params = init_he([LayerSpec(2, 3), LayerSpec(3, 2, activation="linear")], seed=0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kellyfe import data, losses, trainer
 from kellyfe.kelly import _SweepOrder
-from kellyfe.network import LayerSpec, init_he
+from kellyfe.network import LayerSpec, init_he, load_params, save_params
 
 
 def _separable_sets(seed=0):
@@ -206,6 +206,42 @@ class TestValidationState:
         cfg = trainer.TrainConfig(loss="wfocal", mode="grnp", max_iterations=7, batch_size=50, seed=0)
         trainer.train(cfg, train_set, val_set)
         assert calls == [100] + [50] * 7
+
+
+class TestBatchStream:
+    """A training batch takes its rows by index from the run's rows, and its indices from one stream of epochs."""
+
+    @pytest.mark.parametrize("loss, mode", [*(("efe", mode) for mode in trainer.MODE_NAMES), ("wfocal", "grnp")])
+    def test_batch_rows_are_the_rows_of_that_batch(self, loss, mode):
+        ds = data.with_synthesized_priors(data.generate(4, 2, 50, [0.4, 0.3, 0.2, 0.1], 1.0, seed=11), 0.3)
+        # one-hot and zero priors, so that the clamp moves and renormalizes rows
+        ds.priors[:5] = np.eye(4)[[0, 1, 2, 3, 0]]
+        ds.priors[5] = [0.5, 0.5, 0.0, 0.0]
+        cfg = trainer.TrainConfig(loss=loss, mode=mode)
+        rows = trainer._loss_rows(ds, cfg)
+        rng = np.random.default_rng(11)
+        for idx in (rng.permutation(50)[:32], rng.integers(0, 50, 40), np.array([5, 5, 0, 5]), np.array([13])):
+            alone = data.Dataset(*(getattr(ds, f.name)[idx] for f in dataclasses.fields(ds)))
+            expected = trainer._loss_rows(alone, cfg)
+            gathered = tuple(r[..., idx] for r in rows)
+            assert len(gathered) == len(expected) == (1 if loss == "wfocal" else 4)
+            for g, e in zip(gathered, expected):
+                assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes())
+
+    def test_the_batch_stream_crosses_epochs(self, monkeypatch):
+        calls = []
+
+        def recording(dataset, batch_size, epoch_seed):
+            calls.append((batch_size, epoch_seed))
+            return data.batches(dataset, batch_size, epoch_seed)
+
+        monkeypatch.setattr(trainer, "batches", recording)
+        train_set = data.with_synthesized_priors(data.generate(2, 2, 100, [0.5, 0.5], 6.0, seed=4), 0.1)
+        cfg = trainer.TrainConfig(batch_size=30, max_iterations=10, patience=100, seed=9)
+        _, history = trainer.train(cfg, train_set, train_set)
+        # 30 + 30 + 30 + 10 rows an epoch: epochs 0 and 1 whole, two batches of epoch 2
+        assert calls == [(30, trainer._derived_seed(9, 1, epoch)) for epoch in range(3)]
+        assert [h.iteration for h in history] == list(range(1, 11))
 
 
 class TestLossTable:
@@ -466,6 +502,15 @@ class TestConfig:
     def test_accepts_numpy_integers(self):
         cfg = trainer.TrainConfig(seed=np.int64(3), hidden_widths=(np.int32(4),))
         assert cfg.seed == 3 and cfg.hidden_widths == (4,)
+
+    def test_a_model_of_numpy_scalars_round_trips(self, tmp_path):
+        train_set, val_set = _separable_sets(seed=3)
+        cfg = trainer.TrainConfig(hidden_widths=(np.int32(4),), dropout_retention=np.float32(0.8), max_iterations=5)
+        params, _ = trainer.train(cfg, train_set, val_set)
+        save_params(params, tmp_path / "model.json")
+        loaded = load_params(tmp_path / "model.json")
+        assert loaded.specs == params.specs
+        assert loaded.vector.tobytes() == params.vector.tobytes()
 
     def test_config_from_dict_keeps_width_types(self):
         with pytest.raises(ValueError, match="hidden_widths must be integers"):

@@ -15,7 +15,7 @@ one row past every power-of-two block of rows up to 4096, so a CSV
 writer that works in blocks is checked past a block's edge).  It prints
 one markdown row per input with the sha256 of its CSV and of the stdout of
 ``generate`` (with the output path replaced by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 28 configurations below and prints one markdown row per
+for each of the 30 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
 file that sets two hidden layers and dropout.  The two 20-class runs
@@ -24,9 +24,12 @@ where a candidate set and its rest can each hold many outcomes.  Two more
 (efe and ce on the clean rows) validate on ``val300``, 300 rows of the
 validation recipe (seed 2): at that batch size a BLAS matrix product may
 take another kernel than at 2000, so a change of layout can move their
-bits where the 2000-row runs keep them.  A third table gives the exit
-code and the sha256 of the stdout of three ``kellyfe verify`` runs, one
-per suite.
+bits where the 2000-row runs keep them.  The last two set the batch
+size: efe at 40, so that every epoch of 2000 rows ends on a full batch
+(the default 32 leaves a 16-row tail), and wce at 1, whose one-row
+batches count their class weights from one label.  A third table gives
+the exit code and the sha256 of the stdout of three ``kellyfe verify``
+runs, one per suite.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
@@ -86,10 +89,15 @@ EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
 ]
+# an epoch of 2000 rows that ends on a full batch, and one-row batches whose weights count one label
+BATCH_SIZE_RUNS = [
+    ("efe --batch-size 40", ["--loss", "efe", "--batch-size", "40"], "grpr"),
+    ("wce --batch-size 1", ["--loss", "wce", "--batch-size", "1"], "grpr"),
+]
 # (train input, validation input, runs)
 TABLE = [
     ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", EFE_CE_RUNS),
-    ("clean", "val300", EFE_CE_RUNS),
+    ("clean", "val300", EFE_CE_RUNS), ("clean", "val", BATCH_SIZE_RUNS),
 ]
 CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
@@ -148,8 +156,8 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
         "|---|---|---|" + "---|" * len(OUTPUTS),
     ]
     for data, val, runs in TABLE:
-        for i, (label, loss_flags, mode) in enumerate(runs):
-            out = work / f"{data}-{val}-{i}"
+        for label, loss_flags, mode in runs:
+            out = work / f"train-{len(rows)}"
             kellyfe(src, [
                 "train", *(f.format(config=config) for f in loss_flags), "--mode", mode, *TRAIN,
                 "--train", str(work / f"{data}.csv"), "--val", str(work / f"{val}.csv"),
