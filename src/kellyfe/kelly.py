@@ -120,12 +120,14 @@ def candidate_labels(prior, posterior, reference_label: int | None = None) -> Ke
     on a pair clamped once for the sweep and the log-growth.  When nothing
     is admitted (exactly when prior equals posterior entrywise) the
     ``reference_label`` is inserted instead, with the all-zero allocation;
-    without one, MissingReferenceLabelError is raised.
+    without one, MissingReferenceLabelError is raised.  A reference label
+    that is not an integer in 0..K-1 raises ValueError.
     """
     if np.shape(prior) != np.shape(posterior):
         raise ValueError("priors and posteriors differ in shape")
     a, p = clamp_probability_rows([prior, posterior])
-    mask, fractions, unspent = _sweep(a[:, None], p[:, None], None if reference_label is None else [reference_label])
+    fallback = None if reference_label is None else _checked_labels([reference_label], (a.size, 1))
+    mask, fractions, unspent = _sweep(a[:, None], p[:, None], fallback)
     return KellySolution(
         candidates=frozenset(int(c) for c in np.flatnonzero(mask)),
         fractions=fractions[:, 0],
@@ -149,71 +151,26 @@ def candidate_labels_batch(
     (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
     Rows that admit nothing get their fallback label marked in the mask with
     an all-zero allocation; if ``fallback_labels`` is None such rows raise
-    MissingReferenceLabelError.
+    MissingReferenceLabelError.  Fallback labels that are not integers in
+    0..K-1, one per row, raise ValueError.
     """
     a = clamp_probability_rows(priors)
     p = clamp_probability_rows(posteriors)
     if a.shape != p.shape:
         raise ValueError("priors and posteriors differ in shape")
-    mask, fractions, unspent = _sweep(_transposed(a), _transposed(p), fallback_labels)
+    a, p = _transposed(a), _transposed(p)
+    fallback = None if fallback_labels is None else _checked_labels(fallback_labels, a.shape)
+    mask, fractions, unspent = _sweep(a, p, fallback)
     return _transposed(mask), _transposed(fractions), unspent
 
 
-class _SweepOrder:
-    """The sort state of the sweep for one fixed set of class-major (K, N) priors.
-
-    ``flat[t, j]`` is the raveled (K, N) index of the t-th largest ratio
-    q = a / p of sample j, in the stable descending order (ties by
-    ascending class); ``a_sorted`` holds the priors gathered in that order
-    and ``rest_a`` their suffix sums (``_rest_sums``).  A new state starts
-    from the class order; its arrays are allocated once, with the state,
-    and updated in place.  The trainer keeps one for its validation rows:
-    their priors are fixed for the run and the order of their ratios barely
-    moves between iterations.
-    """
-
-    def __init__(self, priors: np.ndarray):
-        k, n = priors.shape
-        self.priors = priors
-        self.flat = np.arange(k * n).reshape(k, n)
-        self.a_sorted = priors.copy()
-        self.rest_a = _rest_sums(self.a_sorted)
-
-    def follow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_sorted, q_sorted)``: the posteriors and ratios in the stable descending order of a / p.
-
-        The carried order is the stable one exactly for the samples whose
-        gathered ratios descend strictly, as that order is then unique; the
-        other samples, ties included, are sorted again and their columns of
-        the state replaced.  A gathered ratio ``a_sorted / p_sorted`` has
-        the bits of the gathered ``a / p``.
-        """
-        p_sorted = p.ravel()[self.flat]
-        q_sorted = self.a_sorted / p_sorted
-        stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
-        if stale.size:
-            (
-                self.flat[:, stale],
-                self.a_sorted[:, stale],
-                self.rest_a[:, stale],
-                p_sorted[:, stale],
-                q_sorted[:, stale],
-            ) = _sorted(self.priors, p, stale)
-        return p_sorted, q_sorted
-
-
-def _sorted(a: np.ndarray, p: np.ndarray, cols=slice(None)):
-    """``(flat, a_sorted, rest_a, p_sorted, q_sorted)`` of the samples ``cols``, sorted afresh.
-
-    ``flat`` holds raveled (K, N) indices of ``a`` and ``p`` (see
-    ``_SweepOrder``); the sorted arrays have one column per sample of
-    ``cols``.
-    """
-    n = a.shape[1]
-    flat = np.argsort(-(a[:, cols] / p[:, cols]), axis=0, kind="stable") * n + np.arange(n)[cols]
-    a_sorted = a.ravel()[flat]
-    p_sorted = p.ravel()[flat]
-    return flat, a_sorted, _rest_sums(a_sorted), p_sorted, a_sorted / p_sorted
+def _checked_labels(labels, shape: tuple[int, int]) -> np.ndarray:
+    """``labels`` as an (N,) integer array for (K, N) rows of ``shape``; ValueError unless they are integers in 0..K-1, one per row."""
+    k, n = shape
+    fb = np.asarray(labels)
+    if fb.shape != (n,) or fb.dtype.kind not in "iu" or not np.all((fb >= 0) & (fb < k)):
+        raise ValueError(f"fallback labels must be integers in 0..{k - 1}, one per row, {n} in all")
+    return fb
 
 
 def _rest_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -230,9 +187,7 @@ def _rest_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return rest
 
 
-def _sweep(
-    a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, order: _SweepOrder | None = None
-):
+def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, order: np.ndarray | None = None):
     """The sweep of candidate_labels_batch on class-major (K, N) arrays it does not clamp.
 
     The mask and the fractions come back (K, N) too, the unspent ratios
@@ -240,19 +195,29 @@ def _sweep(
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
     ``mask_only`` the mask alone comes back.
-    ``order`` is a ``_SweepOrder`` of ``a`` carried from earlier calls; it
-    is updated to the order of ``a / p``, which saves the sort of every
-    sample whose order did not change.  Without one, every sample is
-    sorted.  Either way the result has the same bits.
+
+    ``order[t, j]`` is the raveled (K, N) index of the t-th largest ratio
+    q = a / p of sample j, in the stable descending order (ties by
+    ascending class).  Without one, every sample is sorted.  A caller may
+    pass its own (K, N) integer array, each of whose columns must be a
+    permutation of that sample's raveled indices: the samples whose
+    gathered ratios descend strictly are then already in the stable order,
+    which is unique, and only the others, ties included, are sorted again.
+    The array is rewritten in place to the stable order, so a caller that
+    carries it across calls on slowly moving ratios saves most sorts.
+    Either way the result has the bits of a fresh sort.
     """
     k, n = a.shape
     if order is None:
-        flat, _, rest_a, p_sorted, q_sorted = _sorted(a, p)
-    elif order.priors is a:
-        p_sorted, q_sorted = order.follow(p)
-        flat, rest_a = order.flat, order.rest_a
-    else:
-        raise ValueError("the sweep order belongs to other priors")
+        order = np.argsort(-(a / p), axis=0, kind="stable") * n + np.arange(n)
+    a_sorted, p_sorted = a.ravel()[order], p.ravel()[order]
+    q_sorted = a_sorted / p_sorted
+    stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
+    if stale.size:
+        cols = order[:, stale] = np.argsort(-(a[:, stale] / p[:, stale]), axis=0, kind="stable") * n + stale
+        a_sorted[:, stale], p_sorted[:, stale] = a.ravel()[cols], p.ravel()[cols]
+        q_sorted[:, stale] = a_sorted[:, stale] / p_sorted[:, stale]
+    rest_a = _rest_sums(a_sorted)
     # levels[t] = unspent ratio of the K - t not-yet-admitted outcomes
     levels = np.empty((k, n))
     levels[0] = 1.0
@@ -263,7 +228,7 @@ def _sweep(
         np.logical_and(admitted[t], admitted[t - 1], out=admitted[t])
 
     mask = np.zeros(k * n, dtype=bool)
-    mask[flat] = admitted
+    mask[order] = admitted
     mask = mask.reshape(k, n)
     if not mask_only:
         # the lowest-q outcome always has q equal to the last level, so at

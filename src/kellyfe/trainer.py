@@ -23,9 +23,9 @@ import numpy as np
 
 from . import losses
 from .data import Dataset, batches
-from .kelly import _sweep, _SweepOrder, _transposed, clamp_probability_rows
+from .kelly import _sweep, _transposed, clamp_probability_rows
 from .network import LayerSpec, NetworkParams, backward, forward, init_he
-from .optimizer import adam_step, init_adam
+from .optimizer import DEFAULT_ALPHA_LR, DEFAULT_BETA_FM, DEFAULT_BETA_SM, adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
 MODE_NAMES = ("grpr", "grnp", "ngpr", "ngnp")
@@ -51,9 +51,9 @@ class TrainConfig:
     dropout_retention: float = 1.0
     gamma_mod: float = 2.0
     class_weights: tuple[float, ...] | None = None
-    alpha_lr: float = 0.001
-    beta_fm: float = 0.90
-    beta_sm: float = 0.99
+    alpha_lr: float = DEFAULT_ALPHA_LR
+    beta_fm: float = DEFAULT_BETA_FM
+    beta_sm: float = DEFAULT_BETA_SM
     batch_size: int = 32
     max_iterations: int = 15000
     patience: int = 100
@@ -179,7 +179,7 @@ def batch_loss(
     grad: bool = True,
     *,
     class_weights=None,
-    order: _SweepOrder | None = None,
+    order: np.ndarray | None = None,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
 
@@ -190,8 +190,9 @@ def batch_loss(
     label in gr* modes and to the argmax posterior in ng* modes.  The
     loss's table kernel then takes ``(ln p, p)`` and the rows, as for
     every loss, and its gradient comes back as a C-ordered (N, K) array
-    for ``backward``.  ``order`` is the sweep's sort state for ``priors``,
-    carried across calls on the same rows.  The weighted losses take ``class_weights``,
+    for ``backward``.  ``order`` is the sweep's (K, N) sort order, which it
+    rewrites in place (see ``kelly._sweep``); a caller that carries it across
+    calls on the same rows saves most sorts.  The weighted losses take ``class_weights``,
     else the config's, else they count ``labels``.  ``grad=False`` gives
     the value alone; neither keyword changes a bit of the result.
     """
@@ -243,11 +244,12 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     ``max_iterations``; the returned parameters are a snapshot from the
     best-EMA iteration.  Candidate sets for the expected-free-energy loss
     are recomputed from fresh posteriors every iteration; the validation
-    pass carries its sweep's sort order from one iteration to the next and
-    sorts again only the samples whose order changed, while the training
-    step sorts its batch afresh.  A non-finite logit or parameter raises
-    NonFiniteError naming the iteration and whether the training step or
-    the validation pass produced it.
+    pass carries its sweep's sort order, an index array that starts in the
+    class order, from one iteration to the next and sorts again only the
+    samples whose order changed, while the training step sorts its batch
+    afresh.  A non-finite logit or parameter raises NonFiniteError naming
+    the iteration and whether the training step or the validation pass
+    produced it.
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
     once per run, together with the logarithms the EFE loss needs; no
@@ -268,7 +270,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     val_options = {
         "grad": False,
         "class_weights": config.class_weights or losses._weight_column(None, val_rows[0]).ravel(),
-        "order": _SweepOrder(val_rows[1]) if len(val_rows) > 1 else None,
+        "order": np.arange(val_rows[1].size).reshape(val_rows[1].shape) if len(val_rows) > 1 else None,
     }
 
     history: list[HistoryRecord] = []
@@ -315,11 +317,15 @@ def evaluate(params: NetworkParams, test_set: Dataset) -> MetricsReport:
 
     Ties go to the lowest class index.  Zero-denominator precision/recall
     are reported as 0 with the matching *_defined flag cleared; a class
-    absent from both truth and predictions scores Dice and Jaccard 1.
+    absent from both truth and predictions scores Dice and Jaccard 1.  A
+    network whose output width is not the set's class count raises
+    ValueError.
     """
+    k = test_set.n_classes
+    if params.specs[-1].output_width != k:
+        raise ValueError(f"the network predicts {params.specs[-1].output_width} classes, the test set has {k}")
     logits, _ = forward(params, test_set.features, training=False)
     predictions = logits.argmax(axis=1)
-    k = test_set.n_classes
     confusion = np.zeros((k, k), dtype=int)
     np.add.at(confusion, (test_set.true_labels, predictions), 1)
 

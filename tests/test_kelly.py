@@ -17,7 +17,6 @@ from kellyfe.kelly import (
     PROB_CLAMP,
     _max_units,
     _sweep,
-    _SweepOrder,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
@@ -195,6 +194,19 @@ class TestCandidateLabels:
         np.testing.assert_array_equal(sol.fractions, np.zeros(3))
         assert sol.unspent == 1.0
         assert sol.log_growth == 0.0
+
+    @pytest.mark.parametrize(
+        "batch, label",
+        [(False, -1), (False, 1.7), (False, 3), (True, [0, 1])],
+        ids=["negative", "fractional", "past-k", "wrong-length"],
+    )
+    def test_malformed_fallback_labels_rejected(self, batch, label):
+        prior = [0.5, 0.3, 0.2]
+        with pytest.raises(ValueError, match="fallback labels must be integers in 0..2"):
+            if batch:
+                candidate_labels_batch([prior] * 3, [prior] * 3, fallback_labels=label)
+            else:
+                candidate_labels(prior, prior, reference_label=label)
 
     def test_matched_beliefs_without_reference_raise(self):
         with pytest.raises(MissingReferenceLabelError):
@@ -494,8 +506,8 @@ class TestBatchSweep:
 
 def reference_sweep(a, p, fallback_labels):
     """The class-major sweep with a fresh stable sort per call and its suffix
-    sums added in a loop from the last sorted row up: the bits the carried
-    sort order must reproduce.
+    sums added in a loop from the last sorted row up: the bits a sweep
+    given any sort order must reproduce.
     """
     k, n = a.shape
     q = a / p
@@ -562,13 +574,16 @@ class TestSweepOrder:
         steps=st.integers(1, 6),
         spread=st.sampled_from([0.5, 3.0, 800.0]),
         seed=st.integers(0, 2**32 - 1),
+        shuffled=st.booleans(),
     )
-    def test_carried_order_equals_fresh_sweep_bitwise(self, k, n, steps, spread, seed):
+    def test_carried_order_equals_fresh_sweep_bitwise(self, k, n, steps, spread, seed, shuffled):
         rng = np.random.default_rng(seed)
         a = np.ascontiguousarray(clamp_probability_rows(rng.dirichlet(np.ones(k), n)).T)
         a[1, ::2] = a[0, ::2]
         fallback = rng.integers(0, k, n)
-        order = _SweepOrder(a)
+        # the trainer's start, the class order, or a random permutation of each column
+        start = np.argsort(rng.random((k, n)), axis=0) if shuffled else np.arange(k)[:, None]
+        order = start * n + np.arange(n)
         for p in _drifting_posteriors(rng, a, steps, spread):
             # a posterior of 0, or a denormal one, makes an infinite ratio or
             # level, and a fraction off the mask may then be 0 * inf
@@ -577,15 +592,10 @@ class TestSweepOrder:
                 carried = _sweep(a, p, fallback, order=order)
                 fresh = _sweep(a, p, fallback)
                 mask = _sweep(a, p, fallback, mask_only=True, order=order)
-            assert order.flat.tobytes() == flat.tobytes()
+            assert order.tobytes() == flat.tobytes()
             for got, again, want in zip(carried, fresh, expected):
                 assert got.tobytes() == again.tobytes() == want.tobytes()
             assert mask.tobytes() == expected[0].tobytes()
-
-    def test_order_of_other_priors_rejected(self):
-        a = np.full((3, 4), 1.0 / 3.0)
-        with pytest.raises(ValueError, match="other priors"):
-            _sweep(a, a, [0, 0, 0, 0], order=_SweepOrder(a.copy()))
 
 
 def _tied_pairs(rng, k: int, n: int):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellyfe import data, losses, trainer
-from kellyfe.kelly import _SweepOrder
 from kellyfe.network import LayerSpec, init_he, load_params, save_params
 
 
@@ -159,7 +158,7 @@ class TestValidationState:
         val_set = data.with_synthesized_priors(data.generate(4, 2, 300, [0.4, 0.3, 0.2, 0.1], 1.0, seed=3), 0.2)
         config = trainer.TrainConfig(loss="efe", mode=mode)
         rows = trainer._loss_rows(val_set, config)
-        order = _SweepOrder(rows[1])
+        order = np.arange(rows[1].size).reshape(rows[1].shape)
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((300, 4))
         for _ in range(6):
@@ -280,6 +279,12 @@ class TestEvaluate:
         np.testing.assert_allclose(report.precision, [0.9, 0.0])
         assert report.precision_defined.tolist() == [True, False]
         assert report.recall_defined.tolist() == [True, True]
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_network_of_other_class_count_rejected(self, width):
+        ds = data.generate(3, 2, 30, [0.5, 0.3, 0.2], 2.0, seed=2)
+        with pytest.raises(ValueError, match=f"the network predicts {width} classes, the test set has 3"):
+            trainer.evaluate(self._all_zero_params(2, width), ds)
 
     def test_confusion_rows_are_class_counts(self):
         ds = data.generate(3, 2, 300, [0.5, 0.3, 0.2], 2.0, seed=2)
