@@ -11,6 +11,7 @@ all work on the same array, and the gradient comes back in the same layout.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -31,11 +32,15 @@ class LayerSpec:
     dropout_retention: float = 1.0
 
     def __post_init__(self):
-        if self.input_width < 1 or self.output_width < 1:
+        widths = (self.input_width, self.output_width)
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in widths):
+            raise ValueError("layer widths must be integers")
+        if min(widths) < 1:
             raise ValueError("layer widths must be >= 1")
         if self.activation not in ("prelu", "linear"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 < self.dropout_retention <= 1.0:
+        retention = self.dropout_retention
+        if isinstance(retention, bool) or not (isinstance(retention, numbers.Real) and 0.0 < retention <= 1.0):
             raise ValueError("dropout_retention must lie in (0, 1]")
         # numpy scalars (a TrainConfig takes them) are stored as the Python numbers that to_json can write
         for name in ("input_width", "output_width", "dropout_retention"):
@@ -233,15 +238,29 @@ def to_json(params: NetworkParams) -> str:
 
 
 def from_json(text: str) -> NetworkParams:
+    """The network of a ``to_json`` document; a malformed one raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the model document is not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
+    if not isinstance(doc.get("layers"), list) or not doc["layers"]:
+        raise ValueError("the model document has no list of 'layers'")
+    keys = [f.name for f in (*fields(LayerSpec), *fields(LayerParams))]
+    for i, entry in enumerate(doc["layers"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"layer {i} is not a JSON object")
+        if missing := [key for key in keys if key not in entry]:
+            raise ValueError(f"layer {i} has no {missing[0]!r}")
     specs = tuple(LayerSpec(**{f.name: entry[f.name] for f in fields(LayerSpec)}) for entry in doc["layers"])
     params = NetworkParams(specs, np.zeros(_vector_size(specs)))
     for i, (entry, lp) in enumerate(zip(doc["layers"], params.layers)):
         for name, view in vars(lp).items():
-            value = np.asarray(entry[name], dtype=float)
+            try:
+                value = np.asarray(entry[name], dtype=float)
+            except (TypeError, ValueError):  # an object, a string or a ragged list
+                raise ValueError(f"layer {i} {name} is not an array of numbers") from None
             if value.shape != view.shape:
                 raise ValueError(f"layer {i} {name} has shape {value.shape}, expected {view.shape}")
             # json reads NaN and Infinity; the max/min PReLU needs a non-NaN leakage

@@ -39,6 +39,8 @@ def init_adam(
     beta_fm: float = DEFAULT_BETA_FM,
     beta_sm: float = DEFAULT_BETA_SM,
 ) -> AdamState:
+    if not 0.0 < alpha_lr < np.inf:
+        raise ValueError("alpha_lr must be finite and > 0")
     if not 0.0 <= beta_fm < 1.0 or not 0.0 <= beta_sm < 1.0:
         raise ValueError("moment rates must lie in [0, 1)")
     return AdamState(np.zeros(n_params), np.zeros(n_params), 0, alpha_lr, beta_fm, beta_sm)

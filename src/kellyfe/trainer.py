@@ -155,8 +155,8 @@ def _derived_seed(*entropy: int) -> int:
 def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """batch_loss's arrays after the logits: the mode's label rows (one-hot in
     gr* modes, uniform otherwise) and, for a loss that uses candidate sets,
-    its prior rows (uniform in *np modes) clamped once, their logarithms and
-    the (N,) reference labels.  Rows are class-major (K, N), C-ordered, with
+    its prior rows (uniform in *np modes) clamped once and the (N,)
+    reference labels.  Rows are class-major (K, N), C-ordered, with
     the samples on the last axis, so ``r[..., idx]`` of each is a batch's."""
     n, k = len(dataset), dataset.n_classes
     labels = np.full((k, n), 0.0 if supervised(config.mode) else 1.0 / k)
@@ -165,8 +165,7 @@ def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     if not losses.LOSSES[config.loss].uses_candidates:
         return (labels,)
     priors = dataset.priors if config.mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
-    priors = _transposed(clamp_probability_rows(priors))
-    return labels, priors, np.log(priors), dataset.reference_labels
+    return labels, _transposed(clamp_probability_rows(priors)), dataset.reference_labels
 
 
 def batch_loss(
@@ -174,11 +173,9 @@ def batch_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     priors: np.ndarray | None = None,
-    ln_priors: np.ndarray | None = None,
     reference_labels: np.ndarray | None = None,
     grad: bool = True,
     *,
-    class_weights=None,
     order: np.ndarray | None = None,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
@@ -192,9 +189,9 @@ def batch_loss(
     every loss, and its gradient comes back as a C-ordered (N, K) array
     for ``backward``.  ``order`` is the sweep's (K, N) sort order, which it
     rewrites in place (see ``kelly._sweep``); a caller that carries it across
-    calls on the same rows saves most sorts.  The weighted losses take ``class_weights``,
-    else the config's, else they count ``labels``.  ``grad=False`` gives
-    the value alone; neither keyword changes a bit of the result.
+    calls on the same rows saves most sorts.  The weighted losses take the
+    config's ``class_weights``, else they count ``labels``.  ``grad=False``
+    gives the value alone; neither keyword changes a bit of the result.
     """
     entry = losses.LOSSES[config.loss]
     ln_p, p = losses._log_softmax(_transposed(logits))
@@ -202,8 +199,7 @@ def batch_loss(
     if entry.uses_candidates:
         fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
         mask = _sweep(priors, p, fallback, mask_only=True, order=order)
-    weights = config.class_weights if class_weights is None else class_weights
-    ev = entry.kernel(ln_p, p, labels, priors, ln_priors, mask, weights, config.gamma_mod, grad)
+    ev = entry.kernel(ln_p, p, labels, priors, mask, config.class_weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)
 
 
@@ -252,11 +248,10 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     produced it.
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
-    once per run, together with the logarithms the EFE loss needs; no
-    posterior is clamped.  The loss rows are kept class-major (K, N), and a
-    batch's rows are gathered by its indices from the training set's.  The
-    validation set's class weights are counted once per run too, and so are
-    the parameter and gradient views: Adam steps the parameters in place.
+    once per run; no posterior is clamped.  The loss rows are kept
+    class-major (K, N), and a batch's rows are gathered by its indices from
+    the training set's.  The parameter and gradient views are made once per
+    run too: Adam steps the parameters in place.
     """
     check_compatibility(config, train_set, val_set)
 
@@ -267,11 +262,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
 
     train_rows = _loss_rows(train_set, config)
     val_rows = _loss_rows(val_set, config)
-    val_options = {
-        "grad": False,
-        "class_weights": config.class_weights or losses._weight_column(None, val_rows[0]).ravel(),
-        "order": np.arange(val_rows[1].size).reshape(val_rows[1].shape) if len(val_rows) > 1 else None,
-    }
+    order = np.arange(val_rows[1].size).reshape(val_rows[1].shape) if len(val_rows) > 1 else None
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -288,7 +279,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
             raise _non_finite(iteration, "training step")
 
         val_logits, _ = forward(params, val_set.features, training=False)
-        val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, **val_options)
+        val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False, order=order)
         if ema is None:
             ema = val_ev.value
         else:

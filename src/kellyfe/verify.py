@@ -214,7 +214,7 @@ def gradient_suite(trials: int = 100, seed: int = 0, h: float = 1e-6, tol: float
             def value_at(theta, evaluate=evaluate, gamma=gamma):
                 p = NetworkParams(specs, theta)
                 logits, _ = forward(p, features, training=False)
-                return evaluate(logits, labels, priors, mask, None, gamma).value
+                return evaluate(logits, labels, priors, mask, None, gamma, grad=False).value
 
             logits, cache = forward(params, features, training=True)
             ev = evaluate(logits, labels, priors, mask, None, gamma)

@@ -407,6 +407,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^layer 1 {name} holds a non-finite value$"):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            (lambda d: d["layers"][1].update(input_width=2.0), "^layer widths must be integers$"),
+            (lambda d: d["layers"][1].update(output_width=2.5), "^layer widths must be integers$"),
+            (lambda d: d["layers"][0].update(input_width=True), "^layer widths must be integers$"),
+            (lambda d: d["layers"][0].update(dropout_retention="1"), r"^dropout_retention must lie in \(0, 1\]$"),
+            (lambda d: d["layers"][1].pop("biases"), "^layer 1 has no 'biases'$"),
+            (lambda d: d.pop("layers"), "^the model document has no list of 'layers'$"),
+            (lambda d: d["layers"].clear(), "^the model document has no list of 'layers'$"),
+            (lambda d: d["layers"][0].update(weights={}), "^layer 0 weights is not an array of numbers$"),
+            (lambda d: d["layers"][1].update(biases=[[1.0], 2.0]), "^layer 1 biases is not an array of numbers$"),
+            (lambda d: d["layers"].insert(0, 3), "^layer 0 is not a JSON object$"),
+            (lambda d: d.clear(), "^the model document is not a JSON object$"),
+        ],
+        ids=["float-width", "fractional-width", "bool-width", "string-retention", "no-biases", "no-layers",
+             "empty-layers", "object-weights", "ragged-biases", "number-layer", "list-document"],
+    )
+    def test_from_json_rejects_a_malformed_document(self, defect, message):
+        doc = json.loads(to_json(init_he([LayerSpec(2, 3), LayerSpec(3, 2)], seed=0)))
+        defect(doc)
+        with pytest.raises(ValueError, match=message):
+            from_json(json.dumps(doc or []))  # the emptied document stands for a list
+
     def test_vector_length_must_match_specs(self):
         specs = (LayerSpec(3, 4), LayerSpec(4, 2))
         vector = init_he(specs, seed=13).vector

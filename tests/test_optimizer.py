@@ -68,6 +68,11 @@ class TestAdamStep:
         with pytest.raises(ValueError):
             init_adam(1, beta_fm=1.0)
 
+    @pytest.mark.parametrize("alpha_lr", [float("nan"), 0.0, -1e-3, float("inf")], ids=["nan", "zero", "negative", "inf"])
+    def test_invalid_learning_rate_rejected(self, alpha_lr):
+        with pytest.raises(ValueError, match=r"^alpha_lr must be finite and > 0$"):
+            init_adam(1, alpha_lr=alpha_lr)
+
     def test_in_place_update_equals_the_written_formula_bitwise(self):
         rng = np.random.default_rng(11)
         state = init_adam(40, alpha_lr=0.003, beta_fm=0.8, beta_sm=0.95)

@@ -171,17 +171,6 @@ class TestValidationState:
                 if grad:
                     assert carried.grad_logits.tobytes() == fresh.grad_logits.tobytes()
 
-    @pytest.mark.parametrize("loss", ["wce", "wfocal"])
-    def test_counted_weights_give_the_same_loss(self, loss):
-        val_set = data.generate(3, 2, 200, [0.6, 0.3, 0.1], 1.0, seed=4)
-        config = trainer.TrainConfig(loss=loss, mode="grnp")
-        rows = trainer._loss_rows(val_set, config)
-        logits = np.random.default_rng(8).standard_normal((200, 3))
-        counted = trainer.batch_loss(config, logits, *rows, class_weights=losses._weight_column(None, rows[0]).ravel())
-        fresh = trainer.batch_loss(config, logits, *rows)
-        assert counted.value.hex() == fresh.value.hex()
-        assert counted.grad_logits.tobytes() == fresh.grad_logits.tobytes()
-
     def test_given_weights_are_not_recounted(self):
         class Uncountable(np.ndarray):
             def sum(self, *args, **kwargs):
@@ -191,7 +180,7 @@ class TestValidationState:
         weights = losses._weight_column(np.array([1.0, 2.0, 3.0]), labels)
         assert weights.tolist() == [[1.0], [2.0], [3.0]]
 
-    def test_validation_weights_are_counted_once_per_run(self, monkeypatch):
+    def test_every_step_and_validation_pass_counts_its_labels(self, monkeypatch):
         calls = []
         weights = losses._weight_column
 
@@ -204,7 +193,7 @@ class TestValidationState:
         train_set, val_set = _separable_sets(seed=2)
         cfg = trainer.TrainConfig(loss="wfocal", mode="grnp", max_iterations=7, batch_size=50, seed=0)
         trainer.train(cfg, train_set, val_set)
-        assert calls == [100] + [50] * 7
+        assert calls == [50, 100] * 7
 
 
 class TestBatchStream:
@@ -223,7 +212,7 @@ class TestBatchStream:
             alone = data.Dataset(*(getattr(ds, f.name)[idx] for f in dataclasses.fields(ds)))
             expected = trainer._loss_rows(alone, cfg)
             gathered = tuple(r[..., idx] for r in rows)
-            assert len(gathered) == len(expected) == (1 if loss == "wfocal" else 4)
+            assert len(gathered) == len(expected) == (1 if loss == "wfocal" else 3)
             for g, e in zip(gathered, expected):
                 assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes())
 

@@ -15,12 +15,13 @@ one row past every power-of-two block of rows up to 4096, so a CSV
 writer that works in blocks is checked past a block's edge).  It prints
 one markdown row per input with the sha256 of its CSV and of the stdout of
 ``generate`` (with the output path replaced by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 30 configurations below and prints one markdown row per
+for each of the 31 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
-file that sets two hidden layers and dropout.  The two 20-class runs
-(efe and ce) take the sweep, the softmax and the losses to a class count
-where a candidate set and its rest can each hold many outcomes.  Two more
+file that sets two hidden layers and dropout.  The three 20-class runs
+(efe, ce and wfocal) take the sweep, the softmax and the losses to a class
+count where a candidate set and its rest can each hold many outcomes; wfocal
+counts its 20 class weights on every step and validation pass.  Two more
 (efe and ce on the clean rows) validate on ``val300``, 300 rows of the
 validation recipe (seed 2): at that batch size a BLAS matrix product may
 take another kernel than at 2000, so a change of layout can move their
@@ -89,6 +90,7 @@ EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
 ]
+K20_RUNS = [*EFE_CE_RUNS, ("wfocal", ["--loss", "wfocal"], "grpr")]
 # an epoch of 2000 rows that ends on a full batch, and one-row batches whose weights count one label
 BATCH_SIZE_RUNS = [
     ("efe --batch-size 40", ["--loss", "efe", "--batch-size", "40"], "grpr"),
@@ -96,7 +98,7 @@ BATCH_SIZE_RUNS = [
 ]
 # (train input, validation input, runs)
 TABLE = [
-    ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", EFE_CE_RUNS),
+    ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", K20_RUNS),
     ("clean", "val300", EFE_CE_RUNS), ("clean", "val", BATCH_SIZE_RUNS),
 ]
 CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
