@@ -194,7 +194,10 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
     q = +inf, which sorts first and is admitted, and every level stays
     finite, as the lowest-q outcome has a positive posterior.  With
-    ``mask_only`` the mask alone comes back.
+    ``mask_only`` the mask alone comes back.  A sample that admits nothing
+    gets its ``fallback_labels`` entry marked; these are (N,) labels, or a
+    function that takes the indices of those samples and returns their
+    labels, so a caller can derive them for those samples alone.
 
     ``order[t, j]`` is the raveled (K, N) index of the t-th largest ratio
     q = a / p of sample j, in the stable descending order (ties by
@@ -237,13 +240,15 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
         fractions = np.where(mask, a - p * unspent, 0.0)
 
     if not admitted[0].all():
-        empty = ~admitted[0]
+        empty = np.flatnonzero(~admitted[0])
         if fallback_labels is None:
             raise MissingReferenceLabelError(
                 "empty candidate set and no fallback labels supplied"
             )
-        fb = np.asarray(fallback_labels, dtype=int)
-        mask[fb[empty], empty] = True
+        if callable(fallback_labels):
+            mask[fallback_labels(empty), empty] = True
+        else:
+            mask[np.asarray(fallback_labels, dtype=int)[empty], empty] = True
     return mask if mask_only else (mask, fractions, unspent)
 
 
@@ -283,17 +288,22 @@ def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, 
     backtracking.  This evaluates the same finite search space as direct
     enumeration (against which it is tested) at a fraction of the cost.
 
-    Composing a prefix ``left`` with a middle class of values ``v`` takes,
-    for each y <= m, the first j that maximizes left[j] + v[y - j], so
-    ties go to the smaller share of the prefix.  Those sums are formed and
-    maximized row by row, from sliding windows over one padded table per
-    middle class built once per call: with M the largest total, row m
-    holds the class's M + 1 values at total m in reverse, then M entries
-    of -inf, so the windows of row m give v[y - j] for j <= y and -inf
-    above.  At the default step of 0.005 (M = 199) a padded table takes
-    0.64 MB and each end class's value table 0.32 MB, so a 4-class call
-    holds 1.9 MB of tables.  A later total replaces the best one found
-    only when it is better by more than 1e-12.
+    With M the largest total, each class has a table of M + 1 rows, one
+    per total m, whose column i holds its value at M - i units (class 0's
+    at i units).  The composed prefix ``acc[m, y]`` is the best value of
+    the classes so far at y <= m units in all, -inf above the diagonal.  A
+    middle class is composed once per partial total y, for every m >= y in
+    one op: ``acc[y:, :y+1] + v[y:, M-y:]`` holds the sums at first share
+    j <= y, one row per total, and each row keeps its first maximum, so
+    ties go to the smaller share of the prefix.  Running y downwards lets
+    column y of ``acc`` be overwritten in place; the first shares are kept
+    in one (M + 1, M + 1) table per middle class for the backtrack.  The
+    last class joins every total at once as ``acc[m, j] + last[m, m - j]``,
+    read through a skewed view of its flattened table, and a scan of the
+    per-total maxima in ascending m keeps a later total only when it is
+    better by more than 1e-12; only the chosen total is backtracked.  At
+    the default step of 0.005 (M = 199) each table takes 0.32 MB, and a
+    4-class call peaks at about 2.0 MB.
 
     Only the grid granularity is shared with the closed form; no ordering,
     admission, or unspent-ratio logic is reused.
@@ -310,49 +320,45 @@ def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, 
     units = np.arange(m_max + 1)
     totals = 1.0 - units * h  # 1 - m*h, strictly positive by construction
 
-    def table(c: int) -> np.ndarray:
-        # table(c)[m, x] = a_c * ln(1 - m*h + x*h / p_c); only x <= m is used
-        return a[c] * np.log(totals[:, None] + units[None, :] * (h / p[c]))
+    def table(c: int, x: np.ndarray) -> np.ndarray:
+        # table(c, x)[m, i] = a_c * ln(1 - m*h + x[i]*h / p_c), made in place
+        t = totals[:, None] + x * (h / p[c])
+        np.log(t, out=t)
+        t *= a[c]
+        return t
 
-    first, last = table(0), table(k - 1)
-    # windows[c - 1][m, y, j] = table(c)[m, y - j] for j <= y, -inf for j > y
-    windows = []
+    # acc[m, j]: class 0 at j units, -inf for j > m (no split of m units)
+    acc = table(0, units)
+    np.copyto(acc, -np.inf, where=~np.tri(m_max + 1, dtype=bool))
+    args = np.empty((k - 2, m_max + 1, m_max + 1), dtype=np.intp)
     for c in range(1, k - 1):
-        padded = np.full((m_max + 1, 2 * m_max + 1), -np.inf)
-        padded[:, m_max::-1] = table(c)
-        windows.append(sliding_window_view(padded, m_max + 1, axis=1)[:, ::-1])
+        v = table(c, units[::-1])  # v[m, m_max - x]: the class at x units
+        for y in range(m_max, -1, -1):
+            # sums[m - y, j] = acc[m, j] + (class c at y - j units), every m >= y
+            sums = acc[y:, : y + 1] + v[y:, m_max - y :]
+            arg = args[c - 1, y:, y] = sums.argmax(axis=1)
+            acc[y:, y] = sums[units[: m_max + 1 - y], arg]
+    # row m of the flat reversed last table from m_max - m on: the last
+    # class at m - j units in column j <= m, (finite) spill after it
+    last = sliding_window_view(table(k - 1, units[::-1]).ravel(), m_max + 1)[m_max::m_max]
+    final = acc + last
+    splits = final.argmax(axis=1)
+    values = final[units, splits].tolist()
 
     # The objective is exactly invariant along g -> g + eps * posterior, so
     # grid maximizers form a ridge; requiring improvement beyond float noise
     # keeps the first (minimal-allocation) point of that ridge.
     tie_tol = 1e-12
-    best_value = -np.inf
-    best_units: np.ndarray | None = None
-    for m in range(m_max + 1):
-        n = m + 1
-        acc = first[m, :n]
-        args = []
-        for window in windows:
-            # sums[y, j] = acc[j] + values[y - j]; each row's first maximum
-            sums = acc + window[m, :n, :n]
-            arg = sums.argmax(axis=1)
-            acc = sums[units[:n], arg]
-            args.append(arg)
-        # final class only needs the split of exactly m units
-        final = acc + last[m, m::-1]
-        j = int(final.argmax())
-        value = float(final[j])
+    best_m, best_value = 0, values[0]
+    for m, value in enumerate(values):
         if value > best_value + tie_tol:
-            best_value = value
-            alloc = np.zeros(k, dtype=int)
-            alloc[k - 1] = m - j
-            y = j
-            for c in range(k - 2, 0, -1):
-                split = int(args[c - 1][y])
-                alloc[c] = y - split
-                y = split
-            alloc[0] = y
-            best_units = alloc
-
-    assert best_units is not None
-    return best_units * h, best_value
+            best_m, best_value = m, value
+    alloc = np.zeros(k, dtype=int)
+    y = int(splits[best_m])
+    alloc[k - 1] = best_m - y
+    for c in range(k - 2, 0, -1):
+        split = int(args[c - 1, best_m, y])
+        alloc[c] = y - split
+        y = split
+    alloc[0] = y
+    return alloc * h, best_value

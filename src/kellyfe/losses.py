@@ -225,7 +225,11 @@ def lovasz_grad(sorted_gt) -> np.ndarray:
     intersection = gts - np.cumsum(gt)
     union = gts + np.cumsum(1.0 - gt)
     jd = 1.0 - intersection / union
-    return np.diff(jd, prepend=0.0)
+    # the bits of np.diff(jd, prepend=0.0), without its concatenated copy
+    grad = np.empty_like(jd)
+    grad[0] = jd[0]
+    np.subtract(jd[1:], jd[:-1], out=grad[1:])
+    return grad
 
 
 def lovasz_extension(mispredictions, ground_truth) -> float:

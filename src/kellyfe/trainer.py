@@ -184,7 +184,8 @@ def batch_loss(
     One log-softmax reads the logits class-major (``forward``'s need no
     copy); a loss that uses candidate sets hands its unclamped posteriors
     to the mask-only sweep, whose empty rows fall back to the reference
-    label in gr* modes and to the argmax posterior in ng* modes.  The
+    label in gr* modes and, in ng* modes, to their argmax posterior,
+    taken on those rows alone.  The
     loss's table kernel then takes ``(ln p, p)`` and the rows, as for
     every loss, and its gradient comes back as a C-ordered (N, K) array
     for ``backward``.  ``order`` is the sweep's (K, N) sort order, which it
@@ -197,7 +198,7 @@ def batch_loss(
     ln_p, p = losses._log_softmax(_transposed(logits))
     mask = None
     if entry.uses_candidates:
-        fallback = reference_labels if supervised(config.mode) else p.argmax(axis=0)
+        fallback = reference_labels if supervised(config.mode) else (lambda empty: p[:, empty].argmax(axis=0))
         mask = _sweep(priors, p, fallback, mask_only=True, order=order)
     ev = entry.kernel(ln_p, p, labels, priors, mask, config.class_weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)

@@ -1,6 +1,7 @@
 """Closed-form betting solver vs hand traces and the exhaustive grid."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kellyfe.kelly import (
     PROB_CLAMP,
     _max_units,
     _sweep,
+    _transposed,
     brute_force_oracle,
     candidate_labels,
     candidate_labels_batch,
@@ -403,7 +405,7 @@ class TestBruteForceOracle:
         np.testing.assert_array_equal(fractions, best_g)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("step", [0.005, 0.033, 0.1])
+    @pytest.mark.parametrize("step", [0.005, 0.007, 0.033, 0.1])
     def test_bit_identical_to_column_major_dp(self, k, step):
         rng = np.random.default_rng(np.random.SeedSequence([37, k, int(step * 1000)]))
         pairs = [draw_probability_pair(rng, k) for _ in range(4)]
@@ -415,6 +417,20 @@ class TestBruteForceOracle:
             fractions, value = brute_force_oracle(prior, posterior, step)
             assert fractions.tobytes() == (expected_units * step).tobytes()
             assert value.hex() == expected_value.hex()
+
+    def test_four_class_call_at_default_step_peaks_at_most_2_70_mb(self):
+        # about 2.0 MB: the prefix, two first-share tables, two class
+        # tables and the joined totals, 0.32 MB each at M = 199
+        prior, posterior = draw_probability_pair(np.random.default_rng(43), 4)
+        brute_force_oracle(prior, posterior, 0.005)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            brute_force_oracle(prior, posterior, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.70e6
 
 
 def _tied_floor_rows(rng, k: int, rows: int):
@@ -502,6 +518,24 @@ class TestBatchSweep:
         assert mask[1].tolist() == [True, False]
         with pytest.raises(MissingReferenceLabelError):
             candidate_labels_batch(priors, posteriors)
+
+    def test_fallback_function_sees_only_the_empty_rows(self):
+        rng = np.random.default_rng(47)
+        priors, posteriors, _ = _tied_pairs(rng, 4, 60)
+        a, p = _transposed(clamp_probability_rows(priors)), _transposed(posteriors)
+        labels = rng.integers(0, 4, 60)
+        seen = []
+
+        def fallback(empty):
+            seen.append(empty.copy())
+            return labels[empty]
+
+        expected = _sweep(a, p, labels)
+        got = _sweep(a, p, fallback)
+        for want, have in zip(expected, got):
+            assert have.tobytes() == want.tobytes()
+        assert seen[0].tolist() == np.flatnonzero(~expected[1].any(axis=0)).tolist() != []
+        assert _sweep(a, p, fallback, mask_only=True).tobytes() == expected[0].tobytes()
 
 
 def reference_sweep(a, p, fallback_labels):

@@ -52,6 +52,23 @@ class TestLovaszGrad:
                     m[:j] = True
                     np.testing.assert_allclose(cumulative[j - 1], _jd(m, gt), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["random", "all-0", "all-1", "length-1", "empty"])
+    def test_bit_identical_to_prepended_diff(self, kind):
+        rng = np.random.default_rng(41)
+        vectors = {
+            "random": [rng.integers(0, 2, rng.integers(1, 9)).astype(float) for _ in range(2000)],
+            "all-0": [np.zeros(7)],
+            "all-1": [np.ones(7)],
+            "length-1": [np.zeros(1), np.ones(1)],
+            "empty": [np.zeros(0)],
+        }[kind]
+        for gt in vectors:
+            # the first differences as np.diff takes them, from a prepended 0
+            jd = 1.0 - (gt.sum() - np.cumsum(gt)) / (gt.sum() + np.cumsum(1.0 - gt))
+            expected = np.diff(jd, prepend=0.0)
+            got = losses.lovasz_grad(gt)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 class TestLovaszSoftmax:
     def test_perfect_prediction_is_zero(self):

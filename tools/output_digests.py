@@ -29,8 +29,10 @@ bits where the 2000-row runs keep them.  The last two set the batch
 size: efe at 40, so that every epoch of 2000 rows ends on a full batch
 (the default 32 leaves a 16-row tail), and wce at 1, whose one-row
 batches count their class weights from one label.  A third table gives
-the exit code and the sha256 of the stdout of three ``kellyfe verify``
-runs, one per suite.
+the exit code and the sha256 of the stdout of four ``kellyfe verify``
+runs: one per suite, and the kelly suite again at 300 trials and seed
+7919, whose 3- and 4-class pairs take the grid oracle through ~200 more
+calls.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
@@ -105,6 +107,7 @@ CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
     ["--suite", "gradients", "--trials", "30", "--seed", "0"],
     ["--suite", "kelly", "--trials", "100", "--seed", "0"],
+    ["--suite", "kelly", "--trials", "300", "--seed", "7919"],
     ["--suite", "lovasz", "--seed", "0"],
 ]
 TRAIN = ["--seed", "5", "--max-iterations", "250", "--no-timestamp"]
