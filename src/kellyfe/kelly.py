@@ -15,11 +15,12 @@ admits outcomes while q stays above the "unspent" ratio
 
 after which g[c] = prior[c] - posterior[c] * s for admitted outcomes and 0
 for the rest.  ``candidate_labels_batch`` implements that sweep and
-``candidate_labels`` is its one-row form; ``brute_force_oracle``
-independently maximizes G over an exhaustive grid, by a dynamic program
-over the total of allocated grid units, so the closed form can be checked
-rather than trusted, and ``kelly_objective_value`` evaluates the
-coarsened-KL form of the optimum.
+``candidate_labels`` is its one-row form; ``brute_force_oracle_batch``
+independently maximizes G over an exhaustive grid for many rows of one
+class count at once, by a dynamic program over the total of allocated grid
+units taken in chunks of totals, so the closed form can be checked rather
+than trusted, and ``brute_force_oracle`` is its one-row form;
+``kelly_objective_value`` evaluates the coarsened-KL form of the optimum.
 
 Everything here is pure and operates on plain numpy arrays.  The public
 functions take (N, K) rows, one per sample; the private sweep works on
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 PROB_CLAMP = 1e-8
 MAX_GRID_CLASSES = 4
@@ -280,6 +280,26 @@ def _max_units(grid_step: float) -> int:
 def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, float]:
     """Maximize log_growth over the exhaustive grid {g >= 0, sum(g) < 1}.
 
+    The one-row form of brute_force_oracle_batch, which describes the
+    search and its one dynamic program: returns the maximizing fractions
+    (K,) and their value.  At the default step of 0.005 (M = 199) one row
+    takes every total in one chunk, composes each middle class with no
+    mask over the unused entries, recomputes the chosen total's prefixes
+    for the backtrack, and peaks at about 0.9 MB at K=4 (tracemalloc).
+    """
+    fractions, values = brute_force_oracle_batch([prior], [posterior], grid_step)
+    return fractions[0], float(values[0])
+
+
+# cells of the largest op of brute_force_oracle_batch, (M + 1) units x
+# totals x rows: sets how many totals a chunk holds and how many rows a
+# block holds
+_CHUNK_CELLS = 2**16
+
+
+def brute_force_oracle_batch(priors, posteriors, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize log_growth over the exhaustive grid, for each of (T, K) rows.
+
     Every grid point g = grid_step * x with integer x >= 0 and
     sum(x) * grid_step < 1 is covered.  The maximum is found exactly by
     dynamic programming over the total number m of allocated grid units:
@@ -287,29 +307,44 @@ def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, 
     split is composed class by class and the overall maximizer recovered by
     backtracking.  This evaluates the same finite search space as direct
     enumeration (against which it is tested) at a fraction of the cost.
+    Returns (fractions (T, K), values (T,)); each row gets the bits of its
+    one-row call.
 
-    With M the largest total, each class has a table of M + 1 rows, one
-    per total m, whose column i holds its value at M - i units (class 0's
-    at i units).  The composed prefix ``acc[m, y]`` is the best value of
-    the classes so far at y <= m units in all, -inf above the diagonal.  A
-    middle class is composed once per partial total y, for every m >= y in
-    one op: ``acc[y:, :y+1] + v[y:, M-y:]`` holds the sums at first share
-    j <= y, one row per total, and each row keeps its first maximum, so
-    ties go to the smaller share of the prefix.  Running y downwards lets
-    column y of ``acc`` be overwritten in place; the first shares are kept
-    in one (M + 1, M + 1) table per middle class for the backtrack.  The
-    last class joins every total at once as ``acc[m, j] + last[m, m - j]``,
-    read through a skewed view of its flattened table, and a scan of the
+    With M the largest total, the rows are taken in blocks of at most
+    ``_CHUNK_CELLS // (M + 1)`` (one row if M + 1 is larger), every row of
+    a block at once on the innermost axis.  Totals never interact, so a
+    block takes them in chunks of w consecutive totals, w chosen so a
+    chunk's class tables stay within ``_CHUNK_CELLS`` cells: they are
+    (top + 1, w, rows), top the chunk's largest total, and entry [i, m]
+    holds the class at i units and total m (class 0's), or at top - i units
+    (the later classes').  The composed prefix ``acc[j, m]`` is the best
+    value of the classes so far at j <= m units in all.  A middle class is
+    composed once per partial total y for every total m >= y of the chunk
+    in one op, ``np.maximum.reduce(acc[:y+1] + v[top-y:], axis=0)`` over the
+    prefix's share j <= y, y running down so that row y of ``acc`` is
+    overwritten in place.  Entries with j > m are never read, so none is
+    masked.  The last class joins each total m as ``acc[j, m]`` plus the
+    class at m - j units, first maximum over j, and a scan of each row's
     per-total maxima in ascending m keeps a later total only when it is
-    better by more than 1e-12; only the chosen total is backtracked.  At
-    the default step of 0.005 (M = 199) each table takes 0.32 MB, and a
-    4-class call peaks at about 2.0 MB.
+    better by more than 1e-12.  The backtrack recomputes, for all rows of
+    the block at once, the prefixes at each row's chosen total, and takes
+    each middle class's first maximizing share from them.  By tracemalloc,
+    a 4-class batch of 34 rows at the default step of 0.005 (M = 199)
+    peaks at about 1.7 MB, a one-row call at about 0.9 MB, and no batch
+    at much more.
 
     Only the grid granularity is shared with the closed form; no ordering,
-    admission, or unspent-ratio logic is reused.
+    admission, or unspent-ratio logic is reused.  Rows that are not (T, K)
+    probability rows of one shape with T >= 1, or a step outside (0, 0.1],
+    raise ValueError; K > 4 raises GridDimensionError.
     """
-    a, p = clamp_probability_rows([prior, posterior])
-    k = a.size
+    a = clamp_probability_rows(priors)
+    p = clamp_probability_rows(posteriors)
+    if a.shape != p.shape:
+        raise ValueError("priors and posteriors differ in shape")
+    n, k = a.shape
+    if n == 0:
+        raise ValueError("expected at least one row")
     if k > MAX_GRID_CLASSES:
         raise GridDimensionError(f"exhaustive grid supports at most {MAX_GRID_CLASSES} classes")
     if not 0.0 < grid_step <= 0.1:
@@ -317,48 +352,87 @@ def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, 
 
     h = float(grid_step)
     m_max = _max_units(h)
+    alloc = np.empty((n, k), dtype=int)
+    values = np.empty(n)
+    for rows in np.array_split(np.arange(n), min(n, -(-n * (m_max + 1) // _CHUNK_CELLS))):
+        alloc[rows], values[rows] = _grid_rows(_transposed(a[rows]), _transposed(p[rows]), h, m_max)
+    return alloc * h, values
+
+
+def _grid_rows(a: np.ndarray, p: np.ndarray, h: float, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid maximizers (n, K) in units, and their values (n,), of class-major (K, n) rows."""
+    k, n = a.shape
     units = np.arange(m_max + 1)
     totals = 1.0 - units * h  # 1 - m*h, strictly positive by construction
+    rows = np.arange(n)
 
-    def table(c: int, x: np.ndarray) -> np.ndarray:
-        # table(c, x)[m, i] = a_c * ln(1 - m*h + x[i]*h / p_c), made in place
-        t = totals[:, None] + x * (h / p[c])
+    def table(c: int, x: np.ndarray, tot: np.ndarray) -> np.ndarray:
+        # table[i, m, r] = a_c * ln(tot[m] + x[i]*h / p_c) of row r, made in place
+        t = tot + x[:, None, None] * (h / p[c])
         np.log(t, out=t)
         t *= a[c]
         return t
 
-    # acc[m, j]: class 0 at j units, -inf for j > m (no split of m units)
-    acc = table(0, units)
-    np.copyto(acc, -np.inf, where=~np.tri(m_max + 1, dtype=bool))
-    args = np.empty((k - 2, m_max + 1, m_max + 1), dtype=np.intp)
-    for c in range(1, k - 1):
-        v = table(c, units[::-1])  # v[m, m_max - x]: the class at x units
-        for y in range(m_max, -1, -1):
-            # sums[m - y, j] = acc[m, j] + (class c at y - j units), every m >= y
-            sums = acc[y:, : y + 1] + v[y:, m_max - y :]
-            arg = args[c - 1, y:, y] = sums.argmax(axis=1)
-            acc[y:, y] = sums[units[: m_max + 1 - y], arg]
-    # row m of the flat reversed last table from m_max - m on: the last
-    # class at m - j units in column j <= m, (finite) spill after it
-    last = sliding_window_view(table(k - 1, units[::-1]).ravel(), m_max + 1)[m_max::m_max]
-    final = acc + last
-    splits = final.argmax(axis=1)
-    values = final[units, splits].tolist()
+    def compose(acc: np.ndarray, c: int, tot: np.ndarray, first: int) -> None:
+        # acc[y, m] = max over j <= y of acc[j, m] + class c at y - j units,
+        # for the totals m >= y of a chunk whose column 0 is total ``first``
+        top = acc.shape[0] - 1
+        v = table(c, units[top::-1], tot)
+        for y in range(top, -1, -1):
+            lo = max(0, y - first)
+            acc[y, lo:] = np.maximum.reduce(acc[: y + 1, lo:] + v[top - y :, lo:], axis=0)
+
+    values = np.empty((m_max + 1, n))
+    splits = np.empty((m_max + 1, n), dtype=np.intp)
+    width = max(1, _CHUNK_CELLS // ((m_max + 1) * n))
+    for first in range(0, m_max + 1, width):
+        top = min(first + width, m_max + 1) - 1
+        tot = totals[first : top + 1, None]
+        acc = table(0, units[: top + 1], tot)
+        for c in range(1, k - 1):
+            compose(acc, c, tot, first)
+        last = table(k - 1, units[top::-1], tot)
+        for m in range(first, top + 1):
+            # final[j] = prefix at j units + the last class at m - j units
+            final = acc[: m + 1, m - first] + last[top - m :, m - first]
+            split = splits[m] = final.argmax(axis=0)
+            values[m] = final[split, rows]
+        del acc, last  # before the next chunk's tables are made
 
     # The objective is exactly invariant along g -> g + eps * posterior, so
     # grid maximizers form a ridge; requiring improvement beyond float noise
     # keeps the first (minimal-allocation) point of that ridge.
     tie_tol = 1e-12
-    best_m, best_value = 0, values[0]
-    for m, value in enumerate(values):
-        if value > best_value + tie_tol:
-            best_m, best_value = m, value
-    alloc = np.zeros(k, dtype=int)
-    y = int(splits[best_m])
-    alloc[k - 1] = best_m - y
-    for c in range(k - 2, 0, -1):
-        split = int(args[c - 1, best_m, y])
-        alloc[c] = y - split
-        y = split
-    alloc[0] = y
-    return alloc * h, best_value
+    best_m = np.zeros(n, dtype=np.intp)
+    best_values = np.empty(n)
+    for r in range(n):
+        column = values[:, r].tolist()
+        best_value = column[0]
+        for m, value in enumerate(column):
+            if value > best_value + tie_tol:
+                best_m[r], best_value = m, value
+        best_values[r] = best_value
+
+    alloc = np.empty((n, k), dtype=int)
+    y = splits[best_m, rows]
+    alloc[:, k - 1] = best_m - y
+    if k > 2:
+        # one column of totals, each row's chosen one: prefixes[c][j, 0, r]
+        # is the best of classes 0..c at j units, composed as if at the
+        # largest chosen total and read only for j <= best_m[r]
+        top = int(best_m.max())
+        tot = totals[best_m][None, :]
+        prefixes = [table(0, units[: top + 1], tot)]
+        for c in range(1, k - 2):
+            prefixes.append(prefixes[-1].copy())
+            compose(prefixes[-1], c, tot, top)
+        for c in range(k - 2, 0, -1):
+            v = table(c, units[top::-1], tot)[:, 0]
+            shares = prefixes[c - 1][:, 0]
+            for r in range(n):
+                yr = int(y[r])
+                split = int((shares[: yr + 1, r] + v[top - yr :, r]).argmax())
+                alloc[r, c] = yr - split
+                y[r] = split
+    alloc[:, 0] = y
+    return alloc, best_values

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .kelly import (
-    brute_force_oracle,
+    brute_force_oracle_batch,
     candidate_labels,
     candidate_labels_batch,
     clamp_probability_rows,
@@ -84,19 +84,29 @@ def draw_probability_pair(rng: np.random.Generator, k: int, floor: float = PAIR_
 # ---------------------------------------------------------------------------
 
 def kelly_suite(trials: int = 1000, seed: int = 0, grid_step: float = 0.005) -> list[PropertyResult]:
-    """Closed form vs exhaustive grid plus the optimality-condition checks."""
+    """Closed form vs exhaustive grid plus the optimality-condition checks.
+
+    Every pair is drawn first, trial t with K = 2 + t % 3 from
+    ``SeedSequence([seed, t])``; the grid values come from one
+    ``brute_force_oracle_batch`` call per class count, and the checks then
+    run in trial order.
+    """
     gap_tol, below_tol, cons_tol, ident_tol = 1e-3, 1e-9, 1e-9, 1e-12
     worst_gap = worst_below = worst_cons = worst_ident = 0.0
     kkt_ok = True
     card_ok = True
     min_objective = np.inf
-    for trial in range(trials):
-        k = (2, 3, 4)[trial % 3]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        prior, posterior = draw_probability_pair(rng, k)
+    pairs = [
+        draw_probability_pair(np.random.default_rng(np.random.SeedSequence([seed, trial])), (2, 3, 4)[trial % 3])
+        for trial in range(trials)
+    ]
+    grid_values = [0.0] * trials
+    for first in range(min(3, trials)):
+        priors, posteriors = zip(*pairs[first::3])
+        grid_values[first::3] = brute_force_oracle_batch(priors, posteriors, grid_step)[1].tolist()
+    for (prior, posterior), grid_value in zip(pairs, grid_values):
+        k = prior.size
         sol = candidate_labels(prior, posterior)
-        _, grid_value = brute_force_oracle(prior, posterior, grid_step)
-
         worst_gap = max(worst_gap, abs(sol.log_growth - grid_value))
         worst_below = max(worst_below, grid_value - sol.log_growth)
         worst_cons = max(worst_cons, abs(sol.fractions.sum() + sol.unspent - 1.0))

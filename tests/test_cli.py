@@ -553,6 +553,20 @@ class TestVerify:
         assert "PASS kelly-closed-form-vs-grid" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "trials, grid_line",
+        [
+            ("1", "PASS kelly-closed-form-vs-grid: worst error 9.608e-10 (tolerance 1e-03) [1 pairs, grid step 0.005]"),
+            # no 4-class pair: one class count makes no grid-oracle call
+            ("2", "PASS kelly-closed-form-vs-grid: worst error 1.082e-07 (tolerance 1e-03) [2 pairs, grid step 0.005]"),
+        ],
+    )
+    def test_kelly_suite_with_fewer_trials_than_class_counts(self, capsys, trials, grid_line):
+        assert cli.main(["verify", "--suite", "kelly", "--trials", trials, "--no-timestamp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [grid_line, "PASS kelly-never-below-grid: worst error 0.000e+00 (tolerance 1e-09)"]
+        assert lines[-1] == "7/7 properties passed"
+
     def test_lovasz_suite(self, capsys):
         assert cli.main(["verify", "--suite", "lovasz", "--trials", "50", "--no-timestamp"]) == 0
         out = capsys.readouterr().out

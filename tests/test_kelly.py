@@ -20,6 +20,7 @@ from kellyfe.kelly import (
     _sweep,
     _transposed,
     brute_force_oracle,
+    brute_force_oracle_batch,
     candidate_labels,
     candidate_labels_batch,
     clamp_probability_rows,
@@ -27,7 +28,7 @@ from kellyfe.kelly import (
     log_growth,
 )
 from kellyfe.losses import vfe_decompose
-from kellyfe.verify import PAIR_FLOOR, draw_probability_pair
+from kellyfe.verify import PAIR_FLOOR, PropertyResult, draw_probability_pair, kelly_suite
 
 PRIOR3 = [0.6, 0.3, 0.1]
 POST3 = [0.2, 0.3, 0.5]
@@ -94,7 +95,7 @@ def _combine_full(left: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
 
 def reference_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, float]:
     """The grid DP as one column-major combine per total and class: the
-    reference that ``brute_force_oracle``'s row-major DP must match bit for
+    reference that ``brute_force_oracle``'s grid DP must match bit for
     bit.  Returns (grid units, value).
     """
     a = clamp_probability_rows([prior])[0]
@@ -419,8 +420,8 @@ class TestBruteForceOracle:
             assert value.hex() == expected_value.hex()
 
     def test_four_class_call_at_default_step_peaks_at_most_2_70_mb(self):
-        # about 2.0 MB: the prefix, two first-share tables, two class
-        # tables and the joined totals, 0.32 MB each at M = 199
+        # about 0.9 MB: the prefix and two class tables of one chunk of
+        # every total, 0.32 MB each at M = 199
         prior, posterior = draw_probability_pair(np.random.default_rng(43), 4)
         brute_force_oracle(prior, posterior, 0.005)
         tracemalloc.start()
@@ -431,6 +432,88 @@ class TestBruteForceOracle:
         finally:
             tracemalloc.stop()
         assert peak - base <= 2.70e6
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("step", [0.005, 0.007, 0.033, 0.1])
+    def test_batch_rows_bit_identical_to_one_row_calls_and_reference(self, monkeypatch, k, step):
+        # 34 rows, the last ten with exactly tied ratios or twin outcomes
+        rng = np.random.default_rng(np.random.SeedSequence([41, k, int(step * 1000)]))
+        pairs = [draw_probability_pair(rng, k) for _ in range(24)]
+        pairs += list(zip(*_tied_floor_rows(rng, k, 5)))
+        pairs += _twin_rows(rng, k, 5)
+        expected = [reference_oracle(prior, posterior, step) for prior, posterior in pairs]
+        one_row = [brute_force_oracle(prior, posterior, step) for prior, posterior in pairs]
+
+        def check(batch):
+            fractions, values = brute_force_oracle_batch(
+                [pairs[i][0] for i in batch], [pairs[i][1] for i in batch], step
+            )
+            assert fractions.shape == (len(batch), k) and values.shape == (len(batch),)
+            for row, i in enumerate(batch):
+                units, value = expected[i]
+                assert fractions[row].tobytes() == one_row[i][0].tobytes() == (units * step).tobytes()
+                assert values[row].hex() == one_row[i][1].hex() == value.hex()
+
+        for batch in ([0], [24], [30, 29], range(34)):
+            check(batch)
+        # with a cell budget of R rows of M + 1 cells, 1 and 2 rows take
+        # several totals per chunk, R - 1 and R rows one total per chunk,
+        # and R + 1 rows split into two row blocks
+        blocked = 8
+        monkeypatch.setattr(kelly, "_CHUNK_CELLS", blocked * (_max_units(step) + 1))
+        for rows in (1, 2, blocked - 1, blocked, blocked + 1):
+            check(range(34 - rows, 34))
+
+    def test_four_class_batch_of_34_rows_at_default_step_peaks_at_most_2_70_mb(self):
+        # about 1.7 MB: a chunk of 9 totals holds the prefix, a class
+        # table and their sums, 0.49 MB each at M = 199
+        pairs = [draw_probability_pair(np.random.default_rng([43, i]), 4) for i in range(34)]
+        priors, posteriors = np.array(pairs).transpose(1, 0, 2)
+        brute_force_oracle_batch(priors, posteriors, 0.005)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            brute_force_oracle_batch(priors, posteriors, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.70e6
+
+    @pytest.mark.parametrize(
+        "priors, posteriors, step, error",
+        [
+            ([[0.5, 0.5]], [[0.3, 0.3, 0.4]], 0.01, ValueError),
+            ([[0.5, 0.5]] * 2, [[0.5, 0.5]] * 3, 0.01, ValueError),
+            ([0.5, 0.5], [0.5, 0.5], 0.01, ValueError),
+            (np.empty((0, 3)), np.empty((0, 3)), 0.01, ValueError),
+            ([[0.5, 0.5]], [[0.5, 0.5]], 0.2, ValueError),
+            ([[0.5, 0.5]], [[0.5, 0.5]], 0.0, ValueError),
+            ([[0.2] * 5], [[0.2] * 5], 0.01, GridDimensionError),
+        ],
+        ids=["classes-differ", "rows-differ", "one-dimensional", "no-rows", "step-too-large", "step-zero", "five-classes"],
+    )
+    def test_batch_rejects_malformed_input(self, priors, posteriors, step, error):
+        with pytest.raises(error):
+            brute_force_oracle_batch(priors, posteriors, step)
+
+    def test_suite_matches_a_loop_of_one_row_oracle_calls(self):
+        # the suite's grid lines, rebuilt from one brute_force_oracle call per trial
+        worst_gap = worst_below = 0.0
+        for trial in range(7):
+            rng = np.random.default_rng(np.random.SeedSequence([3, trial]))
+            prior, posterior = draw_probability_pair(rng, (2, 3, 4)[trial % 3])
+            growth = candidate_labels(prior, posterior).log_growth
+            _, grid_value = brute_force_oracle(prior, posterior, 0.005)
+            worst_gap = max(worst_gap, abs(growth - grid_value))
+            worst_below = max(worst_below, grid_value - growth)
+        results = kelly_suite(trials=7, seed=3)
+        assert [r.line() for r in results[:2]] == [
+            PropertyResult(
+                "kelly-closed-form-vs-grid", worst_gap <= 1e-3, worst_gap, 1e-3, "7 pairs, grid step 0.005"
+            ).line(),
+            PropertyResult("kelly-never-below-grid", worst_below <= 1e-9, worst_below, 1e-9).line(),
+        ]
+        assert all(r.passed for r in results)
 
 
 def _tied_floor_rows(rng, k: int, rows: int):
