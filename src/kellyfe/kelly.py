@@ -50,8 +50,12 @@ class GridDimensionError(ValueError):
 
 
 def _transposed(x) -> np.ndarray:
-    """A C-ordered copy of ``x.T``: moves an array between the (N, K) and (K, N) layouts."""
-    return np.ascontiguousarray(np.transpose(x))
+    """A C-ordered copy of ``x`` with its last two axes swapped: moves an array between the (..., N, K) and (..., K, N) layouts.
+
+    An array of fewer than two axes is copied as it is.
+    """
+    x = np.asarray(x)
+    return np.ascontiguousarray(x.swapaxes(-1, -2) if x.ndim > 1 else x)
 
 
 def clamp_probability_rows(rows) -> np.ndarray:
@@ -201,7 +205,8 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
 
     ``order[t, j]`` is the raveled (K, N) index of the t-th largest ratio
     q = a / p of sample j, in the stable descending order (ties by
-    ascending class).  Without one, every sample is sorted.  A caller may
+    ascending class).  Without one, every sample is sorted, and a fresh
+    stable sort needs no check.  A caller may
     pass its own (K, N) integer array, each of whose columns must be a
     permutation of that sample's raveled indices: the samples whose
     gathered ratios descend strictly are then already in the stable order,
@@ -211,15 +216,17 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     Either way the result has the bits of a fresh sort.
     """
     k, n = a.shape
-    if order is None:
+    carried = order is not None
+    if not carried:
         order = np.argsort(-(a / p), axis=0, kind="stable") * n + np.arange(n)
     a_sorted, p_sorted = a.ravel()[order], p.ravel()[order]
     q_sorted = a_sorted / p_sorted
-    stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
-    if stale.size:
-        cols = order[:, stale] = np.argsort(-(a[:, stale] / p[:, stale]), axis=0, kind="stable") * n + stale
-        a_sorted[:, stale], p_sorted[:, stale] = a.ravel()[cols], p.ravel()[cols]
-        q_sorted[:, stale] = a_sorted[:, stale] / p_sorted[:, stale]
+    if carried:
+        stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
+        if stale.size:
+            cols = order[:, stale] = np.argsort(-(a[:, stale] / p[:, stale]), axis=0, kind="stable") * n + stale
+            a_sorted[:, stale], p_sorted[:, stale] = a.ravel()[cols], p.ravel()[cols]
+            q_sorted[:, stale] = a_sorted[:, stale] / p_sorted[:, stale]
     rest_a = _rest_sums(a_sorted)
     # levels[t] = unspent ratio of the K - t not-yet-admitted outcomes
     levels = np.empty((k, n))

@@ -35,8 +35,14 @@ are defined on posteriors; their gradients are chained through the softmax
 Jacobian by ``_softmax_chain``, as is the EFE uncertainty gradient.  The
 Lovasz-Softmax loss is the convex closure of the per-class Jaccard distance
 over sorted mispredictions; ``lovasz_softmax`` is its (N, K) form on
-posteriors, which may sit at exact 0/1 vertices.  vfe_decompose is a
-single-distribution diagnostic for the free-energy identities.
+posteriors, which may sit at exact 0/1 vertices.  The four Lovasz functions
+(``jaccard_distance_set``, ``lovasz_grad``, ``lovasz_extension`` and
+``lovasz_softmax``) also take problems stacked on leading axes and return
+one result per problem.  They work along the samples' axis, sort stably
+along it (ties keep ascending sample order) and take each dot product as a
+stacked BLAS dot, so every problem gets the bits of its own one-problem
+call.  vfe_decompose is a single-distribution diagnostic for the
+free-energy identities.
 """
 
 from __future__ import annotations
@@ -73,25 +79,26 @@ class LossEvaluation:
 
 
 def softmax(logits) -> np.ndarray:
-    """The posteriors of each (N, K) row of logits (see ``_log_softmax``)."""
+    """The posteriors of each (..., N, K) row of logits (see ``_log_softmax``)."""
     return _transposed(_log_softmax(_transposed(logits))[1])
 
 
 def _log_softmax(z) -> tuple[np.ndarray, np.ndarray]:
-    """``(ln p, p)`` of class-major (K, N) logits, shifted by each sample's maximum.
+    """``(ln p, p)`` of class-major (..., K, N) logits, or of one (K,) sample, shifted by each sample's maximum.
 
     Raises NonFiniteLogitsError unless every shifted logit is finite, which
     rejects non-finite logits and samples whose spread overflows.
     """
     z = np.asarray(z, dtype=float)
-    top = z.max(axis=0)
+    axis = 0 if z.ndim < 2 else -2
+    top = z.max(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore", over="ignore"):
         z = z - top
     # a shifted logit is NaN or at most 0, so the minimum is finite exactly when all are
     if z.size and not np.isfinite(z.min()):
         raise NonFiniteLogitsError("logits must be finite")
     e = np.exp(z)
-    total = e.sum(axis=0)
+    total = e.sum(axis=axis, keepdims=True)
     return z - np.log(total), e / total
 
 
@@ -103,16 +110,29 @@ def _transposed_grad(ev: LossEvaluation) -> LossEvaluation:
 
 
 def _check_pair(values, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and ``labels`` as float arrays; ValueError unless they are equal shapes of 2 or more axes."""
     x = np.asarray(values, dtype=float)
     l = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or x.shape != l.shape:
-        raise ValueError(f"inputs {x.shape} and labels {l.shape} must be equal 2-d shapes")
+    _equal_shapes(2, inputs=x, labels=l)
     return x, l
 
 
 def _softmax_chain(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pull a class-major (K, N) gradient ``g`` in the posteriors ``p`` back through the softmax Jacobian."""
-    return p * (g - (g * p).sum(axis=0))
+    """Pull a class-major (..., K, N) gradient ``g`` in the posteriors ``p`` back through the softmax Jacobian."""
+    return p * (g - (g * p).sum(axis=-2, keepdims=True))
+
+
+def _equal_shapes(min_ndim: int, **arrays: np.ndarray) -> None:
+    """ValueError unless the named arrays are equal shapes of ``min_ndim`` or more axes."""
+    shapes = [a.shape for a in arrays.values()]
+    if len(shapes[0]) < min_ndim or any(shape != shapes[0] for shape in shapes):
+        listed = " and ".join(f"{name} {a.shape}" for name, a in arrays.items())
+        raise ValueError(f"{listed} must be equal shapes of {min_ndim} or more axes")
+
+
+def _per_problem(values: np.ndarray):
+    """A float for one problem, else the array of one value per stacked problem."""
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -196,85 +216,100 @@ def _dice(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
     return LossEvaluation(value, -_softmax_chain(p, grad_post))
 
 
-def jaccard_distance_set(mispredictions, ground_truth, predictions) -> float:
-    """Jaccard distance |mispredictions| / |ground_truth OR predictions|.
+def jaccard_distance_set(mispredictions, ground_truth, predictions):
+    """Jaccard distance |mispredictions| / |ground_truth OR predictions|, counted over the last axis.
 
-    ``mispredictions`` must be the XOR of the two masks.  Returns 0 when
-    ground truth and predictions are both empty.
+    ``mispredictions`` must be the XOR of the two masks, and all three
+    equal shapes: one problem per leading index, a float for one 1-d
+    problem.  The distance is 0 when ground truth and predictions are both
+    empty.
     """
     m = np.asarray(mispredictions, dtype=bool)
     gt = np.asarray(ground_truth, dtype=bool)
     pred = np.asarray(predictions, dtype=bool)
-    union = int(np.count_nonzero(gt | pred))
-    if union == 0:
-        return 0.0
-    return float(np.count_nonzero(m)) / union
+    _equal_shapes(1, mispredictions=m, ground_truth=gt, predictions=pred)
+    union = np.count_nonzero(gt | pred, axis=-1)
+    errors = np.count_nonzero(m, axis=-1)
+    return _per_problem(np.divide(errors, union, out=np.zeros(union.shape), where=union > 0))
 
 
 def lovasz_grad(sorted_gt) -> np.ndarray:
-    """First differences of the Jaccard distance over growing error prefixes.
+    """First differences of the Jaccard distance over growing error prefixes, along the last axis.
 
     ``sorted_gt`` is the ground-truth indicator already permuted by
-    descending misprediction.  Runs in O(N) by tracking the cumulative
-    intersection and union.
+    descending misprediction, one problem per leading index.  Runs in O(N)
+    by tracking the cumulative intersection and union.
     """
     gt = np.asarray(sorted_gt, dtype=float)
     if gt.size == 0:
-        return np.zeros(0)
-    gts = gt.sum()
-    intersection = gts - np.cumsum(gt)
-    union = gts + np.cumsum(1.0 - gt)
+        return np.zeros(gt.shape)
+    gts = gt.sum(axis=-1, keepdims=True)
+    intersection = gts - np.cumsum(gt, axis=-1)
+    union = gts + np.cumsum(1.0 - gt, axis=-1)
     jd = 1.0 - intersection / union
     # the bits of np.diff(jd, prepend=0.0), without its concatenated copy
     grad = np.empty_like(jd)
-    grad[0] = jd[0]
-    np.subtract(jd[1:], jd[:-1], out=grad[1:])
+    grad[..., 0] = jd[..., 0]
+    np.subtract(jd[..., 1:], jd[..., :-1], out=grad[..., 1:])
     return grad
 
 
-def lovasz_extension(mispredictions, ground_truth) -> float:
-    """Convex closure of the Jaccard distance at a nonnegative error vector.
+def _sorted_dot(m: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lovasz extension of each last-axis problem, its stable descending order and its ``lovasz_grad``.
+
+    The dot product is a stacked ``matmul`` of (1, N) by (N, 1), the BLAS
+    dot of a one-problem ``@``, so each problem gets the bits of its own call.
+    """
+    order = np.argsort(-m, axis=-1, kind="stable")
+    g = lovasz_grad(np.take_along_axis(gt, order, axis=-1))
+    value = np.matmul(np.take_along_axis(m, order, axis=-1)[..., None, :], g[..., :, None])[..., 0, 0]
+    return value, order, g
+
+
+def lovasz_extension(mispredictions, ground_truth):
+    """Convex closure of the Jaccard distance at a nonnegative error vector, along the last axis.
 
     Coincides with jaccard_distance_set on binary inputs and interpolates
-    convexly elsewhere.  Sorting is stable with ties broken by ascending
-    sample index.
+    convexly elsewhere.  The two arrays must be equal shapes, one problem
+    per leading index; one 1-d problem gives a float.  Sorting is stable
+    with ties broken by ascending sample index.
     """
     m = np.asarray(mispredictions, dtype=float)
     gt = np.asarray(ground_truth, dtype=float)
-    order = np.argsort(-m, kind="stable")
-    return float(m[order] @ lovasz_grad(gt[order]))
+    _equal_shapes(1, mispredictions=m, ground_truth=gt)
+    return _per_problem(_sorted_dot(m, gt)[0])
 
 
 def lovasz_softmax(posteriors, labels, *, grad: bool = True) -> LossEvaluation:
-    """``_lovasz`` of (N, K) posteriors and labels, with the (N, K) gradient in the logits."""
-    return _transposed_grad(_lovasz(*_check_pair(_transposed(posteriors), _transposed(labels)), grad))
+    """``_lovasz`` of (..., N, K) posteriors and labels, with the (..., N, K) gradient in the logits."""
+    return _transposed_grad(_lovasz(*map(_transposed, _check_pair(posteriors, labels)), grad))
 
 
 def _lovasz(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
-    """Per-class Lovasz extension of the Jaccard distance of class-major (K, N) posteriors, averaged by 1/(K*N).
+    """Per-class Lovasz extension of the Jaccard distance of class-major (..., K, N) posteriors, averaged by 1/(K*N).
 
     Supervised only: labels must be one-hot.  The misprediction for the
     labeled class is 1 - posterior and the posterior itself elsewhere.  The
     gradient in the mispredictions is the prefix-difference vector scattered
     back through the per-class sort (the extension is piecewise linear),
-    then chained through the softmax Jacobian.
+    then chained through the softmax Jacobian.  Leading axes stack
+    problems, each with its own value (a float for a 2-d problem) and
+    gradient, in the bits of its own call; the classes are summed in order.
     """
-    if not np.all((l == 0.0) | (l == 1.0)) or not np.all(l.sum(axis=0) == 1.0):
+    if not np.all((l == 0.0) | (l == 1.0)) or not np.all(l.sum(axis=-2) == 1.0):
         raise LabelsNotOneHotError("labels must be exactly one-hot rows")
-    k, n = p.shape
+    k, n = p.shape[-2:]
     m = np.where(l == 1.0, 1.0 - p, p)
     scale = 1.0 / (k * n)
-    value = 0.0
-    grad_m = np.zeros_like(p)
-    for c in range(k):
-        order = np.argsort(-m[c], kind="stable")
-        g = lovasz_grad(l[c, order])
-        value += float(m[c, order] @ g)
-        grad_m[c, order] = g
+    per_class, order, g = _sorted_dot(m, l)
+    # a running sum adds the classes one by one, as a loop over them would
+    value = _per_problem(scale * np.cumsum(per_class, axis=-1)[..., -1])
     if not grad:
-        return LossEvaluation(scale * value, None)
+        return LossEvaluation(value, None)
+    grad_m = np.empty_like(p)
+    np.put_along_axis(grad_m, order, g, axis=-1)
     sign = np.where(l == 1.0, -1.0, 1.0)
-    return LossEvaluation(scale * value, _softmax_chain(p, scale * sign * grad_m))
+    return LossEvaluation(value, _softmax_chain(p, scale * sign * grad_m))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +387,10 @@ class LossEntry:
     uses_candidates: bool = False
 
     def evaluate(self, logits, labels, priors=None, mask=None, class_weights=None, gamma_mod=2.0, grad=True):
-        z, l = _check_pair(_transposed(logits), _transposed(labels))
+        z, l = _check_pair(logits, labels)
+        if z.ndim != 2:
+            raise ValueError(f"logits {z.shape} must be 2-d, one row per sample")
+        z, l = _transposed(z), _transposed(l)
         a = None
         if self.uses_candidates:
             a, mask = _transposed(clamp_probability_rows(priors)), _transposed(mask)

@@ -250,60 +250,76 @@ def gradient_suite(trials: int = 100, seed: int = 0, h: float = 1e-6, tol: float
 # Lovasz suite
 # ---------------------------------------------------------------------------
 
-def _bit_vectors(n: int):
-    return [np.array(bits, dtype=float) for bits in itertools.product((0.0, 1.0), repeat=n)]
+def _bit_vectors(n: int) -> np.ndarray:
+    """Every 0/1 vector of length n, one per row, in the order of ``itertools.product``."""
+    return np.array(list(itertools.product((0.0, 1.0), repeat=n)))
 
 
 def lovasz_suite(trials: int = 500, seed: int = 0) -> list[PropertyResult]:
-    """Vertex agreement, prefix consistency, submodularity, and convexity."""
+    """Vertex agreement, prefix consistency, submodularity, and convexity.
+
+    Each property makes one call of the Lovasz functions per problem size,
+    on all of that size's problems stacked on a leading axis; every problem
+    gets the bits of its own call.  The convexity pairs are all drawn
+    first, trial t of size 1 + t % 8 from ``SeedSequence([seed, 101])``, in
+    trial order.
+    """
     tol = 1e-12
 
     worst_vertex = 0.0
     for n in range(1, 5):
-        for gt_col in _bit_vectors(n):
-            labels = np.column_stack([gt_col, 1.0 - gt_col])
-            for pred_col in _bit_vectors(n):
-                posteriors = np.column_stack([pred_col, 1.0 - pred_col])
-                value = losses.lovasz_softmax(posteriors, labels).value
-                expected = 0.0
-                for c in range(2):
-                    gt = labels[:, c].astype(bool)
-                    pred = posteriors[:, c].astype(bool)
-                    expected += losses.jaccard_distance_set(gt ^ pred, gt, pred)
-                expected /= 2.0 * n
-                worst_vertex = max(worst_vertex, abs(value - expected))
+        # every (ground truth, prediction) pair of K=2 vertices, one problem each
+        bits = _bit_vectors(n)
+        gt_col = np.repeat(bits, len(bits), axis=0)
+        pred_col = np.tile(bits, (len(bits), 1))
+        labels = np.stack([gt_col, 1.0 - gt_col], axis=-1)
+        posteriors = np.stack([pred_col, 1.0 - pred_col], axis=-1)
+        value = losses.lovasz_softmax(posteriors, labels, grad=False).value
+        expected = 0.0
+        for c in range(2):
+            gt = labels[..., c].astype(bool)
+            pred = posteriors[..., c].astype(bool)
+            expected = expected + losses.jaccard_distance_set(gt ^ pred, gt, pred)
+        expected = expected / (2.0 * n)
+        worst_vertex = max(worst_vertex, float(np.abs(value - expected).max()))
 
     worst_prefix = 0.0
     for n in range(1, 7):
-        for gt in _bit_vectors(n):
-            prefix_jd = np.cumsum(losses.lovasz_grad(gt))
-            for j in range(1, n + 1):
-                m = np.zeros(n, dtype=bool)
-                m[:j] = True
-                direct = losses.jaccard_distance_set(m, gt.astype(bool), gt.astype(bool) ^ m)
-                worst_prefix = max(worst_prefix, abs(prefix_jd[j - 1] - direct))
+        gt = _bit_vectors(n)
+        prefix_jd = np.cumsum(losses.lovasz_grad(gt), axis=-1)
+        # direct[g, j - 1] is the distance of ground truth g when its first j samples are wrong
+        shape = (len(gt), n, n)
+        m = np.broadcast_to(np.tri(n, dtype=bool), shape)
+        gtb = np.broadcast_to(gt.astype(bool)[:, None, :], shape)
+        direct = losses.jaccard_distance_set(m, gtb, gtb ^ m)
+        worst_prefix = max(worst_prefix, float(np.abs(prefix_jd - direct).max()))
 
     # Jaccard distance of every mask, indexed by the mask's bits, so that
     # the union and intersection of two masks index by | and &
     worst_submod = 0.0
     for n in range(1, 5):
-        sets = [m.astype(bool) for m in _bit_vectors(n)]
+        sets = _bit_vectors(n).astype(bool)
         i, j = np.divmod(np.arange(len(sets) ** 2), len(sets))
-        for gtb in sets:
-            jd = np.array([losses.jaccard_distance_set(m, gtb, gtb ^ m) for m in sets])
-            violation = jd[i | j] + jd[i & j] - jd[i] - jd[j]
-            worst_submod = max(worst_submod, float(violation.max()))
+        shape = (len(sets), len(sets), n)
+        m = np.broadcast_to(sets, shape)
+        gtb = np.broadcast_to(sets[:, None, :], shape)
+        jd = losses.jaccard_distance_set(m, gtb, gtb ^ m)
+        violation = jd[:, i | j] + jd[:, i & j] - jd[:, i] - jd[:, j]
+        worst_submod = max(worst_submod, float(violation.max()))
 
     worst_convex = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    # draws[n][:, t]: the ground truth and the two error vectors of the t-th pair of n samples
+    draws = {n: np.empty((3, (trials - n) // 8 + 1, n)) for n in range(1, min(trials, 8) + 1)}
     for i in range(trials):
-        n = 1 + i % 8
-        gt = (rng.random(n) < 0.5).astype(float)
-        m1 = rng.random(n)
-        m2 = rng.random(n)
+        gt, m1, m2 = draws[1 + i % 8][:, i // 8]
+        gt[:] = rng.random(gt.size) < 0.5
+        rng.random(out=m1)
+        rng.random(out=m2)
+    for gt, m1, m2 in draws.values():
         mid = losses.lovasz_extension(0.5 * (m1 + m2), gt)
         avg = 0.5 * (losses.lovasz_extension(m1, gt) + losses.lovasz_extension(m2, gt))
-        worst_convex = max(worst_convex, mid - avg)
+        worst_convex = max(worst_convex, float((mid - avg).max()))
 
     return [
         PropertyResult(

@@ -58,6 +58,12 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             losses.softmax([[np.inf, 0.0]])
 
+    def test_stacked_rows_equal_one_batch_calls(self):
+        z = np.random.default_rng(3).standard_normal((4, 5, 6, 3)) * 5.0
+        p = losses.softmax(z)
+        for idx in np.ndindex(4, 5):
+            assert p[idx].tobytes() == losses.softmax(z[idx]).tobytes()
+
     @pytest.mark.parametrize("shape", [(50, 2), (50, 3), (50, 20), (50, 64), (7,), (50, 8), (50, 9), (50, 129)])
     def test_bitwise_equal_to_row_max_form(self, shape):
         """The class-major softmax against the row-max form on (N, K) rows, to 1e-12 relative."""
@@ -107,6 +113,13 @@ class TestCrossEntropy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             _loss("ce", [[0.5, 0.5]], [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("name", list(losses.LOSSES))
+    def test_table_rejects_stacked_inputs(self, name):
+        # only the Lovasz functions take stacked problems; the table takes one (N, K) batch
+        logits, labels = np.zeros((2, 3, 2)), np.tile(np.eye(2)[[0, 1, 0]], (2, 1, 1))
+        with pytest.raises(ValueError, match=r"logits \(2, 3, 2\) must be 2-d"):
+            _loss(name, logits, labels, np.full((2, 3, 2), 0.5), np.ones((2, 3, 2), bool))
 
 
 class TestWeightedCrossEntropy:

@@ -15,13 +15,14 @@ one row past every power-of-two block of rows up to 4096, so a CSV
 writer that works in blocks is checked past a block's edge).  It prints
 one markdown row per input with the sha256 of its CSV and of the stdout of
 ``generate`` (with the output path replaced by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 31 configurations below and prints one markdown row per
+for each of the 32 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
-file that sets two hidden layers and dropout.  The three 20-class runs
-(efe, ce and wfocal) take the sweep, the softmax and the losses to a class
-count where a candidate set and its rest can each hold many outcomes; wfocal
-counts its 20 class weights on every step and validation pass.  Two more
+file that sets two hidden layers and dropout.  The four 20-class runs
+(efe, ce, wfocal and lovasz) take the sweep, the softmax and the losses to a
+class count where a candidate set and its rest can each hold many outcomes;
+wfocal counts its 20 class weights on every step and validation pass, and
+lovasz sorts and sums 20 classes at once.  Two more
 (efe and ce on the clean rows) validate on ``val300``, 300 rows of the
 validation recipe (seed 2): at that batch size a BLAS matrix product may
 take another kernel than at 2000, so a change of layout can move their
@@ -29,10 +30,12 @@ bits where the 2000-row runs keep them.  The last two set the batch
 size: efe at 40, so that every epoch of 2000 rows ends on a full batch
 (the default 32 leaves a 16-row tail), and wce at 1, whose one-row
 batches count their class weights from one label.  A third table gives
-the exit code and the sha256 of the stdout of five ``kellyfe verify``
+the exit code and the sha256 of the stdout of six ``kellyfe verify``
 runs: one per suite, the kelly suite again at 300 trials and seed 7919,
 whose 3- and 4-class pairs take the grid oracle through ~200 more rows,
-and at 2 trials and seed 3, which draws no 4-class pair.
+and at 2 trials and seed 3, which draws no 4-class pair, and the lovasz
+suite at 3 trials and seed 7919, which draws no convexity pair of 4-8
+samples.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
@@ -92,7 +95,7 @@ EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
 ]
-K20_RUNS = [*EFE_CE_RUNS, ("wfocal", ["--loss", "wfocal"], "grpr")]
+K20_RUNS = [*EFE_CE_RUNS, ("wfocal", ["--loss", "wfocal"], "grpr"), ("lovasz", ["--loss", "lovasz"], "grpr")]
 # an epoch of 2000 rows that ends on a full batch, and one-row batches whose weights count one label
 BATCH_SIZE_RUNS = [
     ("efe --batch-size 40", ["--loss", "efe", "--batch-size", "40"], "grpr"),
@@ -110,6 +113,7 @@ VERIFY = [
     ["--suite", "kelly", "--trials", "300", "--seed", "7919"],
     ["--suite", "kelly", "--trials", "2", "--seed", "3"],
     ["--suite", "lovasz", "--seed", "0"],
+    ["--suite", "lovasz", "--trials", "3", "--seed", "7919"],
 ]
 TRAIN = ["--seed", "5", "--max-iterations", "250", "--no-timestamp"]
 OUTPUTS = ("history.csv", "model.json", "metrics.json")
