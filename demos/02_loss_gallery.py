@@ -10,7 +10,7 @@ gradients can be trusted.
 
 import numpy as np
 
-from kellyfe import LOSSES, candidate_labels_batch, softmax
+from kellyfe import LOSSES, candidate_labels, softmax
 from kellyfe.verify import finite_difference_gradient, relative_gradient_error
 
 rng = np.random.default_rng(0)
@@ -26,7 +26,7 @@ priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
 print("batch class counts:", labels.sum(axis=0))
 
 # The expected-free-energy loss also needs per-sample candidate sets.
-mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
+mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
 
 evaluations = {name: entry.evaluate(logits, labels, priors, mask, gamma_mod=2.0) for name, entry in LOSSES.items()}
 for name, ev in evaluations.items():

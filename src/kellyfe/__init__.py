@@ -12,9 +12,7 @@ them, and verify replays the math against independent oracles.
 from .kelly import (
     KellySolution,
     brute_force_oracle,
-    brute_force_oracle_batch,
     candidate_labels,
-    candidate_labels_batch,
     kelly_objective_value,
     log_growth,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "backward",
     "batches",
     "brute_force_oracle",
-    "brute_force_oracle_batch",
     "candidate_labels",
-    "candidate_labels_batch",
     "corrupt_labels",
     "evaluate",
     "forward",

@@ -14,17 +14,18 @@ admits outcomes while q stays above the "unspent" ratio
     s = (non-candidate prior mass) / (non-candidate posterior mass),
 
 after which g[c] = prior[c] - posterior[c] * s for admitted outcomes and 0
-for the rest.  ``candidate_labels_batch`` implements that sweep and
-``candidate_labels`` is its one-row form; ``brute_force_oracle_batch``
-independently maximizes G over an exhaustive grid for many rows of one
-class count at once, by a dynamic program over the total of allocated grid
-units taken in chunks of totals, so the closed form can be checked rather
-than trusted, and ``brute_force_oracle`` is its one-row form;
+for the rest.  ``candidate_labels`` implements that sweep;
+``brute_force_oracle`` independently maximizes G over an exhaustive grid,
+by a dynamic program over the total of allocated grid units taken in
+chunks of totals, so the closed form can be checked rather than trusted;
 ``kelly_objective_value`` evaluates the coarsened-KL form of the optimum.
 
-Everything here is pure and operates on plain numpy arrays.  The public
-functions take (N, K) rows, one per sample; the private sweep works on
-class-major (K, N) arrays, one row per class.
+Everything here is pure and operates on plain numpy arrays.  Each public
+routine but ``log_growth`` takes one pair as two (K,) vectors or N pairs
+as two (N, K) arrays, one row per sample.  A one-pair call returns a float
+for each per-pair value, a call on rows an (N,) array, and every row gets
+the bits of its own one-pair call.  ``log_growth`` takes one pair.  The
+private sweep works on class-major (K, N) arrays, one row per class.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def clamp_probability_rows(rows) -> np.ndarray:
     Keeps vectors on the open simplex so ratios and logarithms stay finite
     even when a softmax underflows.  Rows are summed by numpy, each on its
     own, so a prior and posterior clamped as the two rows of one call get
-    the bits of two one-row calls.  The public sweep and ``log_growth``
-    clamp what they are given; the private sweep does not clamp.
+    the bits of two one-row calls.  The public routines clamp what they are
+    given, priors and posteriors in one call; the private sweep does not
+    clamp.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
@@ -78,72 +80,72 @@ def clamp_probability_rows(rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KellySolution:
-    """Optimal bet for one prior/posterior pair.
+    """Optimal bets for one prior/posterior pair, or for (N, K) rows of pairs.
 
-    ``candidates`` are the outcomes the sweep admitted (or the fallback
-    label when it admits nothing), ``fractions`` the per-outcome bet
-    sizes, ``unspent`` the bankroll kept out of play, and ``log_growth``
-    the achieved objective value in nats.  An admitted outcome's stake is
-    positive, except that one whose ratio equals the unspent ratio up to
-    rounding may be admitted with a stake of 0 or down to about -1e-16.
+    ``mask`` marks the outcomes the sweep admitted (or the fallback label
+    where it admits nothing) and has the shape of the prior, ``fractions``
+    the per-outcome bet sizes, of the same shape, ``unspent`` the bankroll
+    kept out of play and ``log_growth`` the achieved objective value in
+    nats: floats for one pair, (N,) arrays for rows.  An admitted outcome's
+    stake is positive, except that one whose ratio equals the unspent ratio
+    up to rounding may be admitted with a stake of 0 or down to about
+    -1e-16.
     """
 
-    candidates: frozenset[int]
+    mask: np.ndarray
     fractions: np.ndarray
-    unspent: float
-    log_growth: float
+    unspent: float | np.ndarray
+    log_growth: float | np.ndarray
+
+    @property
+    def candidates(self) -> frozenset[int]:
+        """The admitted outcomes of a one-pair solution; ValueError for rows, which are read through ``mask``."""
+        if self.mask.ndim != 1:
+            raise ValueError(f"candidates is defined for one pair; read mask for {self.mask.shape} rows")
+        return frozenset(np.flatnonzero(self.mask).tolist())
+
+
+def _clamped_pair(prior, posterior) -> tuple[np.ndarray, np.ndarray]:
+    """A prior and a posterior of one shape, (K,) or (N, K), clamped row by row in one call and returned in that shape."""
+    if np.shape(prior) != np.shape(posterior):
+        raise ValueError("priors and posteriors differ in shape")
+    pair = np.asarray([prior, posterior], dtype=float)
+    a, p = clamp_probability_rows(np.concatenate(pair) if pair.ndim > 2 else pair).reshape(pair.shape)
+    return a, p
 
 
 def log_growth(fractions, prior, posterior) -> float:
-    """Expected log bankroll multiplier for the given allocation.
+    """Expected log bankroll multiplier for the given allocation of one pair.
 
     Raises InfeasibleFractionsError when the allocation leaves the feasible
-    set (negative entries, total >= 1, or a non-positive payout bracket).
+    set (negative entries, total >= 1, or a non-positive payout bracket),
+    and ValueError when the prior, posterior and fractions differ in shape.
     """
-    return _log_growth(fractions, *clamp_probability_rows([prior, posterior]))
-
-
-def _log_growth(fractions, a: np.ndarray, p: np.ndarray) -> float:
-    """``log_growth`` of a clamped prior ``a`` and posterior ``p``."""
+    a, p = _clamped_pair(prior, posterior)
+    if a.ndim != 1:
+        raise ValueError(f"log_growth takes one (K,) pair, not {a.shape} rows")
     g = np.asarray(fractions, dtype=float)
     if g.shape != a.shape:
         raise ValueError("fractions and probabilities differ in length")
-    total = g.sum()
-    if np.any(g < 0.0) or total >= 1.0:
+    if np.any(g < 0.0) or g.sum() >= 1.0:
         raise InfeasibleFractionsError("fractions must be >= 0 with sum < 1")
-    brackets = 1.0 - total + g / p
-    if np.any(brackets <= 0.0):
+    if np.any(1.0 - g.sum() + g / p <= 0.0):
         raise InfeasibleFractionsError("non-positive payout bracket")
-    return float(a @ np.log(brackets))
+    return float(_log_growth(g, a, p))
 
 
-def candidate_labels(prior, posterior, reference_label: int | None = None) -> KellySolution:
-    """Determine the candidate outcome set and its optimal allocation.
+def _log_growth(g: np.ndarray, a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``log_growth`` of (..., K) fractions on clamped priors ``a`` and posteriors ``p``, per row and unchecked.
 
-    The one-row case of candidate_labels_batch, which describes the sweep,
-    on a pair clamped once for the sweep and the log-growth.  When nothing
-    is admitted (exactly when prior equals posterior entrywise) the
-    ``reference_label`` is inserted instead, with the all-zero allocation;
-    without one, MissingReferenceLabelError is raised.  A reference label
-    that is not an integer in 0..K-1 raises ValueError.
+    The dot is the BLAS ``ddot`` of a one-row ``a @ log(brackets)``, so a
+    row gets the bits of its own call.
     """
-    if np.shape(prior) != np.shape(posterior):
-        raise ValueError("priors and posteriors differ in shape")
-    a, p = clamp_probability_rows([prior, posterior])
-    fallback = None if reference_label is None else _checked_labels([reference_label], (a.size, 1))
-    mask, fractions, unspent = _sweep(a[:, None], p[:, None], fallback)
-    return KellySolution(
-        candidates=frozenset(int(c) for c in np.flatnonzero(mask)),
-        fractions=fractions[:, 0],
-        unspent=float(unspent[0]),
-        log_growth=_log_growth(fractions[:, 0], a, p),
-    )
+    brackets = 1.0 - g.sum(axis=-1, keepdims=True) + g / p
+    return np.matmul(a[..., None, :], np.log(brackets)[..., :, None])[..., 0, 0]
 
 
-def candidate_labels_batch(
-    priors, posteriors, fallback_labels=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate sweep over the rows of a batch.
+def candidate_labels(prior, posterior, reference_label=None) -> KellySolution:
+    """The candidate outcome sets and their optimal allocations, of one pair (K,) or of (N, K) rows.
 
     Per row, sorts q = prior/posterior descending (ties broken by ascending
     index) and admits outcomes while q exceeds the current unspent ratio s,
@@ -151,21 +153,29 @@ def candidate_labels_batch(
     admission.  Admission requires q > s strictly; the sweep therefore never
     admits all K outcomes (the last one always has q equal to the remaining
     s).  An outcome whose q equals the unspent ratio up to rounding may
-    still be admitted, with a stake of 0 or down to about -1e-16.  Returns
-    (candidate mask (N, K) bool, fractions (N, K), unspent (N,)).
-    Rows that admit nothing get their fallback label marked in the mask with
-    an all-zero allocation; if ``fallback_labels`` is None such rows raise
-    MissingReferenceLabelError.  Fallback labels that are not integers in
-    0..K-1, one per row, raise ValueError.
+    still be admitted, with a stake of 0 or down to about -1e-16; the
+    log-growth is computed without a feasibility check, so such a row is
+    returned as it is.
+
+    The priors and posteriors are clamped together in one call, so every
+    row gets the bits of a one-pair call.  When a row admits nothing
+    (exactly when its prior equals its posterior entrywise) its
+    ``reference_label`` is marked instead, with the all-zero allocation;
+    without one, MissingReferenceLabelError is raised.  The reference label
+    is an integer in 0..K-1 for one pair and (N,) such integers for rows;
+    anything else raises ValueError.
     """
-    a = clamp_probability_rows(priors)
-    p = clamp_probability_rows(posteriors)
-    if a.shape != p.shape:
-        raise ValueError("priors and posteriors differ in shape")
-    a, p = _transposed(a), _transposed(p)
-    fallback = None if fallback_labels is None else _checked_labels(fallback_labels, a.shape)
-    mask, fractions, unspent = _sweep(a, p, fallback)
-    return _transposed(mask), _transposed(fractions), unspent
+    a, p = _clamped_pair(prior, posterior)
+    k = a.shape[-1]
+    rows_a, rows_p = _transposed(a.reshape(-1, k)), _transposed(p.reshape(-1, k))
+    labels = [reference_label] if a.ndim == 1 else reference_label
+    fallback = None if reference_label is None else _checked_labels(labels, rows_a.shape)
+    mask, fractions, unspent = _sweep(rows_a, rows_p, fallback)
+    mask, fractions = _transposed(mask).reshape(a.shape), _transposed(fractions).reshape(a.shape)
+    growth = _log_growth(fractions, a, p)
+    if a.ndim == 1:
+        return KellySolution(mask, fractions, float(unspent[0]), float(growth))
+    return KellySolution(mask, fractions, unspent, growth)
 
 
 def _checked_labels(labels, shape: tuple[int, int]) -> np.ndarray:
@@ -192,7 +202,7 @@ def _rest_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, order: np.ndarray | None = None):
-    """The sweep of candidate_labels_batch on class-major (K, N) arrays it does not clamp.
+    """The sweep of candidate_labels on class-major (K, N) arrays it does not clamp.
 
     The mask and the fractions come back (K, N) too, the unspent ratios
     (N,).  The priors ``a`` must be positive.  A posterior of 0 then gives
@@ -259,24 +269,26 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     return mask if mask_only else (mask, fractions, unspent)
 
 
-def kelly_objective_value(solution: KellySolution, prior, posterior) -> float:
-    """Optimal objective in coarsened-KL form.
+def kelly_objective_value(solution: KellySolution, prior, posterior) -> float | np.ndarray:
+    """Optimal objective in coarsened-KL form, a float for one pair and (N,) for rows.
 
-    Equals ``log_growth(solution.fractions, prior, posterior)``: candidate
-    outcomes contribute prior * ln(prior/posterior) and the non-candidates
-    contribute through their pooled masses.  Always >= 0, being a KL
-    divergence between the prior and posterior coarsened onto the
-    candidate / non-candidate partition.
+    Equals the achieved log-growth of ``solution``: candidate outcomes
+    (``solution.mask``) contribute prior * ln(prior/posterior) and the
+    non-candidates contribute through their pooled masses.  Always >= 0,
+    being a KL divergence between the prior and posterior coarsened onto
+    the candidate / non-candidate partition.  A mask of another shape than
+    the pair raises ValueError.
     """
-    a, p = clamp_probability_rows([prior, posterior])
-    mask = np.zeros(a.size, dtype=bool)
-    mask[list(solution.candidates)] = True
-    value = float(np.sum(a[mask] * (np.log(a[mask]) - np.log(p[mask]))))
-    rest_a = a[~mask].sum()
-    rest_p = p[~mask].sum()
-    if rest_a > 0.0:
-        value += float(rest_a * np.log(rest_a / rest_p))
-    return value
+    a, p = _clamped_pair(prior, posterior)
+    mask = solution.mask
+    if np.shape(mask) != a.shape:
+        raise ValueError(f"solution mask of shape {np.shape(mask)} does not match the pair's shape {a.shape}")
+    value = np.where(mask, a * (np.log(a) - np.log(p)), 0.0).sum(axis=-1)
+    rest_a = np.where(mask, 0.0, a).sum(axis=-1)
+    rest_p = np.where(mask, 0.0, p).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = value + np.where(rest_a > 0.0, rest_a * np.log(rest_a / rest_p), 0.0)
+    return float(value) if a.ndim == 1 else value
 
 
 def _max_units(grid_step: float) -> int:
@@ -284,28 +296,13 @@ def _max_units(grid_step: float) -> int:
     return int((1.0 - 1e-12) // grid_step)
 
 
-def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, float]:
-    """Maximize log_growth over the exhaustive grid {g >= 0, sum(g) < 1}.
-
-    The one-row form of brute_force_oracle_batch, which describes the
-    search and its one dynamic program: returns the maximizing fractions
-    (K,) and their value.  At the default step of 0.005 (M = 199) one row
-    takes every total in one chunk, composes each middle class with no
-    mask over the unused entries, recomputes the chosen total's prefixes
-    for the backtrack, and peaks at about 0.9 MB at K=4 (tracemalloc).
-    """
-    fractions, values = brute_force_oracle_batch([prior], [posterior], grid_step)
-    return fractions[0], float(values[0])
-
-
-# cells of the largest op of brute_force_oracle_batch, (M + 1) units x
-# totals x rows: sets how many totals a chunk holds and how many rows a
-# block holds
+# cells of the largest op of brute_force_oracle, (M + 1) units x totals x
+# rows: sets how many totals a chunk holds and how many rows a block holds
 _CHUNK_CELLS = 2**16
 
 
-def brute_force_oracle_batch(priors, posteriors, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize log_growth over the exhaustive grid, for each of (T, K) rows.
+def brute_force_oracle(prior, posterior, grid_step: float) -> tuple[np.ndarray, float | np.ndarray]:
+    """Maximize log_growth over the exhaustive grid {g >= 0, sum(g) < 1}, for one pair (K,) or (T, K) rows.
 
     Every grid point g = grid_step * x with integer x >= 0 and
     sum(x) * grid_step < 1 is covered.  The maximum is found exactly by
@@ -314,8 +311,9 @@ def brute_force_oracle_batch(priors, posteriors, grid_step: float) -> tuple[np.n
     split is composed class by class and the overall maximizer recovered by
     backtracking.  This evaluates the same finite search space as direct
     enumeration (against which it is tested) at a fraction of the cost.
-    Returns (fractions (T, K), values (T,)); each row gets the bits of its
-    one-row call.
+    Returns the maximizing fractions and their values: (K,) and a float
+    for one pair, (T, K) and (T,) for rows, each row with the bits of its
+    one-pair call.
 
     With M the largest total, the rows are taken in blocks of at most
     ``_CHUNK_CELLS // (M + 1)`` (one row if M + 1 is larger), every row of
@@ -337,19 +335,19 @@ def brute_force_oracle_batch(priors, posteriors, grid_step: float) -> tuple[np.n
     the block at once, the prefixes at each row's chosen total, and takes
     each middle class's first maximizing share from them.  By tracemalloc,
     a 4-class batch of 34 rows at the default step of 0.005 (M = 199)
-    peaks at about 1.7 MB, a one-row call at about 0.9 MB, and no batch
-    at much more.
+    peaks at about 1.7 MB, one pair at about 0.9 MB, and no batch at much
+    more.  One pair runs the same program as a block of one row.
 
     Only the grid granularity is shared with the closed form; no ordering,
-    admission, or unspent-ratio logic is reused.  Rows that are not (T, K)
-    probability rows of one shape with T >= 1, or a step outside (0, 0.1],
-    raise ValueError; K > 4 raises GridDimensionError.
+    admission, or unspent-ratio logic is reused.  A prior and posterior of
+    different shapes, of neither one nor two axes or with no rows, or a
+    step outside (0, 0.1], raise ValueError; K > 4 raises
+    GridDimensionError.
     """
-    a = clamp_probability_rows(priors)
-    p = clamp_probability_rows(posteriors)
-    if a.shape != p.shape:
-        raise ValueError("priors and posteriors differ in shape")
-    n, k = a.shape
+    a, p = _clamped_pair(prior, posterior)
+    k = a.shape[-1]
+    rows_a, rows_p = a.reshape(-1, k), p.reshape(-1, k)
+    n = len(rows_a)
     if n == 0:
         raise ValueError("expected at least one row")
     if k > MAX_GRID_CLASSES:
@@ -362,7 +360,9 @@ def brute_force_oracle_batch(priors, posteriors, grid_step: float) -> tuple[np.n
     alloc = np.empty((n, k), dtype=int)
     values = np.empty(n)
     for rows in np.array_split(np.arange(n), min(n, -(-n * (m_max + 1) // _CHUNK_CELLS))):
-        alloc[rows], values[rows] = _grid_rows(_transposed(a[rows]), _transposed(p[rows]), h, m_max)
+        alloc[rows], values[rows] = _grid_rows(_transposed(rows_a[rows]), _transposed(rows_p[rows]), h, m_max)
+    if a.ndim == 1:
+        return alloc[0] * h, float(values[0])
     return alloc * h, values
 
 

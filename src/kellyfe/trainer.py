@@ -329,15 +329,15 @@ def evaluate(params: NetworkParams, test_set: Dataset) -> MetricsReport:
     rec_den = tp + fn
     precision_defined = prec_den > 0
     recall_defined = rec_den > 0
-    precision = np.where(precision_defined, tp / np.where(prec_den > 0, prec_den, 1.0), 0.0)
-    recall = np.where(recall_defined, tp / np.where(rec_den > 0, rec_den, 1.0), 0.0)
+    precision = np.divide(tp, prec_den, out=np.zeros(k), where=precision_defined)
+    recall = np.divide(tp, rec_den, out=np.zeros(k), where=recall_defined)
 
     overlap = 2.0 * tp + fp + fn
-    dice = np.where(overlap > 0, 2.0 * tp / np.where(overlap > 0, overlap, 1.0), 1.0)
+    dice = np.divide(2.0 * tp, overlap, out=np.ones(k), where=overlap > 0)
     union = tp + fp + fn
-    jaccard = np.where(union > 0, tp / np.where(union > 0, union, 1.0), 1.0)
+    jaccard = np.divide(tp, union, out=np.ones(k), where=union > 0)
     pr_sum = precision + recall
-    f1 = np.where(pr_sum > 0, 2.0 * precision * recall / np.where(pr_sum > 0, pr_sum, 1.0), 0.0)
+    f1 = np.divide(2.0 * precision * recall, pr_sum, out=np.zeros(k), where=pr_sum > 0)
 
     return MetricsReport(
         precision=precision,

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .kelly import (
-    brute_force_oracle_batch,
-    candidate_labels,
-    candidate_labels_batch,
-    clamp_probability_rows,
-    kelly_objective_value,
-)
+from .kelly import brute_force_oracle, candidate_labels, clamp_probability_rows, kelly_objective_value
 from .network import LayerSpec, NetworkParams, backward, forward, init_he
 
 PAIR_FLOOR = 0.05
@@ -87,9 +81,11 @@ def kelly_suite(trials: int = 1000, seed: int = 0, grid_step: float = 0.005) -> 
     """Closed form vs exhaustive grid plus the optimality-condition checks.
 
     Every pair is drawn first, trial t with K = 2 + t % 3 from
-    ``SeedSequence([seed, t])``; the grid values come from one
-    ``brute_force_oracle_batch`` call per class count, and the checks then
-    run in trial order.
+    ``SeedSequence([seed, t])``.  Each class count then takes one
+    ``brute_force_oracle``, one ``candidate_labels`` and one
+    ``kelly_objective_value`` call on all of its pairs stacked as rows, and
+    every property is checked on their arrays; each row has the bits of
+    its own one-pair call.
     """
     gap_tol, below_tol, cons_tol, ident_tol = 1e-3, 1e-9, 1e-9, 1e-12
     worst_gap = worst_below = worst_cons = worst_ident = 0.0
@@ -100,30 +96,23 @@ def kelly_suite(trials: int = 1000, seed: int = 0, grid_step: float = 0.005) -> 
         draw_probability_pair(np.random.default_rng(np.random.SeedSequence([seed, trial])), (2, 3, 4)[trial % 3])
         for trial in range(trials)
     ]
-    grid_values = [0.0] * trials
     for first in range(min(3, trials)):
-        priors, posteriors = zip(*pairs[first::3])
-        grid_values[first::3] = brute_force_oracle_batch(priors, posteriors, grid_step)[1].tolist()
-    for (prior, posterior), grid_value in zip(pairs, grid_values):
-        k = prior.size
-        sol = candidate_labels(prior, posterior)
-        worst_gap = max(worst_gap, abs(sol.log_growth - grid_value))
-        worst_below = max(worst_below, grid_value - sol.log_growth)
-        worst_cons = max(worst_cons, abs(sol.fractions.sum() + sol.unspent - 1.0))
-        objective = kelly_objective_value(sol, prior, posterior)
-        worst_ident = max(worst_ident, abs(objective - sol.log_growth))
-        min_objective = min(min_objective, objective)
+        priors, posteriors = (np.array(rows) for rows in zip(*pairs[first::3]))
+        k = priors.shape[1]
+        _, grid_values = brute_force_oracle(priors, posteriors, grid_step)
+        sol = candidate_labels(priors, posteriors)
+        objective = kelly_objective_value(sol, priors, posteriors)
+        worst_gap = max(worst_gap, float(np.abs(sol.log_growth - grid_values).max()))
+        worst_below = max(worst_below, float((grid_values - sol.log_growth).max()))
+        worst_cons = max(worst_cons, float(np.abs(sol.fractions.sum(axis=-1) + sol.unspent - 1.0).max()))
+        worst_ident = max(worst_ident, float(np.abs(objective - sol.log_growth).max()))
+        min_objective = min(min_objective, float(objective.min()))
 
-        a, p = clamp_probability_rows([prior, posterior])
-        q = a / p
-        cand = sorted(sol.candidates)
-        rest = sorted(set(range(k)) - sol.candidates)
-        if cand and q[cand].min() <= sol.unspent:
-            kkt_ok = False
-        if rest and q[rest].max() > sol.unspent:
-            kkt_ok = False
-        if len(sol.candidates) > k - 1:
-            card_ok = False
+        q = clamp_probability_rows(priors) / clamp_probability_rows(posteriors)
+        strict = np.where(sol.mask, q, np.inf).min(axis=-1) > sol.unspent
+        weak = np.where(sol.mask, -np.inf, q).max(axis=-1) <= sol.unspent
+        kkt_ok = kkt_ok and bool(np.all(strict & weak))
+        card_ok = card_ok and bool(np.all(sol.mask.sum(axis=-1) <= k - 1))
 
     return [
         PropertyResult(
@@ -216,7 +205,7 @@ def gradient_suite(trials: int = 100, seed: int = 0, h: float = 1e-6, tol: float
 
         logits0, _ = forward(params, features, training=False)
         post0 = losses.softmax(logits0)
-        mask, _, _ = candidate_labels_batch(priors, post0, fallback_labels=labels.argmax(axis=1))
+        mask = candidate_labels(priors, post0, reference_label=labels.argmax(axis=1)).mask
 
         for prop, name, gamma in GRADIENT_LOSSES:
             evaluate = losses.LOSSES[name].evaluate

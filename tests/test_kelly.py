@@ -20,9 +20,7 @@ from kellyfe.kelly import (
     _sweep,
     _transposed,
     brute_force_oracle,
-    brute_force_oracle_batch,
     candidate_labels,
-    candidate_labels_batch,
     clamp_probability_rows,
     kelly_objective_value,
     log_growth,
@@ -58,18 +56,19 @@ def reference_candidate_labels(prior, posterior, reference_label=None) -> KellyS
             break
 
     fractions = np.zeros_like(a)
+    mask = np.zeros(a.size, dtype=bool)
     if admitted:
         cand = np.array(admitted)
         fractions[cand] = a[cand] - p[cand] * s
-        candidates = frozenset(admitted)
+        mask[cand] = True
     elif reference_label is not None:
-        candidates = frozenset({int(reference_label)})
+        mask[int(reference_label)] = True
     else:
         raise MissingReferenceLabelError(
             "empty candidate set and no reference label supplied"
         )
     return KellySolution(
-        candidates=candidates,
+        mask=mask,
         fractions=fractions,
         unspent=float(s),
         log_growth=log_growth(fractions, a, p),
@@ -189,6 +188,20 @@ class TestLogGrowth:
         with pytest.raises(InfeasibleFractionsError):
             log_growth([-0.1, 0.0], [0.5, 0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "fractions, prior, posterior, message",
+        [
+            ([0.1, 0.1], [0.5, 0.5], [0.2, 0.3, 0.5], "^priors and posteriors differ in shape$"),
+            ([0.1, 0.1, 0.1], [0.2, 0.3, 0.5], [0.5, 0.5], "^priors and posteriors differ in shape$"),
+            ([0.1, 0.1], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5], "^fractions and probabilities differ in length$"),
+            ([[0.1, 0.1]], [[0.5, 0.5]], [[0.4, 0.6]], "^log_growth takes one \\(K,\\) pair, not \\(1, 2\\) rows$"),
+        ],
+        ids=["posterior-longer", "prior-longer", "fractions-shorter", "rows"],
+    )
+    def test_mismatched_shapes_raise_one_line_value_error(self, fractions, prior, posterior, message):
+        with pytest.raises(ValueError, match=message):
+            log_growth(fractions, prior, posterior)
+
 
 class TestCandidateLabels:
     def test_matched_beliefs_fall_back_to_reference(self):
@@ -200,14 +213,14 @@ class TestCandidateLabels:
 
     @pytest.mark.parametrize(
         "batch, label",
-        [(False, -1), (False, 1.7), (False, 3), (True, [0, 1])],
-        ids=["negative", "fractional", "past-k", "wrong-length"],
+        [(False, -1), (False, 1.7), (False, 3), (True, [0, 1]), (True, 0), (False, [0])],
+        ids=["negative", "fractional", "past-k", "wrong-length", "int-for-rows", "list-for-one-pair"],
     )
     def test_malformed_fallback_labels_rejected(self, batch, label):
         prior = [0.5, 0.3, 0.2]
         with pytest.raises(ValueError, match="fallback labels must be integers in 0..2"):
             if batch:
-                candidate_labels_batch([prior] * 3, [prior] * 3, fallback_labels=label)
+                candidate_labels([prior] * 3, [prior] * 3, reference_label=label)
             else:
                 candidate_labels(prior, prior, reference_label=label)
 
@@ -277,14 +290,14 @@ class TestOneClamp:
 
     @staticmethod
     def batch_composition(prior, posterior, reference_label=None) -> KellySolution:
-        # the one-row batch sweep, then log_growth clamping the pair again
+        # the sweep of a batch of one row, then log_growth clamping the pair again
         fallback = None if reference_label is None else [reference_label]
-        mask, fractions, unspent = candidate_labels_batch([prior], [posterior], fallback)
+        rows = candidate_labels([prior], [posterior], fallback)
         return KellySolution(
-            candidates=frozenset(int(c) for c in np.flatnonzero(mask[0])),
-            fractions=fractions[0],
-            unspent=float(unspent[0]),
-            log_growth=log_growth(fractions[0], prior, posterior),
+            mask=rows.mask[0],
+            fractions=rows.fractions[0],
+            unspent=float(rows.unspent[0]),
+            log_growth=log_growth(rows.fractions[0], prior, posterior),
         )
 
     def test_one_clamp_call(self, monkeypatch):
@@ -326,7 +339,7 @@ class TestOneClamp:
             ([0.5, 0.5], [0.2, 0.3, 0.5], "^priors and posteriors differ in shape$"),
             ([0.5, 0.5, 0.0], [0.5, 0.5], "^priors and posteriors differ in shape$"),
             ([1.0], [1.0], "^expected an \\(N, K\\) matrix with K >= 2$"),
-            ([[0.5, 0.5]], [[0.5, 0.5]], "^expected an \\(N, K\\) matrix with K >= 2$"),
+            ([[[0.5, 0.5]]], [[[0.5, 0.5]]], "^expected an \\(N, K\\) matrix with K >= 2$"),
             ([np.nan, 1.0], [0.5, 0.5], "^probability rows have non-finite entries$"),
             ([0.5, 0.5], [0.5, np.inf], "^probability rows have non-finite entries$"),
         ],
@@ -356,6 +369,23 @@ class TestKellyObjectiveValue:
             value = kelly_objective_value(sol, prior, posterior)
             assert value >= 0.0
             assert abs(value - sol.log_growth) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "solution_pair, pair",
+        [
+            ((PRIOR3, POST3), ([0.6, 0.4], [0.3, 0.7])),
+            (([0.6, 0.4], [0.3, 0.7]), (PRIOR3, POST3)),
+            (([PRIOR3] * 2, [POST3] * 2), ([PRIOR3] * 3, [POST3] * 3)),
+            (([PRIOR3], [POST3]), (PRIOR3, POST3)),
+        ],
+        ids=["three-class-solution", "two-class-solution", "other-row-count", "rows-solution-one-pair"],
+    )
+    def test_mask_of_another_shape_raises_one_line_value_error(self, solution_pair, pair):
+        # the first case returned 0.0204, reading only the candidate indices
+        solution = candidate_labels(*solution_pair)
+        with pytest.raises(ValueError, match="^solution mask of shape .* does not match the pair's shape .*$") as info:
+            kelly_objective_value(solution, *pair)
+        assert "\n" not in str(info.value)
 
 
 class TestBruteForceOracle:
@@ -445,7 +475,7 @@ class TestBruteForceOracle:
         one_row = [brute_force_oracle(prior, posterior, step) for prior, posterior in pairs]
 
         def check(batch):
-            fractions, values = brute_force_oracle_batch(
+            fractions, values = brute_force_oracle(
                 [pairs[i][0] for i in batch], [pairs[i][1] for i in batch], step
             )
             assert fractions.shape == (len(batch), k) and values.shape == (len(batch),)
@@ -469,11 +499,11 @@ class TestBruteForceOracle:
         # table and their sums, 0.49 MB each at M = 199
         pairs = [draw_probability_pair(np.random.default_rng([43, i]), 4) for i in range(34)]
         priors, posteriors = np.array(pairs).transpose(1, 0, 2)
-        brute_force_oracle_batch(priors, posteriors, 0.005)
+        brute_force_oracle(priors, posteriors, 0.005)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            brute_force_oracle_batch(priors, posteriors, 0.005)
+            brute_force_oracle(priors, posteriors, 0.005)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,17 +514,17 @@ class TestBruteForceOracle:
         [
             ([[0.5, 0.5]], [[0.3, 0.3, 0.4]], 0.01, ValueError),
             ([[0.5, 0.5]] * 2, [[0.5, 0.5]] * 3, 0.01, ValueError),
-            ([0.5, 0.5], [0.5, 0.5], 0.01, ValueError),
+            ([[[0.5, 0.5]]], [[[0.5, 0.5]]], 0.01, ValueError),
             (np.empty((0, 3)), np.empty((0, 3)), 0.01, ValueError),
             ([[0.5, 0.5]], [[0.5, 0.5]], 0.2, ValueError),
             ([[0.5, 0.5]], [[0.5, 0.5]], 0.0, ValueError),
             ([[0.2] * 5], [[0.2] * 5], 0.01, GridDimensionError),
         ],
-        ids=["classes-differ", "rows-differ", "one-dimensional", "no-rows", "step-too-large", "step-zero", "five-classes"],
+        ids=["classes-differ", "rows-differ", "three-dimensional", "no-rows", "step-too-large", "step-zero", "five-classes"],
     )
     def test_batch_rejects_malformed_input(self, priors, posteriors, step, error):
         with pytest.raises(error):
-            brute_force_oracle_batch(priors, posteriors, step)
+            brute_force_oracle(priors, posteriors, step)
 
     def test_suite_matches_a_loop_of_one_row_oracle_calls(self):
         # the suite's grid lines, rebuilt from one brute_force_oracle call per trial
@@ -553,7 +583,8 @@ def _twin_rows(rng, k: int, rows: int):
 
 class TestBatchSweep:
     def _assert_matches_reference(self, priors, posteriors, fallback):
-        mask, fractions, unspent = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+        rows = candidate_labels(priors, posteriors, reference_label=fallback)
+        mask, fractions, unspent = rows.mask, rows.fractions, rows.unspent
         for j in range(len(priors)):
             ref = reference_candidate_labels(priors[j], posteriors[j], reference_label=fallback[j])
             sol = candidate_labels(priors[j], posteriors[j], reference_label=fallback[j])
@@ -594,13 +625,13 @@ class TestBatchSweep:
     def test_fallback_rows(self):
         priors = np.array([[0.5, 0.5], [0.9, 0.1]])
         posteriors = np.array([[0.5, 0.5], [0.5, 0.5]])
-        mask, fractions, unspent = candidate_labels_batch(priors, posteriors, fallback_labels=[1, 0])
-        assert mask[0].tolist() == [False, True]
-        assert fractions[0].tolist() == [0.0, 0.0]
-        assert unspent[0] == 1.0
-        assert mask[1].tolist() == [True, False]
+        rows = candidate_labels(priors, posteriors, reference_label=[1, 0])
+        assert rows.mask[0].tolist() == [False, True]
+        assert rows.fractions[0].tolist() == [0.0, 0.0]
+        assert rows.unspent[0] == 1.0
+        assert rows.mask[1].tolist() == [True, False]
         with pytest.raises(MissingReferenceLabelError):
-            candidate_labels_batch(priors, posteriors)
+            candidate_labels(priors, posteriors)
 
     def test_fallback_function_sees_only_the_empty_rows(self):
         rng = np.random.default_rng(47)
@@ -620,6 +651,113 @@ class TestBatchSweep:
         assert seen[0].tolist() == np.flatnonzero(~expected[1].any(axis=0)).tolist() != []
         assert _sweep(a, p, fallback, mask_only=True).tobytes() == expected[0].tobytes()
 
+
+
+def _reference_kelly_suite(trials: int, seed: int, grid_step: float = 0.005) -> list[PropertyResult]:
+    """The kelly suite as a loop of one-pair calls over the trials, with the
+    grid values of one oracle call per class count: the results the
+    stacked suite must reproduce in ``.hex()``.
+    """
+    worst_gap = worst_below = worst_cons = worst_ident = 0.0
+    kkt_ok = card_ok = True
+    min_objective = np.inf
+    pairs = [
+        draw_probability_pair(np.random.default_rng(np.random.SeedSequence([seed, trial])), (2, 3, 4)[trial % 3])
+        for trial in range(trials)
+    ]
+    grid_values = [0.0] * trials
+    for first in range(min(3, trials)):
+        priors, posteriors = zip(*pairs[first::3])
+        grid_values[first::3] = brute_force_oracle(np.array(priors), np.array(posteriors), grid_step)[1].tolist()
+    for (prior, posterior), grid_value in zip(pairs, grid_values):
+        k = prior.size
+        sol = candidate_labels(prior, posterior)
+        worst_gap = max(worst_gap, abs(sol.log_growth - grid_value))
+        worst_below = max(worst_below, grid_value - sol.log_growth)
+        worst_cons = max(worst_cons, abs(sol.fractions.sum() + sol.unspent - 1.0))
+        objective = kelly_objective_value(sol, prior, posterior)
+        worst_ident = max(worst_ident, abs(objective - sol.log_growth))
+        min_objective = min(min_objective, objective)
+        a, p = clamp_probability_rows([prior, posterior])
+        q = a / p
+        cand = sorted(sol.candidates)
+        rest = sorted(set(range(k)) - sol.candidates)
+        if cand and q[cand].min() <= sol.unspent:
+            kkt_ok = False
+        if rest and q[rest].max() > sol.unspent:
+            kkt_ok = False
+        if len(sol.candidates) > k - 1:
+            card_ok = False
+    return [
+        PropertyResult("kelly-closed-form-vs-grid", worst_gap <= 1e-3, worst_gap, 1e-3),
+        PropertyResult("kelly-never-below-grid", worst_below <= 1e-9, worst_below, 1e-9),
+        PropertyResult("kelly-kkt-separation", kkt_ok, 0.0 if kkt_ok else 1.0, 0.0),
+        PropertyResult("kelly-conservation", worst_cons <= 1e-9, worst_cons, 1e-9),
+        PropertyResult("kelly-objective-identity", worst_ident <= 1e-12, worst_ident, 1e-12),
+        PropertyResult("kelly-objective-nonnegative", min_objective >= 0.0, max(0.0, -min_objective), 0.0),
+        PropertyResult("kelly-cardinality", card_ok, 0.0 if card_ok else 1.0, 0.0),
+    ]
+
+
+class TestRows:
+    """(N, K) rows and one (K,) pair take one code path: every row has the bits of its one-pair call."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 20, 64])
+    def test_rows_equal_one_pair_calls(self, k):
+        rng = np.random.default_rng([53, k])
+        priors, posteriors, _ = _tied_pairs(rng, k, 60)
+        draws = np.array([draw_probability_pair(rng, k) for _ in range(20)])
+        priors, posteriors = np.vstack([priors, draws[:, 0]]), np.vstack([posteriors, draws[:, 1]])
+        labels = rng.integers(0, k, len(priors))
+        rows = candidate_labels(priors, posteriors, reference_label=labels)
+        objectives = kelly_objective_value(rows, priors, posteriors)
+        assert rows.mask.shape == rows.fractions.shape == priors.shape and rows.mask.dtype == bool
+        assert rows.unspent.shape == rows.log_growth.shape == objectives.shape == (len(priors),)
+        for r in range(len(priors)):
+            one = candidate_labels(priors[r], posteriors[r], int(labels[r]))
+            assert isinstance(one.unspent, float) and isinstance(one.log_growth, float)
+            assert one.mask.tobytes() == rows.mask[r].tobytes()
+            assert one.candidates == set(np.flatnonzero(rows.mask[r]).tolist())
+            assert one.fractions.tobytes() == rows.fractions[r].tobytes()
+            assert one.unspent.hex() == float(rows.unspent[r]).hex()
+            assert one.log_growth.hex() == float(rows.log_growth[r]).hex()
+            objective = kelly_objective_value(one, priors[r], posteriors[r])
+            assert isinstance(objective, float) and objective.hex() == float(objectives[r]).hex()
+
+    def test_rows_the_feasibility_check_refused_get_a_solution(self):
+        # a tied outcome admitted at a stake of about -1e-16 made the
+        # one-pair call's feasibility check raise InfeasibleFractionsError
+        # on 26 of these 12,000 rows; the stacked log-growth has no check
+        refused = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            k = 2 + seed % 7
+            priors, posteriors, _ = _tied_pairs(rng, k, 40)
+            labels = rng.integers(0, k, 40)
+            rows = candidate_labels(priors, posteriors, reference_label=labels)
+            for r in np.flatnonzero((rows.fractions < 0.0).any(axis=1)):
+                refused += 1
+                one = candidate_labels(priors[r], posteriors[r], int(labels[r]))
+                assert one.fractions.tobytes() == rows.fractions[r].tobytes()
+                assert one.log_growth.hex() == float(rows.log_growth[r]).hex()
+                assert -1e-15 <= one.fractions.min() < 0.0
+                assert abs(one.log_growth - kelly_objective_value(one, priors[r], posteriors[r])) <= 1e-12
+        assert refused == 26
+
+    def test_candidates_of_rows_raise_one_line_value_error(self):
+        rows = candidate_labels([PRIOR3] * 2, [POST3] * 2)
+        assert rows.mask.tolist() == [[True, True, False]] * 2
+        with pytest.raises(ValueError, match="^candidates is defined for one pair; read mask for \\(2, 3\\) rows$"):
+            rows.candidates
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 100])
+    def test_kelly_suite_equals_a_loop_of_one_pair_calls(self, trials, seed):
+        got = kelly_suite(trials=trials, seed=seed)
+        want = _reference_kelly_suite(trials, seed)
+        assert [(r.name, r.passed, float(r.worst_error).hex(), r.tolerance) for r in got] == [
+            (r.name, r.passed, float(r.worst_error).hex(), r.tolerance) for r in want
+        ]
 
 def reference_sweep(a, p, fallback_labels):
     """The class-major sweep with a fresh stable sort per call and its suffix
@@ -754,7 +892,9 @@ class TestSweepProperties:
         rng = np.random.default_rng(seed)
         priors, posteriors, level_rows = _tied_pairs(rng, k, n)
         fallback = rng.integers(0, k, n)
-        mask, fractions, unspent = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+        rows = candidate_labels(priors, posteriors, reference_label=fallback)
+        mask, fractions, unspent = rows.mask, rows.fractions, rows.unspent
+        objectives = kelly_objective_value(rows, priors, posteriors)
         a, p = clamp_probability_rows(priors), clamp_probability_rows(posteriors)
         q = a / p
         for row in range(n):
@@ -776,8 +916,7 @@ class TestSweepProperties:
                 assert q[row, rest].max() <= unspent[row]
                 assert fractions[row, cand].min() >= -1e-15
                 assert np.all(fractions[row, rest] == 0.0)
-            solution = KellySolution(frozenset(np.flatnonzero(cand).tolist()), fractions[row], unspent[row], 0.0)
-            objective = kelly_objective_value(solution, priors[row], posteriors[row])
+            objective = objectives[row]
             kl = vfe_decompose(priors[row], posteriors[row], np.ones(k)).complexity
             assert objective <= kl + 1e-12
             if q[row, rest].min() >= unspent[row] * (1.0 - 1e-12):

@@ -12,7 +12,6 @@ from kellyfe import cli, data, losses, trainer, verify
 from kellyfe.kelly import (
     _sweep,
     candidate_labels,
-    candidate_labels_batch,
     clamp_probability_rows,
     kelly_objective_value,
 )
@@ -279,7 +278,7 @@ class TestEfeLoss:
             priors = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(n)])
             labels = np.zeros((n, k))
             labels[np.arange(n), rng.integers(0, k, n)] = 1.0
-            mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
+            mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
 
             def value_at(flat):
                 return _loss("efe", flat.reshape(n, k), labels, priors, mask).value
@@ -353,7 +352,7 @@ class TestGradientStructure:
         entry = losses.LOSSES[name]
         mask = None
         if entry.uses_candidates:
-            mask, _, _ = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))
+            mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
         ev = entry.evaluate(logits, labels, priors, mask, None, 2.0)
         np.testing.assert_allclose(ev.grad_logits.sum(axis=1), 0.0, atol=1e-7)
 
@@ -456,7 +455,7 @@ class TestValueOnly:
             mask = None
             if entry.uses_candidates:
                 fallback = reference if trainer.supervised(mode) else posteriors.argmax(axis=1)
-                _, fractions, _ = candidate_labels_batch(priors, posteriors, fallback_labels=fallback)
+                fractions = candidate_labels(priors, posteriors, reference_label=fallback).fractions
                 assert (~fractions.any(axis=1)).sum() >= 8  # the fallback rows are there
                 # the trainer sweeps its clamped priors against unclamped posteriors
                 mask = _sweep(a, _transposed(posteriors), fallback, mask_only=True)
@@ -569,7 +568,7 @@ class TestLayouts:
         rng = np.random.default_rng(k * 10000 + n)
         logits, posteriors, labels = _random_instance(rng, n, k)
         priors = rng.dirichlet(np.ones(k), n)
-        mask = candidate_labels_batch(priors, posteriors, fallback_labels=labels.argmax(axis=1))[0]
+        mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
         value, grad = _reference_evaluation(name, logits, labels, priors, mask, 2.0)
         z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
         ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, m, None, 2.0, True)

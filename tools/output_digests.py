@@ -30,12 +30,13 @@ bits where the 2000-row runs keep them.  The last two set the batch
 size: efe at 40, so that every epoch of 2000 rows ends on a full batch
 (the default 32 leaves a 16-row tail), and wce at 1, whose one-row
 batches count their class weights from one label.  A third table gives
-the exit code and the sha256 of the stdout of six ``kellyfe verify``
+the exit code and the sha256 of the stdout of seven ``kellyfe verify``
 runs: one per suite, the kelly suite again at 300 trials and seed 7919,
 whose 3- and 4-class pairs take the grid oracle through ~200 more rows,
-and at 2 trials and seed 3, which draws no 4-class pair, and the lovasz
-suite at 3 trials and seed 7919, which draws no convexity pair of 4-8
-samples.
+at 2 trials and seed 3, which draws no 4-class pair, and at 1 trial and
+seed 7919, whose one 2-class pair is the smallest stack of rows the suite
+makes, and the lovasz suite at 3 trials and seed 7919, which draws no
+convexity pair of 4-8 samples.
 Every call runs ``python -m kellyfe.cli`` in a fresh interpreter on the
 package under ``--src`` (default: this checkout's ``src``).  A change that
 claims byte-identical outputs prints the same tables as its parent.  Given
@@ -112,6 +113,7 @@ VERIFY = [
     ["--suite", "kelly", "--trials", "100", "--seed", "0"],
     ["--suite", "kelly", "--trials", "300", "--seed", "7919"],
     ["--suite", "kelly", "--trials", "2", "--seed", "3"],
+    ["--suite", "kelly", "--trials", "1", "--seed", "7919"],
     ["--suite", "lovasz", "--seed", "0"],
     ["--suite", "lovasz", "--trials", "3", "--seed", "7919"],
 ]
