@@ -201,7 +201,14 @@ def _rest_sums(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return rest
 
 
-def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, order: np.ndarray | None = None):
+def _sweep_state(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A carried state of ``_sweep`` for class-major (K, N) priors ``a``: the class order, ``a`` gathered in it and its rest sums."""
+    order = np.arange(a.size).reshape(a.shape)
+    a_sorted = a.ravel()[order]
+    return order, a_sorted, _rest_sums(a_sorted)
+
+
+def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = False, carried=None):
     """The sweep of candidate_labels on class-major (K, N) arrays it does not clamp.
 
     The mask and the fractions come back (K, N) too, the unspent ratios
@@ -213,31 +220,34 @@ def _sweep(a: np.ndarray, p: np.ndarray, fallback_labels, mask_only: bool = Fals
     function that takes the indices of those samples and returns their
     labels, so a caller can derive them for those samples alone.
 
-    ``order[t, j]`` is the raveled (K, N) index of the t-th largest ratio
-    q = a / p of sample j, in the stable descending order (ties by
-    ascending class).  Without one, every sample is sorted, and a fresh
-    stable sort needs no check.  A caller may
-    pass its own (K, N) integer array, each of whose columns must be a
-    permutation of that sample's raveled indices: the samples whose
-    gathered ratios descend strictly are then already in the stable order,
-    which is unique, and only the others, ties included, are sorted again.
-    The array is rewritten in place to the stable order, so a caller that
-    carries it across calls on slowly moving ratios saves most sorts.
-    Either way the result has the bits of a fresh sort.
+    Outcomes are taken in the stable descending order of q = a / p (ties
+    by ascending class).  Without ``carried`` every sample is sorted, and
+    a fresh stable sort needs no check.  A caller that sweeps the same
+    priors again may carry ``(order, a_sorted, rest_a)`` across calls
+    (``_sweep_state`` makes one): ``order[t, j]`` is the raveled index of
+    sample j's t-th outcome, each column a permutation of the sample's
+    indices, ``a_sorted`` is ``a.ravel()[order]`` and ``rest_a`` its
+    ``_rest_sums``.  A sample whose gathered ratios descend strictly is
+    then already in the unique stable order; only the others, ties
+    included, are sorted, gathered and summed again, in place, column by
+    column.  Either way the result has the bits of a fresh sort and sum.
     """
     k, n = a.shape
-    carried = order is not None
-    if not carried:
+    if carried is None:
         order = np.argsort(-(a / p), axis=0, kind="stable") * n + np.arange(n)
-    a_sorted, p_sorted = a.ravel()[order], p.ravel()[order]
+        a_sorted = a.ravel()[order]
+        rest_a = _rest_sums(a_sorted)
+    else:
+        order, a_sorted, rest_a = carried
+    p_sorted = p.ravel()[order]
     q_sorted = a_sorted / p_sorted
-    if carried:
+    if carried is not None:
         stale = np.flatnonzero(~np.logical_and.reduce(q_sorted[:-1] > q_sorted[1:], axis=0))
         if stale.size:
             cols = order[:, stale] = np.argsort(-(a[:, stale] / p[:, stale]), axis=0, kind="stable") * n + stale
             a_sorted[:, stale], p_sorted[:, stale] = a.ravel()[cols], p.ravel()[cols]
+            rest_a[:, stale] = _rest_sums(a_sorted[:, stale])
             q_sorted[:, stale] = a_sorted[:, stale] / p_sorted[:, stale]
-    rest_a = _rest_sums(a_sorted)
     # levels[t] = unspent ratio of the K - t not-yet-admitted outcomes
     levels = np.empty((k, n))
     levels[0] = 1.0
@@ -274,10 +284,12 @@ def kelly_objective_value(solution: KellySolution, prior, posterior) -> float | 
 
     Equals the achieved log-growth of ``solution``: candidate outcomes
     (``solution.mask``) contribute prior * ln(prior/posterior) and the
-    non-candidates contribute through their pooled masses.  Always >= 0,
-    being a KL divergence between the prior and posterior coarsened onto
-    the candidate / non-candidate partition.  A mask of another shape than
-    the pair raises ValueError.
+    non-candidates contribute through their pooled masses.  A KL
+    divergence between the prior and posterior coarsened onto the
+    candidate / non-candidate partition, it is >= 0 up to rounding: where
+    every ratio prior/posterior is one value up to rounding, it can read
+    down to about -4e-16, and it is not clamped, as it equals the
+    log-growth.  A mask of another shape than the pair raises ValueError.
     """
     a, p = _clamped_pair(prior, posterior)
     mask = solution.mask

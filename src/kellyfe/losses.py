@@ -14,11 +14,12 @@ candidate sets.  Every kernel reads the class-major (K, N) ``(ln p, p)`` of
 one ``_log_softmax`` call made by its caller, which holds the only
 finiteness check of the logits, with the labels, the clamped priors and the
 candidate mask in the same layout; it derives whatever else it needs (the
-prior logarithms, the counted class weights) from these.  The trainer calls
-the kernels on its own rows; ``LossEntry.evaluate`` checks (N, K) inputs,
-one row per sample, clamps the priors (``kelly.clamp_probability_rows``)
-and calls the same kernel, for the verify suites, the tests and the demos;
-the command line reads the names.
+counted class weights, the prior logarithms unless its caller holds them)
+from these.  The trainer calls the kernels on its own rows;
+``LossEntry.evaluate`` checks (N, K) inputs, one row per sample, clamps
+the priors (``kelly.clamp_probability_rows``) and calls the same kernel,
+for the verify suites, the tests and the demos; the command line reads
+the names.
 
 No posterior is clamped: ln p is the shifted logit less the log of the row
 sum, finite and exact where p underflows to 0.  The cross-entropy family
@@ -316,15 +317,18 @@ def _lovasz(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
 # expected-free-energy loss and decomposition diagnostics
 # ---------------------------------------------------------------------------
 
-def _efe(ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, mask: np.ndarray, grad: bool) -> LossEvaluation:
+def _efe(
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray | None, mask: np.ndarray, grad: bool
+) -> LossEvaluation:
     """Expected free energy: label-weighted uncertainty plus expected complexity.
 
     uncertainty        = -1/(K*N) * sum l * p * ln p
     expected_complexity = 1/(K*N) * sum_j [ sum_{c in cand_j} a (ln a - ln p)
                                             + rest_a * ln(rest_a / rest_p) ]
 
-    Takes ``(ln p, p)`` of ``_log_softmax``, the clamped priors ``a``, whose
-    logarithms it takes itself, and the candidate mask, all class-major
+    Takes ``(ln p, p)`` of ``_log_softmax``, the clamped priors ``a``, their
+    logarithms ``ln_a`` (``np.log(a)`` held by the caller, or None to take
+    them here, with the same bits) and the candidate mask, all class-major
     (K, N) like the gradient.  The mask is held constant under
     differentiation.  The complexity gradient in the logits is
     scale * (p * sum(a) - target), with target = a on the candidates and
@@ -339,7 +343,7 @@ def _efe(ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, mask: np
 
     rest_a = np.where(mask, 0.0, a).sum(axis=0)
     level = np.divide(rest_a, np.where(mask, 0.0, p).sum(axis=0), out=np.ones(n), where=rest_a > 0.0)
-    cand_terms = np.where(mask, a * (np.log(a) - ln_p), 0.0).sum(axis=0)
+    cand_terms = np.where(mask, a * ((np.log(a) if ln_a is None else ln_a) - ln_p), 0.0).sum(axis=0)
     complexity = scale * float((cand_terms + rest_a * np.log(level)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
@@ -363,14 +367,16 @@ def _efe(ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, mask: np
 class LossEntry:
     """One trainable loss.
 
-    ``kernel(ln_p, p, labels, priors, mask, class_weights, gamma_mod, grad)``
-    takes the class-major (K, N) ``(ln p, p)`` of one ``_log_softmax`` call
-    made by its caller, the labels, the clamped priors and the boolean
-    candidate mask of the sweep, all (K, N).  It returns the value to
-    minimize and, unless ``grad`` is False, its (K, N) gradient in the
-    logits.  Each loss reads only the arguments it needs: priors and mask
-    only if it ``uses_candidates``.  Without ``class_weights`` the weighted
-    losses count the (one-hot) labels on every call.
+    ``kernel(ln_p, p, labels, priors, ln_priors, mask, class_weights,
+    gamma_mod, grad)`` takes the class-major (K, N) ``(ln p, p)`` of one
+    ``_log_softmax`` call made by its caller, the labels, the clamped
+    priors, their logarithms if the caller holds them (else None) and the
+    boolean candidate mask of the sweep, all (K, N).  It returns the value
+    to minimize and, unless ``grad`` is False, its (K, N) gradient in the
+    logits.  Each loss reads only the arguments it needs: priors,
+    ``ln_priors`` and mask only if it ``uses_candidates``.  Without
+    ``class_weights`` the weighted losses count the (one-hot) labels on
+    every call.
     ``needs_reference`` losses are undefined without reference labels.
 
     The trainer calls the kernel on its own rows.  ``evaluate`` is the same
@@ -405,23 +411,23 @@ class LossEntry:
                 raise ValueError(
                     f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
                 )
-        return _transposed_grad(self.kernel(ln_p, p, l, a, mask, class_weights, gamma_mod, grad))
+        return _transposed_grad(self.kernel(ln_p, p, l, a, None, mask, class_weights, gamma_mod, grad))
 
 
 # The kernels look their functions up at call time, so a rebinding of a
 # module-level name (a profiler's wrapper, say) is seen through the table.
 LOSSES: dict[str, LossEntry] = {
     "efe": LossEntry(
-        lambda ln_p, p, l, a, m, w, g, grad: _efe(ln_p, p, l, a, m, grad),
+        lambda ln_p, p, l, a, la, m, w, g, grad: _efe(ln_p, p, l, a, la, m, grad),
         needs_reference=False,
         uses_candidates=True,
     ),
-    "ce": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _weighted_focal(ln_p, p, l, None, 0.0, grad)),
-    "wce": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), 0.0, grad)),
-    "focal": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _weighted_focal(ln_p, p, l, None, g, grad)),
-    "wfocal": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), g, grad)),
-    "dice": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _dice(p, l, grad)),
-    "lovasz": LossEntry(lambda ln_p, p, l, a, m, w, g, grad: _lovasz(p, l, grad)),
+    "ce": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _weighted_focal(ln_p, p, l, None, 0.0, grad)),
+    "wce": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), 0.0, grad)),
+    "focal": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _weighted_focal(ln_p, p, l, None, g, grad)),
+    "wfocal": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _weighted_focal(ln_p, p, l, _weight_column(w, l), g, grad)),
+    "dice": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _dice(p, l, grad)),
+    "lovasz": LossEntry(lambda ln_p, p, l, a, la, m, w, g, grad: _lovasz(p, l, grad)),
 }
 
 

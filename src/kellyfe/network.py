@@ -130,14 +130,40 @@ def init_he(specs, seed: int) -> NetworkParams:
     return params
 
 
-def _prelu(z: np.ndarray, leakage, out=None) -> np.ndarray:
+def _prelu(z: np.ndarray, leakage, out=None, product=None) -> np.ndarray:
     """PReLU by max/min, with one temporary fewer than ``where``; see ``forward``.
 
-    A NaN leakage would give NaN at every positive z, where ``where`` gives
-    z, so ``from_json`` rejects one.
+    ``leakage * z`` goes into ``product`` if given.  A NaN leakage would
+    give NaN at every positive z, where ``where`` gives z, so ``from_json``
+    rejects one.
     """
     pick = np.maximum if leakage <= 1.0 else np.minimum
-    return pick(z, leakage * z, out=out)
+    return pick(z, np.multiply(leakage, z, out=product), out=out)
+
+
+def _inference_buffers(specs, n: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per layer, a (width, n) output array for ``_inference`` and, for a PReLU layer, one for its product."""
+    return [
+        (np.empty((s.output_width, n)), np.empty((s.output_width, n)) if s.activation == "prelu" else None) for s in specs
+    ]
+
+
+def _inference(params: NetworkParams, h: np.ndarray, buffers=None) -> np.ndarray:
+    """The (N, K) logits of ``forward(training=False)`` on the (d, N) transposed features ``h``.
+
+    Each layer computes ``weights @ h`` into a (width, N) array, adds its
+    biases and activates in place.  Given ``_inference_buffers`` of these
+    specs and N, the outputs and PReLU products are written into them by
+    the same operations on the same operands, so the logits keep their
+    bits; they are then a view of the last buffer, valid until its next use.
+    """
+    for spec, lp, (z, product) in zip(params.specs, params.layers, buffers or [(None, None)] * len(params.specs)):
+        z = np.matmul(lp.weights, h, out=z)
+        z += lp.biases[:, None]
+        if spec.activation == "prelu":
+            _prelu(z, lp.prelu_leakage, out=z, product=product)
+        h = z
+    return h.T
 
 
 def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
@@ -149,7 +175,8 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     (N, K) logits are the transpose of the last one, which the loss kernels
     read without a copy.  Only a ``training=True`` pass builds the cache
     that ``backward`` needs, of (N, width) transposed views.  An inference
-    pass returns ``(logits, None)`` and activates each layer in place.
+    pass returns ``(logits, None)`` and activates each layer in place
+    (``_inference``, which can write into buffers its caller holds).
 
     PReLU is ``max(z, a*z)`` for a leakage ``a <= 1`` and ``min(z, a*z)``
     above 1 (``_prelu``).  That has the bits of ``where(z > 0, z, a*z)`` for
@@ -167,19 +194,20 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     h = np.asarray(batch_features, dtype=float).T
     if h.ndim != 2 or h.shape[0] != params.specs[0].input_width:
         raise ValueError(f"features with {h.T.shape} do not match input width {params.specs[0].input_width}")
+    if not training:
+        return _inference(params, h), None
     rng = None
-    cache = ForwardCache(params=params) if training else None
+    cache = ForwardCache(params=params)
     for spec, lp in zip(params.specs, params.layers):
         z = lp.weights @ h
         z += lp.biases[:, None]
-        act = _prelu(z, lp.prelu_leakage, out=None if training else z) if spec.activation == "prelu" else z
-        if training:
-            mask = None
-            if spec.dropout_retention < 1.0:
-                rng = rng or np.random.default_rng(seed)
-                mask = (rng.random(act.shape[::-1]) < spec.dropout_retention) / spec.dropout_retention
-                act = act * mask.T
-            cache.layers.append(_LayerCache(inputs=h.T, pre_activation=z.T, mask=mask))
+        act = _prelu(z, lp.prelu_leakage) if spec.activation == "prelu" else z
+        mask = None
+        if spec.dropout_retention < 1.0:
+            rng = rng or np.random.default_rng(seed)
+            mask = (rng.random(act.shape[::-1]) < spec.dropout_retention) / spec.dropout_retention
+            act = act * mask.T
+        cache.layers.append(_LayerCache(inputs=h.T, pre_activation=z.T, mask=mask))
         h = act
     return h.T, cache
 

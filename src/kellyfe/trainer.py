@@ -23,8 +23,8 @@ import numpy as np
 
 from . import losses
 from .data import Dataset, batches
-from .kelly import _sweep, _transposed, clamp_probability_rows
-from .network import LayerSpec, NetworkParams, backward, forward, init_he
+from .kelly import _sweep, _sweep_state, _transposed, clamp_probability_rows
+from .network import LayerSpec, NetworkParams, _inference, _inference_buffers, backward, forward, init_he
 from .optimizer import DEFAULT_ALPHA_LR, DEFAULT_BETA_FM, DEFAULT_BETA_SM, adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
@@ -176,7 +176,7 @@ def batch_loss(
     reference_labels: np.ndarray | None = None,
     grad: bool = True,
     *,
-    order: np.ndarray | None = None,
+    held: tuple | None = None,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
 
@@ -188,19 +188,21 @@ def batch_loss(
     taken on those rows alone.  The
     loss's table kernel then takes ``(ln p, p)`` and the rows, as for
     every loss, and its gradient comes back as a C-ordered (N, K) array
-    for ``backward``.  ``order`` is the sweep's (K, N) sort order, which it
-    rewrites in place (see ``kelly._sweep``); a caller that carries it across
-    calls on the same rows saves most sorts.  The weighted losses take the
-    config's ``class_weights``, else they count ``labels``.  ``grad=False``
-    gives the value alone; neither keyword changes a bit of the result.
+    for ``backward``.  ``held`` is a caller's ``(carried, ln_priors)`` for
+    a loss that uses candidates: the sweep's carried state, rewritten in
+    place (``kelly._sweep``), and the priors' logarithms (see
+    ``_validation_pass``).  The weighted losses take the config's
+    ``class_weights``, else they count ``labels``.  ``grad=False`` gives the
+    value alone; neither keyword changes a bit of the result.
     """
     entry = losses.LOSSES[config.loss]
     ln_p, p = losses._log_softmax(_transposed(logits))
-    mask = None
+    mask = ln_priors = None
     if entry.uses_candidates:
+        carried, ln_priors = held or (None, None)
         fallback = reference_labels if supervised(config.mode) else (lambda empty: p[:, empty].argmax(axis=0))
-        mask = _sweep(priors, p, fallback, mask_only=True, order=order)
-    ev = entry.kernel(ln_p, p, labels, priors, mask, config.class_weights, config.gamma_mod, grad)
+        mask = _sweep(priors, p, fallback, mask_only=True, carried=carried)
+    ev = entry.kernel(ln_p, p, labels, priors, ln_priors, mask, config.class_weights, config.gamma_mod, grad)
     return losses._transposed_grad(ev)
 
 
@@ -228,6 +230,31 @@ def _network_specs(config: TrainConfig, n_features: int, n_classes: int) -> tupl
     return tuple(specs)
 
 
+def _validation_pass(config: TrainConfig, specs: tuple[LayerSpec, ...], val_set: Dataset):
+    """A run's validation pass, ``score(params, iteration)``, and the state it holds, all allocated here.
+
+    The state: the set's loss rows; its features as ``forward`` reads them,
+    the (N, d) array's transpose, not a copy (the bits of ``weights @ h``
+    follow its memory order); the inference forward's buffers; and, for a
+    loss that uses candidates, the sweep's carried state
+    (``kelly._sweep_state``, in the class order at first) and the priors'
+    logarithms.  So a pass allocates no (width, N) forward array and
+    re-gathers and re-sums the priors only of samples whose order changed.
+    Each pass has the bits of a fresh ``forward`` and value-only
+    ``batch_loss``.
+    """
+    rows = _loss_rows(val_set, config)
+    features = np.asarray(val_set.features, dtype=float).T
+    buffers = _inference_buffers(specs, len(val_set))
+    held = (_sweep_state(rows[1]), np.log(rows[1])) if len(rows) > 1 else None
+
+    def score(params: NetworkParams, iteration: int) -> losses.LossEvaluation:
+        logits = _inference(params, features, buffers)
+        return _scored(config, iteration, "validation pass", logits, *rows, grad=False, held=held)
+
+    return score
+
+
 # an underflowed posterior sweeps as prior/0 = +inf; non-finite results raise NonFiniteError
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
@@ -240,12 +267,14 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     improved on its best value for ``patience`` iterations, or at
     ``max_iterations``; the returned parameters are a snapshot from the
     best-EMA iteration.  Candidate sets for the expected-free-energy loss
-    are recomputed from fresh posteriors every iteration; the validation
-    pass carries its sweep's sort order, an index array that starts in the
-    class order, from one iteration to the next and sorts again only the
-    samples whose order changed, while the training step sorts its batch
-    afresh.  A non-finite logit or parameter raises NonFiniteError naming
-    the iteration and whether the training step or the validation pass
+    are recomputed from fresh posteriors every iteration; the training step
+    sorts its batch afresh.  The validation pass holds one state for the
+    run, made before the first iteration (``_validation_pass``): its
+    forward buffers and, for EFE, the sweep's sort order, the priors
+    gathered in it and their rest sums, updated only where the order
+    changed, and the priors' logarithms, with the bits of fresh calls.  A
+    non-finite logit or parameter raises NonFiniteError naming the
+    iteration and whether the training step or the validation pass
     produced it.
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
@@ -262,8 +291,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     state = init_adam(params.vector.size, config.alpha_lr, config.beta_fm, config.beta_sm)
 
     train_rows = _loss_rows(train_set, config)
-    val_rows = _loss_rows(val_set, config)
-    order = np.arange(val_rows[1].size).reshape(val_rows[1].shape) if len(val_rows) > 1 else None
+    validation = _validation_pass(config, specs, val_set)
 
     history: list[HistoryRecord] = []
     best_ema = np.inf
@@ -279,8 +307,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
         if not np.isfinite(params.vector).all():
             raise _non_finite(iteration, "training step")
 
-        val_logits, _ = forward(params, val_set.features, training=False)
-        val_ev = _scored(config, iteration, "validation pass", val_logits, *val_rows, grad=False, order=order)
+        val_ev = validation(params, iteration)
         if ema is None:
             ema = val_ev.value
         else:

@@ -17,7 +17,9 @@ from kellyfe.kelly import (
     MissingReferenceLabelError,
     PROB_CLAMP,
     _max_units,
+    _rest_sums,
     _sweep,
+    _sweep_state,
     _transposed,
     brute_force_oracle,
     candidate_labels,
@@ -369,6 +371,19 @@ class TestKellyObjectiveValue:
             value = kelly_objective_value(sol, prior, posterior)
             assert value >= 0.0
             assert abs(value - sol.log_growth) <= 1e-12
+
+    def test_rounding_below_zero_is_bounded(self):
+        """Not clamped at 0 (it equals the log-growth): on tied rows it rounds
+        below 0 by a few ulps of 1, never below -1e-15."""
+        values = []
+        for seed in range(300):
+            for k in (3, 5, 8, 9, 20):
+                rng = np.random.default_rng([seed, k])
+                priors, posteriors, _ = _tied_pairs(rng, k, 40)
+                rows = candidate_labels(priors, posteriors, reference_label=rng.integers(0, k, 40))
+                values.append(kelly_objective_value(rows, priors, posteriors))
+        values = np.concatenate(values)
+        assert -1e-15 <= values.min() < 0.0
 
     @pytest.mark.parametrize(
         "solution_pair, pair",
@@ -839,18 +854,42 @@ class TestSweepOrder:
         # the trainer's start, the class order, or a random permutation of each column
         start = np.argsort(rng.random((k, n)), axis=0) if shuffled else np.arange(k)[:, None]
         order = start * n + np.arange(n)
+        state = (order, a.ravel()[order], _rest_sums(a.ravel()[order]))
         for p in _drifting_posteriors(rng, a, steps, spread):
             # a posterior of 0, or a denormal one, makes an infinite ratio or
             # level, and a fraction off the mask may then be 0 * inf
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 flat, *expected = reference_sweep(a, p, fallback)
-                carried = _sweep(a, p, fallback, order=order)
+                carried = _sweep(a, p, fallback, carried=state)
                 fresh = _sweep(a, p, fallback)
-                mask = _sweep(a, p, fallback, mask_only=True, order=order)
+                mask = _sweep(a, p, fallback, mask_only=True, carried=state)
             assert order.tobytes() == flat.tobytes()
+            # the held priors and rest sums are a fresh gather and sum in the new order
+            assert state[1].tobytes() == a.ravel()[order].tobytes()
+            assert state[2].tobytes() == _rest_sums(a.ravel()[order]).tobytes()
             for got, again, want in zip(carried, fresh, expected):
                 assert got.tobytes() == again.tobytes() == want.tobytes()
             assert mask.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 32, 2000])
+    @pytest.mark.parametrize("k", [2, 3, 20])
+    def test_carried_state_gives_the_masks_of_fresh_sweeps(self, k, n):
+        """The trainer's carried state, from ``_sweep_state``, over 30 drifting posterior
+        sets with exact ratio ties, one of them in a column that goes stale on every call."""
+        rng = np.random.default_rng([61, k, n])
+        a = np.ascontiguousarray(clamp_probability_rows(rng.dirichlet(np.ones(k), n)).T)
+        a[1, ::2] = a[0, ::2]
+        fallback = rng.integers(0, k, n)
+        state = _sweep_state(a)
+        assert state[0].tolist() == np.arange(k * n).reshape(k, n).tolist()
+        for p in _drifting_posteriors(rng, a, 30, 3.0):
+            p[1, 0] = p[0, 0]  # twin priors: a tie in column 0, stale on every call
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                carried = _sweep(a, p, fallback, mask_only=True, carried=state)
+                fresh = _sweep(a, p, fallback, mask_only=True)
+            assert carried.tobytes() == fresh.tobytes()
+            assert state[1].tobytes() == a.ravel()[state[0]].tobytes()
+            assert state[2].tobytes() == _rest_sums(a.ravel()[state[0]]).tobytes()
 
 
 def _tied_pairs(rng, k: int, n: int):

@@ -571,11 +571,29 @@ class TestLayouts:
         mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
         value, grad = _reference_evaluation(name, logits, labels, priors, mask, 2.0)
         z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
-        ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, m, None, 2.0, True)
+        ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, None, m, None, 2.0, True)
         np.testing.assert_allclose(ev.value, value, rtol=1e-12, atol=0.0)
         assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
         # entries that cancel to near 0 are compared at the scale of the whole gradient
         np.testing.assert_allclose(_transposed(ev.grad_logits), grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("n", [1, 32, 2000])
+    @pytest.mark.parametrize("k", [2, 3, 20])
+    def test_efe_kernel_with_held_prior_logs_keeps_its_bits(self, k, n):
+        rng = np.random.default_rng([k, n, 3])
+        logits, posteriors, labels = _random_instance(rng, n, k)
+        priors = rng.dirichlet(np.ones(k), n)
+        mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
+        z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
+        ln_p, p = losses._log_softmax(z)
+        kernel = losses.LOSSES["efe"].kernel
+        for grad in (False, True):
+            held = kernel(ln_p, p, l, a, np.log(a), m, None, 2.0, grad)
+            fresh = kernel(ln_p, p, l, a, None, m, None, 2.0, grad)
+            assert held.value.hex() == fresh.value.hex()
+            assert held.expected_complexity.hex() == fresh.expected_complexity.hex()
+            if grad:
+                assert held.grad_logits.tobytes() == fresh.grad_logits.tobytes()
 
     @pytest.mark.parametrize("k", [2, 3, 20])
     def test_public_lovasz_softmax_equals_its_kernel_bitwise(self, k):

@@ -14,6 +14,8 @@ from kellyfe.network import (
     NetworkParams,
     StaleCacheError,
     _LayerCache,
+    _inference,
+    _inference_buffers,
     _prelu,
     backward,
     forward,
@@ -136,6 +138,16 @@ class TestForward:
             logits, _ = forward(params, x, training=training)
             assert logits.T.flags.c_contiguous
             assert logits.tobytes() == h.T.tobytes()
+            if not training:
+                # buffers held across passes, as the trainer's validation pass holds them
+                buffers = _inference_buffers(params.specs, n)
+                for fill in (np.nan, -np.inf):
+                    for pair in buffers:
+                        for buffer in pair:
+                            if buffer is not None:
+                                buffer.fill(fill)
+                    held = _inference(params, x.T, buffers)
+                    assert held.T.flags.c_contiguous and held.tobytes() == h.T.tobytes()
 
     def test_dropout_masks_are_drawn_sample_major_layer_by_layer(self):
         retention = 0.7

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellyfe import data, losses, trainer
-from kellyfe.network import LayerSpec, init_he, load_params, save_params
+from kellyfe.kelly import _sweep_state
+from kellyfe.network import LayerSpec, forward, init_he, load_params, save_params
 
 
 def _separable_sets(seed=0):
@@ -158,18 +159,51 @@ class TestValidationState:
         val_set = data.with_synthesized_priors(data.generate(4, 2, 300, [0.4, 0.3, 0.2, 0.1], 1.0, seed=3), 0.2)
         config = trainer.TrainConfig(loss="efe", mode=mode)
         rows = trainer._loss_rows(val_set, config)
-        order = np.arange(rows[1].size).reshape(rows[1].shape)
+        held = (_sweep_state(rows[1]), np.log(rows[1]))
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((300, 4))
         for _ in range(6):
             logits = logits + 0.1 * rng.standard_normal((300, 4))
             for grad in (False, True):
-                carried = trainer.batch_loss(config, logits, *rows, grad=grad, order=order)
+                carried = trainer.batch_loss(config, logits, *rows, grad=grad, held=held)
                 fresh = trainer.batch_loss(config, logits, *rows, grad=grad)
                 assert carried.value.hex() == fresh.value.hex()
                 assert carried.expected_complexity.hex() == fresh.expected_complexity.hex()
                 if grad:
                     assert carried.grad_logits.tobytes() == fresh.grad_logits.tobytes()
+
+    @pytest.mark.parametrize("loss, mode", [("efe", "grpr"), ("efe", "ngpr"), ("efe", "grnp"), ("wfocal", "grnp")])
+    def test_every_validation_pass_has_the_bits_of_fresh_calls(self, monkeypatch, loss, mode):
+        """Each pass's logits are a fresh inference ``forward``'s, and its value is a fresh
+        ``batch_loss``'s on them, with no carried order or held state."""
+        train_set = data.with_synthesized_priors(data.generate(3, 2, 200, [0.6, 0.3, 0.1], 1.0, seed=21), 0.3)
+        val_set = data.with_synthesized_priors(data.generate(3, 2, 300, [0.6, 0.3, 0.1], 1.0, seed=22), 0.3)
+        config = trainer.TrainConfig(loss=loss, mode=mode, max_iterations=25, seed=4)
+        passes = []
+        inference, batch_loss = trainer._inference, trainer.batch_loss
+
+        def recorded_inference(params, h, buffers):
+            logits = inference(params, h, buffers)
+            fresh, _ = forward(params, val_set.features, training=False)
+            assert logits.tobytes() == fresh.tobytes()
+            passes.append([logits.copy()])
+            return logits
+
+        def recorded_loss(config, logits, *rows, **options):
+            ev = batch_loss(config, logits, *rows, **options)
+            if rows[0].shape[1] == len(val_set):  # the validation pass, not a training step
+                passes[-1].append(ev.value)
+            return ev
+
+        monkeypatch.setattr(trainer, "_inference", recorded_inference)
+        monkeypatch.setattr(trainer, "batch_loss", recorded_loss)
+        _, history = trainer.train(config, train_set, val_set)
+        monkeypatch.undo()
+        rows = trainer._loss_rows(val_set, config)
+        assert len(passes) == len(history) == 25
+        for (logits, value), record in zip(passes, history):
+            assert value.hex() == record.val_loss.hex()
+            assert value.hex() == trainer.batch_loss(config, logits, *rows, grad=False).value.hex()
 
     def test_given_weights_are_not_recounted(self):
         class Uncountable(np.ndarray):

@@ -12,17 +12,23 @@ whose class counts rest on a largest-remainder tie that the rounding of
 the frequencies' division by their sum decides) and ``wide`` (7 classes,
 5 features, 4097 rows, seed 3: more features than the other inputs, and
 one row past every power-of-two block of rows up to 4096, so a CSV
-writer that works in blocks is checked past a block's edge).  It prints
-one markdown row per input with the sha256 of its CSV and of the stdout of
-``generate`` (with the output path replaced by the input's name), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 32 configurations below and prints one markdown row per
+writer that works in blocks is checked past a block's edge).  ``val1`` is
+``val``'s header and first data row: a one-row validation set, which
+``generate`` cannot make, as it writes one sample per class at least.  It
+prints one markdown row per input with the sha256 of its CSV and of the
+stdout of ``generate`` (with the output path replaced by the input's
+name; ``val1`` names its source instead), runs ``kellyfe train --seed 5 --max-iterations 250``
+for each of the 37 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
-file that sets two hidden layers and dropout.  The four 20-class runs
-(efe, ce, wfocal and lovasz) take the sweep, the softmax and the losses to a
+file that sets two hidden layers and dropout.  The five 20-class runs
+(efe, ce, wfocal, lovasz and efe in ngpr mode) take the sweep, the softmax and the losses to a
 class count where a candidate set and its rest can each hold many outcomes;
-wfocal counts its 20 class weights on every step and validation pass, and
-lovasz sorts and sums 20 classes at once.  Two more
+wfocal counts its 20 class weights on every step and validation pass,
+lovasz sorts and sums 20 classes at once, and efe ngpr takes the ng*
+fallback, the argmax posterior of the rows that admit nothing.  Four runs
+(efe in grpr, ngpr and ngnp mode, and ce) validate on ``val1``, the
+smallest validation state a run holds.  Two more
 (efe and ce on the clean rows) validate on ``val300``, 300 rows of the
 validation recipe (seed 2): at that batch size a BLAS matrix product may
 take another kernel than at 2000, so a change of layout can move their
@@ -96,7 +102,12 @@ EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
     ("ce", ["--loss", "ce"], "grpr"),
 ]
-K20_RUNS = [*EFE_CE_RUNS, ("wfocal", ["--loss", "wfocal"], "grpr"), ("lovasz", ["--loss", "lovasz"], "grpr")]
+K20_RUNS = [
+    *EFE_CE_RUNS, ("wfocal", ["--loss", "wfocal"], "grpr"), ("lovasz", ["--loss", "lovasz"], "grpr"),
+    ("efe", ["--loss", "efe"], "ngpr"),
+]
+# a one-row validation pass, with and without candidate sets
+VAL1_RUNS = [*(("efe", ["--loss", "efe"], mode) for mode in ("grpr", "ngpr", "ngnp")), ("ce", ["--loss", "ce"], "grpr")]
 # an epoch of 2000 rows that ends on a full batch, and one-row batches whose weights count one label
 BATCH_SIZE_RUNS = [
     ("efe --batch-size 40", ["--loss", "efe", "--batch-size", "40"], "grpr"),
@@ -105,7 +116,7 @@ BATCH_SIZE_RUNS = [
 # (train input, validation input, runs)
 TABLE = [
     ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", K20_RUNS),
-    ("clean", "val300", EFE_CE_RUNS), ("clean", "val", BATCH_SIZE_RUNS),
+    ("clean", "val300", EFE_CE_RUNS), ("clean", "val", BATCH_SIZE_RUNS), ("clean", "val1", VAL1_RUNS),
 ]
 CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
 VERIFY = [
@@ -160,6 +171,9 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
         # stdout names the output path, which differs between the two trees' work directories
         stdout = proc.stdout.replace(str(path).encode(), name.encode())
         rows.append(f"| {name} | {sha256(path.read_bytes())} | {sha256(stdout)} |")
+    val1 = work / "val1.csv"
+    val1.write_bytes(b"".join((work / "val.csv").read_bytes().splitlines(keepends=True)[:2]))
+    rows.append(f"| val1 | {sha256(val1.read_bytes())} | (val's first 2 lines) |")
     config = work / "config.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
     rows += [
