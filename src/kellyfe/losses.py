@@ -12,12 +12,12 @@ LOSSES is the one way to reach a trainable loss.  It maps each loss name to
 its kernel plus whether it needs reference labels and whether it uses the
 candidate sets.  Every kernel reads the class-major (K, N) ``(ln p, p)`` of
 one ``_log_softmax`` call made by its caller, which holds the only
-finiteness check of the logits, with the labels, the clamped priors and the
-candidate mask in the same layout; it derives whatever else it needs (the
-counted class weights, the prior logarithms unless its caller holds them)
-from these.  The trainer calls the kernels on its own rows;
-``LossEntry.evaluate`` checks (N, K) inputs, one row per sample, clamps
-the priors (``kelly.clamp_probability_rows``) and calls the same kernel,
+finiteness check of the logits, with the labels, the clamped priors, their
+logarithms and the candidate mask in the same layout; it derives whatever
+else it needs (the counted class weights) from these.  The trainer calls
+the kernels on its own rows; ``LossEntry.evaluate`` checks (N, K) inputs,
+one row per sample, clamps the priors (``kelly.clamp_probability_rows``),
+takes their logarithms and calls the same kernel,
 for the verify suites, the tests and the demos; the command line reads
 the names.
 
@@ -318,7 +318,7 @@ def _lovasz(p: np.ndarray, l: np.ndarray, grad: bool) -> LossEvaluation:
 # ---------------------------------------------------------------------------
 
 def _efe(
-    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray | None, mask: np.ndarray, grad: bool
+    ln_p: np.ndarray, p: np.ndarray, l: np.ndarray, a: np.ndarray, ln_a: np.ndarray, mask: np.ndarray, grad: bool
 ) -> LossEvaluation:
     """Expected free energy: label-weighted uncertainty plus expected complexity.
 
@@ -327,12 +327,11 @@ def _efe(
                                             + rest_a * ln(rest_a / rest_p) ]
 
     Takes ``(ln p, p)`` of ``_log_softmax``, the clamped priors ``a``, their
-    logarithms ``ln_a`` (``np.log(a)`` held by the caller, or None to take
-    them here, with the same bits) and the candidate mask, all class-major
-    (K, N) like the gradient.  The mask is held constant under
-    differentiation.  The complexity gradient in the logits is
-    scale * (p * sum(a) - target), with target = a on the candidates and
-    rest_a * p / rest_p off them.
+    logarithms ``ln_a`` (``np.log(a)``, taken by the caller) and the
+    candidate mask, all class-major (K, N) like the gradient.  The mask is
+    held constant under differentiation.  The complexity gradient in the
+    logits is scale * (p * sum(a) - target), with target = a on the
+    candidates and rest_a * p / rest_p off them.
     For a mask of the sweep the rest holds at least as much posterior as
     prior mass, so rest_p > 0 and rest_a / rest_p <= 1 up to rounding.  A
     row without a rest has no rest term.
@@ -343,7 +342,7 @@ def _efe(
 
     rest_a = np.where(mask, 0.0, a).sum(axis=0)
     level = np.divide(rest_a, np.where(mask, 0.0, p).sum(axis=0), out=np.ones(n), where=rest_a > 0.0)
-    cand_terms = np.where(mask, a * ((np.log(a) if ln_a is None else ln_a) - ln_p), 0.0).sum(axis=0)
+    cand_terms = np.where(mask, a * (ln_a - ln_p), 0.0).sum(axis=0)
     complexity = scale * float((cand_terms + rest_a * np.log(level)).sum())
     if not grad:
         return LossEvaluation(uncertainty + complexity, None, uncertainty, complexity)
@@ -370,17 +369,17 @@ class LossEntry:
     ``kernel(ln_p, p, labels, priors, ln_priors, mask, class_weights,
     gamma_mod, grad)`` takes the class-major (K, N) ``(ln p, p)`` of one
     ``_log_softmax`` call made by its caller, the labels, the clamped
-    priors, their logarithms if the caller holds them (else None) and the
-    boolean candidate mask of the sweep, all (K, N).  It returns the value
-    to minimize and, unless ``grad`` is False, its (K, N) gradient in the
-    logits.  Each loss reads only the arguments it needs: priors,
-    ``ln_priors`` and mask only if it ``uses_candidates``.  Without
-    ``class_weights`` the weighted losses count the (one-hot) labels on
-    every call.
+    priors, their logarithms and the boolean candidate mask of the sweep,
+    all (K, N).  It returns the value to minimize and, unless ``grad`` is
+    False, its (K, N) gradient in the logits.  Each loss reads only the
+    arguments it needs: priors, ``ln_priors`` and mask only if it
+    ``uses_candidates``.  Without ``class_weights`` the weighted losses
+    count the (one-hot) labels on every call.
     ``needs_reference`` losses are undefined without reference labels.
 
     The trainer calls the kernel on its own rows.  ``evaluate`` is the same
-    loss on (N, K) arrays with raw priors.  It raises ValueError unless the
+    loss on (N, K) arrays with raw priors, which it clamps and takes the
+    logarithms of.  It raises ValueError unless the
     logits and labels are equal 2-d shapes and, for a loss that uses
     candidates, the priors match them and the mask is a boolean array of
     their shape; and for a sample whose rest (positive prior mass, once
@@ -397,13 +396,14 @@ class LossEntry:
         if z.ndim != 2:
             raise ValueError(f"logits {z.shape} must be 2-d, one row per sample")
         z, l = _transposed(z), _transposed(l)
-        a = None
+        a = ln_a = None
         if self.uses_candidates:
             a, mask = _transposed(clamp_probability_rows(priors)), _transposed(mask)
             if a.shape != z.shape:
                 raise ValueError("priors shape must match the logits")
             if mask.dtype != bool or mask.shape != z.shape:
                 raise ValueError("the candidate mask must be a boolean array shaped like the logits")
+            ln_a = np.log(a)
         ln_p, p = _log_softmax(z)
         if self.uses_candidates:
             stranded = np.flatnonzero(~mask.all(axis=0) & ~np.any(~mask & (p > 0.0), axis=0))
@@ -411,7 +411,7 @@ class LossEntry:
                 raise ValueError(
                     f"row {stranded[0]}: the candidate set leaves prior mass on outcomes whose posteriors are all 0"
                 )
-        return _transposed_grad(self.kernel(ln_p, p, l, a, None, mask, class_weights, gamma_mod, grad))
+        return _transposed_grad(self.kernel(ln_p, p, l, a, ln_a, mask, class_weights, gamma_mod, grad))
 
 
 # The kernels look their functions up at call time, so a rebinding of a

@@ -130,53 +130,64 @@ def init_he(specs, seed: int) -> NetworkParams:
     return params
 
 
-def _prelu(z: np.ndarray, leakage, out=None, product=None) -> np.ndarray:
-    """PReLU by max/min, with one temporary fewer than ``where``; see ``forward``.
+def _prelu(z: np.ndarray, leakage, out=None) -> np.ndarray:
+    """PReLU by max/min in one array and with ``z`` kept; see ``forward``.
 
-    ``leakage * z`` goes into ``product`` if given.  A NaN leakage would
-    give NaN at every positive z, where ``where`` gives z, so ``from_json``
-    rejects one.
+    ``leakage * z`` goes into ``out`` (a new array if None), and the max/min
+    of ``z`` and it is written over it.  A NaN leakage would give NaN at
+    every positive z, where ``where`` gives z, so ``from_json`` rejects one.
     """
     pick = np.maximum if leakage <= 1.0 else np.minimum
-    return pick(z, np.multiply(leakage, z, out=product), out=out)
+    product = np.multiply(leakage, z, out=out)
+    return pick(z, product, out=product)
 
 
 def _inference_buffers(specs, n: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per layer, a (width, n) output array for ``_inference`` and, for a PReLU layer, one for its product."""
+    """Per layer, (width, n) arrays for ``_run_layers``: the pre-activation and, for a PReLU layer, the activation."""
     return [
         (np.empty((s.output_width, n)), np.empty((s.output_width, n)) if s.activation == "prelu" else None) for s in specs
     ]
 
 
-def _inference(params: NetworkParams, h: np.ndarray, buffers=None) -> np.ndarray:
-    """The (N, K) logits of ``forward(training=False)`` on the (d, N) transposed features ``h``.
+def _run_layers(params: NetworkParams, h: np.ndarray, buffers=None, cache: ForwardCache | None = None, seed: int = 0):
+    """The (N, K) logits of the (d, N) transposed features ``h``: the one layer loop of every forward pass.
 
-    Each layer computes ``weights @ h`` into a (width, N) array, adds its
-    biases and activates in place.  Given ``_inference_buffers`` of these
-    specs and N, the outputs and PReLU products are written into them by
-    the same operations on the same operands, so the logits keep their
-    bits; they are then a view of the last buffer, valid until its next use.
+    Each layer computes ``weights @ h`` into a (width, N) pre-activation,
+    adds its biases and activates into a second array (``_prelu``), so the
+    pre-activation survives.  Given a ``ForwardCache`` the pass is a
+    training one: it applies dropout and appends each layer's (N, width)
+    views to the cache.  Given ``_inference_buffers`` of these specs and N,
+    both arrays of each layer are written into them by the same operations
+    on the same operands, so the logits keep their bits; they are then a
+    view of the last buffer, valid until its next use.
     """
-    for spec, lp, (z, product) in zip(params.specs, params.layers, buffers or [(None, None)] * len(params.specs)):
+    rng = None
+    for spec, lp, (z, act) in zip(params.specs, params.layers, buffers or [(None, None)] * len(params.specs)):
         z = np.matmul(lp.weights, h, out=z)
         z += lp.biases[:, None]
-        if spec.activation == "prelu":
-            _prelu(z, lp.prelu_leakage, out=z, product=product)
-        h = z
+        act = _prelu(z, lp.prelu_leakage, out=act) if spec.activation == "prelu" else z
+        if cache is not None:
+            mask = None
+            if spec.dropout_retention < 1.0:
+                rng = rng or np.random.default_rng(seed)
+                mask = (rng.random(act.shape[::-1]) < spec.dropout_retention) / spec.dropout_retention
+                act = act * mask.T
+            cache.layers.append(_LayerCache(inputs=h.T, pre_activation=z.T, mask=mask))
+        h = act
     return h.T
 
 
 def forward(params: NetworkParams, batch_features, training: bool = False, seed: int = 0):
     """Run a batch through the network; returns (logits, cache).
 
-    The pass is feature-major: each layer computes ``weights @ h`` on the
-    transposed (N, d) features or the previous (width, N) activation into
-    a C-ordered (width, N) array, then adds its biases as a column.  The
-    (N, K) logits are the transpose of the last one, which the loss kernels
-    read without a copy.  Only a ``training=True`` pass builds the cache
-    that ``backward`` needs, of (N, width) transposed views.  An inference
-    pass returns ``(logits, None)`` and activates each layer in place
-    (``_inference``, which can write into buffers its caller holds).
+    The pass is feature-major (``_run_layers``): each layer computes
+    ``weights @ h`` on the transposed (N, d) features or the previous
+    (width, N) activation into a C-ordered (width, N) array, then adds its
+    biases as a column.  The (N, K) logits are the transpose of the last
+    one, which the loss kernels read without a copy.  Only a
+    ``training=True`` pass builds the cache that ``backward`` needs, of
+    (N, width) transposed views; an inference pass returns
+    ``(logits, None)``.  Both modes run the same loop on the same operands.
 
     PReLU is ``max(z, a*z)`` for a leakage ``a <= 1`` and ``min(z, a*z)``
     above 1 (``_prelu``).  That has the bits of ``where(z > 0, z, a*z)`` for
@@ -194,22 +205,8 @@ def forward(params: NetworkParams, batch_features, training: bool = False, seed:
     h = np.asarray(batch_features, dtype=float).T
     if h.ndim != 2 or h.shape[0] != params.specs[0].input_width:
         raise ValueError(f"features with {h.T.shape} do not match input width {params.specs[0].input_width}")
-    if not training:
-        return _inference(params, h), None
-    rng = None
-    cache = ForwardCache(params=params)
-    for spec, lp in zip(params.specs, params.layers):
-        z = lp.weights @ h
-        z += lp.biases[:, None]
-        act = _prelu(z, lp.prelu_leakage) if spec.activation == "prelu" else z
-        mask = None
-        if spec.dropout_retention < 1.0:
-            rng = rng or np.random.default_rng(seed)
-            mask = (rng.random(act.shape[::-1]) < spec.dropout_retention) / spec.dropout_retention
-            act = act * mask.T
-        cache.layers.append(_LayerCache(inputs=h.T, pre_activation=z.T, mask=mask))
-        h = act
-    return h.T, cache
+    cache = ForwardCache(params=params) if training else None
+    return _run_layers(params, h, cache=cache, seed=seed), cache
 
 
 def backward(params: NetworkParams, cache: ForwardCache, grad_logits, out: NetworkParams | None = None) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import losses
 from .data import Dataset, batches
 from .kelly import _sweep, _sweep_state, _transposed, clamp_probability_rows
-from .network import LayerSpec, NetworkParams, _inference, _inference_buffers, backward, forward, init_he
+from .network import LayerSpec, NetworkParams, _inference_buffers, _run_layers, backward, forward, init_he
 from .optimizer import DEFAULT_ALPHA_LR, DEFAULT_BETA_FM, DEFAULT_BETA_SM, adam_step, init_adam
 
 LOSS_NAMES = tuple(losses.LOSSES)
@@ -155,9 +155,10 @@ def _derived_seed(*entropy: int) -> int:
 def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """batch_loss's arrays after the logits: the mode's label rows (one-hot in
     gr* modes, uniform otherwise) and, for a loss that uses candidate sets,
-    its prior rows (uniform in *np modes) clamped once and the (N,)
-    reference labels.  Rows are class-major (K, N), C-ordered, with
-    the samples on the last axis, so ``r[..., idx]`` of each is a batch's."""
+    its prior rows (uniform in *np modes) clamped once, their logarithms
+    and the (N,) reference labels.  Rows are class-major (K, N), C-ordered,
+    with the samples on the last axis, so ``r[..., idx]`` of each is a
+    batch's, the logarithms' with the bits of ``np.log`` of a batch's priors."""
     n, k = len(dataset), dataset.n_classes
     labels = np.full((k, n), 0.0 if supervised(config.mode) else 1.0 / k)
     if supervised(config.mode):
@@ -165,7 +166,8 @@ def _loss_rows(dataset: Dataset, config: TrainConfig) -> tuple[np.ndarray, ...]:
     if not losses.LOSSES[config.loss].uses_candidates:
         return (labels,)
     priors = dataset.priors if config.mode in ("grpr", "ngpr") else np.full((n, k), 1.0 / k)
-    return labels, _transposed(clamp_probability_rows(priors)), dataset.reference_labels
+    priors = _transposed(clamp_probability_rows(priors))
+    return labels, priors, np.log(priors), dataset.reference_labels
 
 
 def batch_loss(
@@ -173,10 +175,11 @@ def batch_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     priors: np.ndarray | None = None,
+    ln_priors: np.ndarray | None = None,
     reference_labels: np.ndarray | None = None,
     grad: bool = True,
     *,
-    held: tuple | None = None,
+    carried: tuple | None = None,
 ) -> losses.LossEvaluation:
     """The configured loss of one batch of (N, K) logits.
 
@@ -188,18 +191,16 @@ def batch_loss(
     taken on those rows alone.  The
     loss's table kernel then takes ``(ln p, p)`` and the rows, as for
     every loss, and its gradient comes back as a C-ordered (N, K) array
-    for ``backward``.  ``held`` is a caller's ``(carried, ln_priors)`` for
-    a loss that uses candidates: the sweep's carried state, rewritten in
-    place (``kelly._sweep``), and the priors' logarithms (see
+    for ``backward``.  ``carried`` is a caller's sweep state for a loss
+    that uses candidates, rewritten in place (``kelly._sweep``; see
     ``_validation_pass``).  The weighted losses take the config's
     ``class_weights``, else they count ``labels``.  ``grad=False`` gives the
     value alone; neither keyword changes a bit of the result.
     """
     entry = losses.LOSSES[config.loss]
     ln_p, p = losses._log_softmax(_transposed(logits))
-    mask = ln_priors = None
+    mask = None
     if entry.uses_candidates:
-        carried, ln_priors = held or (None, None)
         fallback = reference_labels if supervised(config.mode) else (lambda empty: p[:, empty].argmax(axis=0))
         mask = _sweep(priors, p, fallback, mask_only=True, carried=carried)
     ev = entry.kernel(ln_p, p, labels, priors, ln_priors, mask, config.class_weights, config.gamma_mod, grad)
@@ -235,10 +236,10 @@ def _validation_pass(config: TrainConfig, specs: tuple[LayerSpec, ...], val_set:
 
     The state: the set's loss rows; its features as ``forward`` reads them,
     the (N, d) array's transpose, not a copy (the bits of ``weights @ h``
-    follow its memory order); the inference forward's buffers; and, for a
-    loss that uses candidates, the sweep's carried state
-    (``kelly._sweep_state``, in the class order at first) and the priors'
-    logarithms.  So a pass allocates no (width, N) forward array and
+    follow its memory order); the forward's buffers, each layer's
+    pre-activation and activation; and, for a loss that uses candidates,
+    the sweep's carried state (``kelly._sweep_state``, in the class order
+    at first).  So a pass allocates no (width, N) forward array and
     re-gathers and re-sums the priors only of samples whose order changed.
     Each pass has the bits of a fresh ``forward`` and value-only
     ``batch_loss``.
@@ -246,11 +247,11 @@ def _validation_pass(config: TrainConfig, specs: tuple[LayerSpec, ...], val_set:
     rows = _loss_rows(val_set, config)
     features = np.asarray(val_set.features, dtype=float).T
     buffers = _inference_buffers(specs, len(val_set))
-    held = (_sweep_state(rows[1]), np.log(rows[1])) if len(rows) > 1 else None
+    carried = _sweep_state(rows[1]) if len(rows) > 1 else None
 
     def score(params: NetworkParams, iteration: int) -> losses.LossEvaluation:
-        logits = _inference(params, features, buffers)
-        return _scored(config, iteration, "validation pass", logits, *rows, grad=False, held=held)
+        logits = _run_layers(params, features, buffers)
+        return _scored(config, iteration, "validation pass", logits, *rows, grad=False, carried=carried)
 
     return score
 
@@ -272,15 +273,15 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset):
     run, made before the first iteration (``_validation_pass``): its
     forward buffers and, for EFE, the sweep's sort order, the priors
     gathered in it and their rest sums, updated only where the order
-    changed, and the priors' logarithms, with the bits of fresh calls.  A
+    changed, with the bits of fresh calls.  A
     non-finite logit or parameter raises NonFiniteError naming the
     iteration and whether the training step or the validation pass
     produced it.
 
     The train and validation priors are clamped (kelly.clamp_probability_rows)
-    once per run; no posterior is clamped.  The loss rows are kept
-    class-major (K, N), and a batch's rows are gathered by its indices from
-    the training set's.  The parameter and gradient views are made once per
+    and their logarithms taken once per run; no posterior is clamped.  The
+    loss rows are kept class-major (K, N), and a batch's rows are gathered
+    by its indices from the training set's.  The parameter and gradient views are made once per
     run too: Adam steps the parameters in place.
     """
     check_compatibility(config, train_set, val_set)

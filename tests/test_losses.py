@@ -443,7 +443,7 @@ class TestValueOnly:
             logits, posteriors, labels, priors, reference = _mode_inputs(rng, mode, 40, k)
             config = trainer.TrainConfig(loss=name, mode=mode, gamma_mod=2.0)
             a = _transposed(clamp_probability_rows(priors))
-            args = (config, logits, _transposed(labels), a, reference)
+            args = (config, logits, _transposed(labels), a, np.log(a), reference)
             full = trainer.batch_loss(*args)
             value_only = trainer.batch_loss(*args, grad=False)
             assert value_only.grad_logits is None and full.grad_logits is not None
@@ -571,7 +571,7 @@ class TestLayouts:
         mask = candidate_labels(priors, posteriors, reference_label=labels.argmax(axis=1)).mask
         value, grad = _reference_evaluation(name, logits, labels, priors, mask, 2.0)
         z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
-        ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, None, m, None, 2.0, True)
+        ev = losses.LOSSES[name].kernel(*losses._log_softmax(z), l, a, np.log(a), m, None, 2.0, True)
         np.testing.assert_allclose(ev.value, value, rtol=1e-12, atol=0.0)
         assert ev.grad_logits.shape == (k, n) and ev.grad_logits.flags.c_contiguous
         # entries that cancel to near 0 are compared at the scale of the whole gradient
@@ -587,13 +587,17 @@ class TestLayouts:
         z, l, a, m = map(_transposed, (logits, labels, clamp_probability_rows(priors), mask))
         ln_p, p = losses._log_softmax(z)
         kernel = losses.LOSSES["efe"].kernel
+        # taken once and read by every call, as the trainer holds them
+        ln_a = np.log(a)
+        before = ln_a.tobytes()
         for grad in (False, True):
-            held = kernel(ln_p, p, l, a, np.log(a), m, None, 2.0, grad)
-            fresh = kernel(ln_p, p, l, a, None, m, None, 2.0, grad)
+            held = kernel(ln_p, p, l, a, ln_a, m, None, 2.0, grad)
+            fresh = kernel(ln_p, p, l, a, np.log(a.copy()), m, None, 2.0, grad)
             assert held.value.hex() == fresh.value.hex()
             assert held.expected_complexity.hex() == fresh.expected_complexity.hex()
             if grad:
                 assert held.grad_logits.tobytes() == fresh.grad_logits.tobytes()
+        assert ln_a.tobytes() == before
 
     @pytest.mark.parametrize("k", [2, 3, 20])
     def test_public_lovasz_softmax_equals_its_kernel_bitwise(self, k):

@@ -14,9 +14,9 @@ from kellyfe.network import (
     NetworkParams,
     StaleCacheError,
     _LayerCache,
-    _inference,
     _inference_buffers,
     _prelu,
+    _run_layers,
     backward,
     forward,
     from_json,
@@ -106,19 +106,23 @@ class TestForward:
             forward(params, np.zeros((4, 5)))
 
     def test_inference_peaks_at_two_hidden_arrays(self):
-        params = init_he([LayerSpec(2, 16), LayerSpec(16, 3, activation="linear")], seed=0)
-        x = np.random.default_rng(0).standard_normal((2000, 2))
-        hidden_bytes = 2000 * 16 * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            logits, _ = forward(params, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (logits, _), peak = _forward_peak([2, 16, 3], training=False)
         assert logits.shape == (2000, 3)
-        # the pre-activation and one leakage * z temporary
-        assert peak - base <= 2.1 * hidden_bytes
+        # the pre-activation and the activation
+        assert peak <= 2.1
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_deeper_inference_peaks_at_three_hidden_arrays(self, depth):
+        (logits, _), peak = _forward_peak([2, *[16] * depth, 3], training=False)
+        assert logits.shape == (2000, 3)
+        # the previous layer's activation, then this layer's pre-activation and activation
+        assert peak <= 3.1
+
+    def test_training_pass_peaks_under_two_and_a_half_hidden_arrays(self):
+        (logits, cache), peak = _forward_peak([2, 16, 3], training=True)
+        assert logits.shape == (2000, 3) and len(cache.layers) == 2
+        # the cached pre-activation and the activation, with no leakage * z temporary beside them
+        assert peak <= 2.5
 
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("n", [1, 32, 300, 2000])
@@ -146,7 +150,7 @@ class TestForward:
                         for buffer in pair:
                             if buffer is not None:
                                 buffer.fill(fill)
-                    held = _inference(params, x.T, buffers)
+                    held = _run_layers(params, x.T, buffers)
                     assert held.T.flags.c_contiguous and held.tobytes() == h.T.tobytes()
 
     def test_dropout_masks_are_drawn_sample_major_layer_by_layer(self):
@@ -160,6 +164,20 @@ class TestForward:
             assert lc.mask.shape == expected.shape
             assert lc.mask.tobytes() == expected.tobytes()
         assert cache.layers[-1].mask is None
+
+
+def _forward_peak(widths, training):
+    """A forward pass on 2000 two-feature rows: its (logits, cache) and its tracemalloc peak in (16, 2000) arrays."""
+    params = init_he(_specs(widths), seed=0)
+    x = np.random.default_rng(0).standard_normal((2000, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = forward(params, x, training=training)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - base) / (2000 * 16 * 8)
 
 
 def _specs(widths, retention=1.0):
@@ -186,11 +204,13 @@ class TestPrelu:
         # 9 rows: numpy's vector loops and their scalar tails
         z = np.tile(PRE_ACTIVATIONS, (9, 1))
         expected = where_prelu(z, leak).tobytes()
+        before = z.tobytes()
+        held = np.full_like(z, np.nan)
         with np.errstate(over="ignore"):
             assert _prelu(z, leak).tobytes() == expected
-            in_place = z.copy()
-            assert _prelu(in_place, leak, out=in_place) is in_place
-        assert in_place.tobytes() == expected
+            assert _prelu(z, leak, out=held) is held
+        assert held.tobytes() == expected
+        assert z.tobytes() == before
 
     @pytest.mark.parametrize("leakage", LEAKAGES)
     def test_forward_has_the_bits_of_where_in_both_modes(self, leakage):

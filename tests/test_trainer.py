@@ -159,13 +159,13 @@ class TestValidationState:
         val_set = data.with_synthesized_priors(data.generate(4, 2, 300, [0.4, 0.3, 0.2, 0.1], 1.0, seed=3), 0.2)
         config = trainer.TrainConfig(loss="efe", mode=mode)
         rows = trainer._loss_rows(val_set, config)
-        held = (_sweep_state(rows[1]), np.log(rows[1]))
+        state = _sweep_state(rows[1])
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((300, 4))
         for _ in range(6):
             logits = logits + 0.1 * rng.standard_normal((300, 4))
             for grad in (False, True):
-                carried = trainer.batch_loss(config, logits, *rows, grad=grad, held=held)
+                carried = trainer.batch_loss(config, logits, *rows, grad=grad, carried=state)
                 fresh = trainer.batch_loss(config, logits, *rows, grad=grad)
                 assert carried.value.hex() == fresh.value.hex()
                 assert carried.expected_complexity.hex() == fresh.expected_complexity.hex()
@@ -180,10 +180,10 @@ class TestValidationState:
         val_set = data.with_synthesized_priors(data.generate(3, 2, 300, [0.6, 0.3, 0.1], 1.0, seed=22), 0.3)
         config = trainer.TrainConfig(loss=loss, mode=mode, max_iterations=25, seed=4)
         passes = []
-        inference, batch_loss = trainer._inference, trainer.batch_loss
+        run_layers, batch_loss = trainer._run_layers, trainer.batch_loss
 
-        def recorded_inference(params, h, buffers):
-            logits = inference(params, h, buffers)
+        def recorded_layers(params, h, buffers):
+            logits = run_layers(params, h, buffers)
             fresh, _ = forward(params, val_set.features, training=False)
             assert logits.tobytes() == fresh.tobytes()
             passes.append([logits.copy()])
@@ -195,7 +195,7 @@ class TestValidationState:
                 passes[-1].append(ev.value)
             return ev
 
-        monkeypatch.setattr(trainer, "_inference", recorded_inference)
+        monkeypatch.setattr(trainer, "_run_layers", recorded_layers)
         monkeypatch.setattr(trainer, "batch_loss", recorded_loss)
         _, history = trainer.train(config, train_set, val_set)
         monkeypatch.undo()
@@ -246,7 +246,8 @@ class TestBatchStream:
             alone = data.Dataset(*(getattr(ds, f.name)[idx] for f in dataclasses.fields(ds)))
             expected = trainer._loss_rows(alone, cfg)
             gathered = tuple(r[..., idx] for r in rows)
-            assert len(gathered) == len(expected) == (1 if loss == "wfocal" else 3)
+            # the labels, and for efe the priors, their logarithms and the reference labels
+            assert len(gathered) == len(expected) == (1 if loss == "wfocal" else 4)
             for g, e in zip(gathered, expected):
                 assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes())
 

@@ -18,10 +18,12 @@ writer that works in blocks is checked past a block's edge).  ``val1`` is
 prints one markdown row per input with the sha256 of its CSV and of the
 stdout of ``generate`` (with the output path replaced by the input's
 name; ``val1`` names its source instead), runs ``kellyfe train --seed 5 --max-iterations 250``
-for each of the 37 configurations below and prints one markdown row per
+for each of the 38 configurations below and prints one markdown row per
 configuration with the sha256 of ``history.csv``, ``model.json`` and
 ``metrics.json``.  Two of the configurations come from a ``--config``
-file that sets two hidden layers and dropout.  The five 20-class runs
+file that sets two hidden layers and dropout, and one (efe on the clean
+rows) from one that sets no hidden layer: a single linear layer, whose
+held validation buffers hold no activation.  The five 20-class runs
 (efe, ce, wfocal, lovasz and efe in ngpr mode) take the sweep, the softmax and the losses to a
 class count where a candidate set and its rest can each hold many outcomes;
 wfocal counts its 20 class weights on every step and validation pass,
@@ -96,7 +98,7 @@ K3_RUNS = [
     ("efe", ["--loss", "efe"], "ngpr"),
     ("efe", ["--loss", "efe"], "ngnp"),
     ("focal --gamma 0", ["--loss", "focal", "--gamma", "0"], "grnp"),
-    ("efe, --config hidden [8, 8] dropout 0.8", ["--config", "{config}"], "grpr"),
+    ("efe, --config hidden [8, 8] dropout 0.8", ["--config", "{hidden}"], "grpr"),
 ]
 EFE_CE_RUNS = [
     ("efe", ["--loss", "efe"], "grpr"),
@@ -113,12 +115,19 @@ BATCH_SIZE_RUNS = [
     ("efe --batch-size 40", ["--loss", "efe", "--batch-size", "40"], "grpr"),
     ("wce --batch-size 1", ["--loss", "wce", "--batch-size", "1"], "grpr"),
 ]
+# a network of one linear layer
+NO_HIDDEN_RUNS = [("efe, --config hidden []", ["--config", "{no_hidden}"], "grpr")]
 # (train input, validation input, runs)
 TABLE = [
     ("clean", "val", K3_RUNS), ("flip20", "val", K3_RUNS), ("k20", "k20-val", K20_RUNS),
     ("clean", "val300", EFE_CE_RUNS), ("clean", "val", BATCH_SIZE_RUNS), ("clean", "val1", VAL1_RUNS),
+    ("clean", "val", NO_HIDDEN_RUNS),
 ]
-CONFIG = {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8}
+# --config files, by the name a run's flags give them
+CONFIGS = {
+    "hidden": {"loss": "efe", "hidden_widths": [8, 8], "dropout_retention": 0.8},
+    "no_hidden": {"loss": "efe", "hidden_widths": []},
+}
 VERIFY = [
     ["--suite", "gradients", "--trials", "30", "--seed", "0"],
     ["--suite", "kelly", "--trials", "100", "--seed", "0"],
@@ -174,8 +183,9 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
     val1 = work / "val1.csv"
     val1.write_bytes(b"".join((work / "val.csv").read_bytes().splitlines(keepends=True)[:2]))
     rows.append(f"| val1 | {sha256(val1.read_bytes())} | (val's first 2 lines) |")
-    config = work / "config.json"
-    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    configs = {name: work / f"{name}.json" for name in CONFIGS}
+    for name, path in configs.items():
+        path.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
     rows += [
         "",
         "| data | loss | mode | " + " | ".join(OUTPUTS) + " |",
@@ -185,7 +195,7 @@ def digest_table(src: Path, work: Path) -> tuple[list[str], dict[int, Path]]:
         for label, loss_flags, mode in runs:
             out = work / f"train-{len(rows)}"
             kellyfe(src, [
-                "train", *(f.format(config=config) for f in loss_flags), "--mode", mode, *TRAIN,
+                "train", *(f.format(**configs) for f in loss_flags), "--mode", mode, *TRAIN,
                 "--train", str(work / f"{data}.csv"), "--val", str(work / f"{val}.csv"),
                 "--out-dir", str(out),
             ])
